@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .estimate import (
     fit_weighted,
 )
 from .model import (
+    NAMED_SPECS,
     Dataset,
     Empirical,
     KnownMean,
@@ -46,11 +48,11 @@ from .population import (
     solve_population,
     variance_gap_theorem2,
 )
-from .sim import run_grid, scenario
+from .sim import REPORT_FIELDS, run_grid, scenario
 
 __all__ = ["main"]
 
-_NAMED = ("anova", "ancova", "anhecova", "did", "ldv")
+_NAMED = frozenset(name.lower() for name in NAMED_SPECS)
 
 
 class CliError(Exception):
@@ -124,6 +126,7 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
         if not cov_names:
             raise CliError(f"{path}: need at least one covariate column")
         rows = []
+        lines = []
         for row in reader:
             line = reader.line_num
             if not row or all(v.strip() == "" for v in row):
@@ -139,9 +142,14 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
             if has_w and vals[-1] <= 0:
                 raise CliError(f"{path} line {line}: weight must be positive, got {row[-1]}")
             rows.append(vals)
+            lines.append(line)
     if not rows:
         raise CliError(f"{path}: no data rows")
     arr = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i, j = divmod(int(bad[0]), arr.shape[1])
+        raise CliError(f"{path} line {lines[i]}: {names[j]} must be finite, got {arr[i, j]}")
     a, y = arr[:, 0], arr[:, 1]
     x = arr[:, 2 : len(names) - 1] if has_w else arr[:, 2:]
     w = arr[:, -1] if has_w else None
@@ -172,15 +180,19 @@ def _fit_report_text(fit: FitResult, cov_names: list[str]) -> str:
         lines.append("converged  False")
     lines.append("")
     lines.append(f"{'term':<12}{'estimate':>14}  status")
-    lines.append(f"{'intercept':<12}{fit.alpha:>14.6g}  free")
-    lines.append(f"{'A':<12}{fit.beta:>14.6g}  free")
-    for j, name in enumerate(cov_names):
-        status = "free" if fit.spec.gamma[j].is_free else "fixed"
-        lines.append(f"{name:<12}{fit.gamma[j]:>14.6g}  {status}")
-    for j, name in enumerate(cov_names):
-        status = "free" if fit.spec.delta[j].is_free else "fixed"
-        lines.append(f"{'A:' + name:<12}{fit.delta[j]:>14.6g}  {status}")
+    for term, value, free in _coef_rows(fit, cov_names):
+        lines.append(f"{term:<12}{value:>14.6g}  {'free' if free else 'fixed'}")
     return "\n".join(lines) + "\n"
+
+
+def _coef_rows(fit: FitResult, cov_names: list[str]) -> list[tuple]:
+    """(term, estimate, is free) for the intercept, A, each X and each A:X."""
+    rows = [("intercept", fit.alpha, True), ("A", fit.beta, True)]
+    for j, name in enumerate(cov_names):
+        rows.append((name, fit.gamma[j], fit.spec.gamma[j].is_free))
+    for j, name in enumerate(cov_names):
+        rows.append(("A:" + name, fit.delta[j], fit.spec.delta[j].is_free))
+    return rows
 
 
 def _centering_name(spec: ModelSpec) -> str:
@@ -191,12 +203,7 @@ def _centering_name(spec: ModelSpec) -> str:
 
 def _fit_report_csv(fit: FitResult, cov_names: list[str]) -> str:
     lines = ["term,value", f"ate_hat,{fit.ate_hat!r}", f"ate_se,{fit.ate_se!r}"]
-    lines.append(f"intercept,{fit.alpha!r}")
-    lines.append(f"A,{fit.beta!r}")
-    for j, name in enumerate(cov_names):
-        lines.append(f"{name},{fit.gamma[j]!r}")
-    for j, name in enumerate(cov_names):
-        lines.append(f"A:{name},{fit.delta[j]!r}")
+    lines += [f"{term},{value!r}" for term, value, _ in _coef_rows(fit, cov_names)]
     return "\n".join(lines) + "\n"
 
 
@@ -245,15 +252,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verdict_payload(verdict) -> dict:
-    return {
-        "verdict": verdict.verdict,
-        "theorem": verdict.theorem,
-        "centering": verdict.centering,
-        "explanation": verdict.explanation,
-    }
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     names = [f"X{j + 1}" for j in range(args.p)]
     spec1 = _parse_model(args.model, names)
@@ -266,7 +264,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.format == "json":
-        payload = _verdict_payload(verdict)
+        payload = asdict(verdict)
         payload["model1"] = format_formula(spec1, names)
         payload["model2"] = format_formula(spec2, names)
         payload["pi"] = args.pi
@@ -329,8 +327,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "v_known_mean": {"model1": v1, "model2": v2, "gap": v2 - v1},
         "v_centered": {"model1": vc1, "model2": vc2, "gap": vc2 - vc1},
         "theorem2_gap": gap,
-        "verdict_known_mean": _verdict_payload(verdict_km),
-        "verdict_centered": _verdict_payload(verdict_c),
+        "verdict_known_mean": asdict(verdict_km),
+        "verdict_centered": asdict(verdict_c),
     }
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -377,8 +375,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = report.to_json()
     elif args.format == "text":
         widths = (10, 24, 6, 6, 8, 12, 12, 12, 10)
-        header = ("scenario", "model", "pi", "n", "reps", "bias", "sd", "mc_se", "fail_rate")
-        lines = ["".join(f"{h:<{w}}" for h, w in zip(header, widths))]
+        lines = ["".join(f"{h:<{w}}" for h, w in zip(REPORT_FIELDS, widths))]
         for c in report.cells:
             row = (
                 str(c.scenario),
@@ -488,12 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=_positive_int, default=1000)
     p_sim.add_argument("--n", type=_positive_int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="reserved; results are identical for any value",
-    )
     add_common(p_sim, formats=("csv", "json", "text"))
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -510,15 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, EstimationError) else 2
 
 
 if __name__ == "__main__":

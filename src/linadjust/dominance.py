@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelSpec, named_spec, parse_formula
+from .model import ModelSpec, _check_pi, named_spec, parse_formula
 
 __all__ = [
     "DominanceVerdict",
@@ -53,18 +53,28 @@ def _subconditions(spec1: ModelSpec, spec2: ModelSpec) -> dict[str, bool]:
     }
 
 
+def _known_mean_terms(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> dict[str, bool]:
+    superset = set(spec1.unrestricted_delta()) >= set(spec1.unrestricted_gamma())
+    return {**_subconditions(spec1, spec2), "pi_half": pi == 0.5, "interaction_superset": superset}
+
+
+def _centered_terms(spec1: ModelSpec, spec2: ModelSpec) -> dict[str, bool]:
+    equal_free = set(spec1.unrestricted_gamma()) == set(spec1.unrestricted_delta())
+    return {**_subconditions(spec1, spec2), "equal_free_sets": equal_free}
+
+
+def _known_mean_holds(t: dict[str, bool]) -> bool:
+    return t["gamma_nested"] and t["delta_nested"] and (t["pi_half"] or t["interaction_superset"])
+
+
 def condition_known_mean(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> bool:
     """The known-mean dominance condition, allowing spec1 == spec2."""
-    sub = _subconditions(spec1, spec2)
-    third = pi == 0.5 or set(spec1.unrestricted_delta()) >= set(spec1.unrestricted_gamma())
-    return sub["gamma_nested"] and sub["delta_nested"] and third
+    return _known_mean_holds(_known_mean_terms(spec1, spec2, pi))
 
 
 def condition_centered(spec1: ModelSpec, spec2: ModelSpec) -> bool:
     """The centered dominance condition, allowing spec1 == spec2."""
-    sub = _subconditions(spec1, spec2)
-    equal_free = set(spec1.unrestricted_gamma()) == set(spec1.unrestricted_delta())
-    return sub["gamma_nested"] and sub["delta_nested"] and equal_free
+    return all(_centered_terms(spec1, spec2).values())
 
 
 def _validate_pair(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> None:
@@ -74,9 +84,7 @@ def _validate_pair(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> None:
     if (spec1.gamma, spec1.delta) == (spec2.gamma, spec2.delta):
         msg = "specs are identical; dominance comparison needs distinct models"
         raise ValueError(msg)
-    if not 0.0 < pi < 1.0:
-        msg = f"pi must lie in (0, 1), got {pi}"
-        raise ValueError(msg)
+    _check_pi(pi)
 
 
 def check_known_mean(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> DominanceVerdict:
@@ -87,17 +95,12 @@ def check_known_mean(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> Dominance
     cover its free main effects.
     """
     _validate_pair(spec1, spec2, pi)
-    expl = _subconditions(spec1, spec2)
-    expl["pi_half"] = pi == 0.5
-    expl["interaction_superset"] = set(spec1.unrestricted_delta()) >= set(
-        spec1.unrestricted_gamma()
-    )
-    if expl["gamma_nested"] and expl["delta_nested"]:
-        if expl["interaction_superset"]:
-            return DominanceVerdict("Dominates", "Theorem1-interaction-superset", "known-mean", expl)
-        if expl["pi_half"]:
-            return DominanceVerdict("Dominates", "Theorem1-pi-half", "known-mean", expl)
-    return DominanceVerdict("NotGuaranteed", "none", "known-mean", expl)
+    expl = _known_mean_terms(spec1, spec2, pi)
+    if not _known_mean_holds(expl):
+        return DominanceVerdict("NotGuaranteed", "none", "known-mean", expl)
+    if expl["interaction_superset"]:
+        return DominanceVerdict("Dominates", "Theorem1-interaction-superset", "known-mean", expl)
+    return DominanceVerdict("Dominates", "Theorem1-pi-half", "known-mean", expl)
 
 
 def check_centered(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> DominanceVerdict:
@@ -109,27 +112,20 @@ def check_centered(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> DominanceVe
     half, the two asymptotic variances are equal.
     """
     _validate_pair(spec1, spec2, pi)
-    expl = _subconditions(spec1, spec2)
-    expl["equal_free_sets"] = set(spec1.unrestricted_gamma()) == set(spec1.unrestricted_delta())
-    if expl["gamma_nested"] and expl["delta_nested"] and expl["equal_free_sets"]:
-        expl["gamma_equal"] = spec1.gamma == spec2.gamma
-        expl["pi_half"] = pi == 0.5
-        if expl["gamma_equal"] and expl["pi_half"]:
+    expl = _centered_terms(spec1, spec2)
+    gamma_equal = spec1.gamma == spec2.gamma
+    pi_half = pi == 0.5
+    if all(expl.values()):
+        expl["gamma_equal"] = gamma_equal
+        expl["pi_half"] = pi_half
+        if gamma_equal and pi_half:
             return DominanceVerdict("EqualVariance", "Remark1", "empirical", expl)
         return DominanceVerdict("Dominates", "Theorem2", "empirical", expl)
     # equality is symmetric: if the reversed pair meets the dominance
     # condition with identical main-effect constraints at pi = 1/2, the
     # closed-form gap is zero in both directions
-    if (
-        pi == 0.5
-        and spec1.gamma == spec2.gamma
-        and constraints_nested(spec2.gamma, spec1.gamma)
-        and constraints_nested(spec2.delta, spec1.delta)
-        and set(spec2.unrestricted_gamma()) == set(spec2.unrestricted_delta())
-    ):
-        expl["gamma_equal"] = True
-        expl["pi_half"] = True
-        expl["reversed_pair_nested"] = True
+    if pi_half and gamma_equal and condition_centered(spec2, spec1):
+        expl.update(gamma_equal=True, pi_half=True, reversed_pair_nested=True)
         return DominanceVerdict("EqualVariance", "Remark1", "empirical", expl)
     return DominanceVerdict("NotGuaranteed", "none", "empirical", expl)
 

@@ -158,24 +158,39 @@ def _assemble(spec, data, coef, vcov, cmap, converged=True) -> FitResult:
     )
 
 
+def _solve_linear(z: np.ndarray, yadj: np.ndarray, labels: tuple[str, ...], weights):
+    """(Weighted) least squares; also returns the sandwich's design and root weights."""
+    if weights is None:
+        coef, gram_inv = _svd_solve(z, yadj, labels)
+        return coef, gram_inv, z, None
+    sw = np.sqrt(weights)
+    zw = z * sw[:, None]
+    coef, gram_inv = _svd_solve(zw, yadj * sw, labels)
+    return coef, gram_inv, zw, sw
+
+
 def _fit_linear_core(spec: ModelSpec, data: Dataset, weights, hc1=False) -> FitResult:
     _check_arms(data)
     z, offset, cmap = build_design(spec, data)
     yadj = data.y - offset
-    if weights is None:
-        coef, gram_inv = _svd_solve(z, yadj, cmap.labels)
-        resid = yadj - z @ coef
-        vcov = _hc_vcov(z, resid, gram_inv, hc1=hc1)
-    else:
-        sw = np.sqrt(weights)
-        coef, gram_inv = _svd_solve(z * sw[:, None], yadj * sw, cmap.labels)
-        resid = yadj - z @ coef
-        vcov = _hc_vcov(z * sw[:, None], resid, gram_inv, sqrt_w=sw, hc1=hc1)
+    coef, gram_inv, zw, sw = _solve_linear(z, yadj, cmap.labels, weights)
+    vcov = _hc_vcov(zw, yadj - z @ coef, gram_inv, sqrt_w=sw, hc1=hc1)
     return _assemble(spec, data, coef, vcov, cmap)
 
 
 def _is_full(spec: ModelSpec) -> bool:
     return all(c.is_free for c in spec.gamma) and all(c.is_free for c in spec.delta)
+
+
+def _centering_penalty(sigma: np.ndarray, delta_s: np.ndarray, delta_f: np.ndarray) -> float:
+    """The empirical-centering penalty delta_s' Sigma (2 delta_f - delta_s)."""
+    return float(delta_s @ sigma @ (2.0 * delta_f - delta_s))
+
+
+def _sample_penalty(data: Dataset, delta_s: np.ndarray, delta_f: np.ndarray) -> float:
+    """The centering penalty with the sample covariance of X as Sigma."""
+    sigma_hat = np.cov(data.x, rowvar=False, ddof=0).reshape(data.p, data.p)
+    return _centering_penalty(sigma_hat, delta_s, delta_f)
 
 
 def _apply_centered_se(fit: FitResult, data: Dataset, weights) -> None:
@@ -189,9 +204,7 @@ def _apply_centered_se(fit: FitResult, data: Dataset, weights) -> None:
     else:
         full = named_spec("ANHECOVA", fit.spec.p).with_centering(fit.spec.centering)
         delta_f = _fit_linear_core(full, data, weights).delta
-    sigma_hat = np.cov(data.x, rowvar=False, ddof=0).reshape(fit.spec.p, fit.spec.p)
-    correction = fit.delta @ sigma_hat @ (2.0 * delta_f - fit.delta)
-    total = fit.vcov[1, 1] + correction / data.n
+    total = fit.vcov[1, 1] + _sample_penalty(data, fit.delta, delta_f) / data.n
     if total < 0.0:
         warnings.warn(
             "centered-variance correction clamped at zero",
@@ -265,13 +278,9 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) 
     if coef.shape != (z.shape[1],):
         msg = f"expected {z.shape[1]} free coefficients, got shape {coef.shape}"
         raise ValueError(msg)
-    resid = data.y - offset - z @ coef
-    if data.weights is None:
-        _, gram_inv = _svd_solve(z, data.y - offset, cmap.labels)
-        return _hc_vcov(z, resid, gram_inv, hc1=hc1)
-    sw = np.sqrt(data.weights)
-    _, gram_inv = _svd_solve(z * sw[:, None], (data.y - offset) * sw, cmap.labels)
-    return _hc_vcov(z * sw[:, None], resid, gram_inv, sqrt_w=sw, hc1=hc1)
+    yadj = data.y - offset
+    _, gram_inv, zw, sw = _solve_linear(z, yadj, cmap.labels, data.weights)
+    return _hc_vcov(zw, yadj - z @ coef, gram_inv, sqrt_w=sw, hc1=hc1)
 
 
 def estimate_ate_variance_centered(
@@ -290,9 +299,7 @@ def estimate_ate_variance_centered(
     if fit_sub.spec.p != spec.p or fit_full.spec.p != spec.p:
         msg = "dimension mismatch between spec and fits"
         raise ValueError(msg)
-    sigma_hat = np.cov(data.x, rowvar=False, ddof=0).reshape(spec.p, spec.p)
-    delta_s = fit_sub.delta
-    correction = delta_s @ sigma_hat @ (2.0 * fit_full.delta - delta_s)
+    correction = _sample_penalty(data, fit_sub.delta, fit_full.delta)
     total = data.n * fit_sub.vcov[1, 1] + correction
     if total < 0.0:
         warnings.warn("centered-variance estimate clamped at zero", RuntimeWarning, stacklevel=2)
@@ -337,9 +344,6 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
             converged = True
             break
 
-    eta = z @ coef + offset
-    mu = np.exp(eta)
-    score = z * (y - mu)[:, None]
-    vcov = gram_inv @ (score.T @ score) @ gram_inv
-    vcov = 0.5 * (vcov + vcov.T)
+    mu = np.exp(z @ coef + offset)
+    vcov = _hc_vcov(z, y - mu, gram_inv)
     return _assemble(spec, data, coef, vcov, cmap, converged=converged)

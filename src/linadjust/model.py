@@ -138,6 +138,12 @@ class ModelSpec:
         return ModelSpec(self.gamma, self.delta, centering)
 
 
+def _check_pi(pi: float) -> None:
+    if not 0.0 < pi < 1.0:
+        msg = f"pi must lie in (0, 1), got {pi}"
+        raise ValueError(msg)
+
+
 class Dataset:
     """A sample of (treatment, covariates, outcome) records.
 
@@ -285,13 +291,10 @@ def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
             msg = f"empty term at position {at} in {text!r}"
             raise ValueError(msg)
         compact = re.sub(r"\s+", "", term)
-        if compact == "X" and "X" not in index:
+        if compact in ("X", "A:X") and "X" not in index:
+            slots, side = (gamma, "") if compact == "X" else (delta, "A:")
             for j in range(p):
-                _set_term(gamma, j, FREE, names, side="")
-            continue
-        if compact == "A:X" and "X" not in index:
-            for j in range(p):
-                _set_term(delta, j, FREE, names, side="A:")
+                _set_term(slots, j, FREE, names, side=side)
             continue
         m = _TERM_RE.match(compact)
         if m is None:
@@ -307,22 +310,15 @@ def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
                 msg = "duplicate term 'A'"
                 raise ValueError(msg)
             saw_a = True
-        elif m.group("inter"):
-            name = m.group("iname")
-            if name not in index:
-                msg = f"unknown covariate {name!r} at position {at}"
-                raise ValueError(msg)
-            val = m.group("ival")
-            c = FREE if val is None else CoefConstraint(float(val))
-            _set_term(delta, index[name], c, names, side="A:")
         else:
-            name = m.group("mname")
+            inter = m.group("inter") is not None
+            name = m.group("iname" if inter else "mname")
             if name not in index:
                 msg = f"unknown covariate {name!r} at position {at}"
                 raise ValueError(msg)
-            val = m.group("mval")
+            val = m.group("ival" if inter else "mval")
             c = FREE if val is None else CoefConstraint(float(val))
-            _set_term(gamma, index[name], c, names, side="")
+            _set_term(delta if inter else gamma, index[name], c, names, side="A:" if inter else "")
 
     if not saw_one:
         msg = "formula must contain the intercept term '1'"

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dominance import condition_centered
-from .estimate import SingularDesignError
-from .model import ModelSpec, named_spec
+from .estimate import SingularDesignError, _centering_penalty
+from .model import ModelSpec, _check_pi, named_spec
 
 __all__ = [
     "ExactMoments",
@@ -135,13 +135,6 @@ class GaussianArmSampler:
         y0 = self.b0 + x @ self.l0 + self.s0 * rng.standard_normal(n)
         return x, y1, y0
 
-    def draw_dataset(self, n: int, pi: float, rng: np.random.Generator):
-        from .model import Dataset
-
-        x, y1, y0 = self.potential(n, rng)
-        a = (rng.random(n) < pi).astype(float)
-        return Dataset(a, x, a * y1 + (1.0 - a) * y0)
-
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -152,9 +145,7 @@ class PopulationSpec:
     sampler: GaussianArmSampler | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pi < 1.0:
-            msg = f"pi must lie in (0, 1), got {self.pi}"
-            raise ValueError(msg)
+        _check_pi(self.pi)
         if self.moments is None and self.sampler is None:
             msg = "population needs moments, a sampler, or both"
             raise ValueError(msg)
@@ -213,11 +204,16 @@ def solve_population(spec: ModelSpec, pop: PopulationSpec, seed: int = 0) -> Pop
     moment record estimated by Monte Carlo and the result is flagged
     approximate.
     """
-    if spec.p != pop.p:
-        msg = f"spec has p={spec.p} covariates but population has p={pop.p}"
-        raise ValueError(msg)
     mom, approximate = _resolve_moments(pop, seed)
-    pi = pop.pi
+    return _solve(spec, pop.pi, mom, approximate)
+
+
+def _solve(
+    spec: ModelSpec, pi: float, mom: ExactMoments, approximate: bool = False
+) -> PopulationSolution:
+    if spec.p != mom.p:
+        msg = f"spec has p={spec.p} covariates but population has p={mom.p}"
+        raise ValueError(msg)
     sigma = mom.sigma
     omega_bar = pi * mom.omega1 + (1.0 - pi) * mom.omega0
 
@@ -262,6 +258,13 @@ def _residual_second_moment(mom: ExactMoments, sol: PopulationSolution, arm: int
     return max(float(m2), 0.0)
 
 
+def _known_mean_variance(mom: ExactMoments, sol: PopulationSolution, pi: float) -> float:
+    """The arm-wise residual variance sum m2(1)/pi + m2(0)/(1-pi)."""
+    m1 = _residual_second_moment(mom, sol, 1)
+    m0 = _residual_second_moment(mom, sol, 0)
+    return m1 / pi + m0 / (1.0 - pi)
+
+
 def asymptotic_variance_known_mean(
     spec: ModelSpec, pop: PopulationSpec, seed: int = 0
 ) -> float:
@@ -271,10 +274,7 @@ def asymptotic_variance_known_mean(
     second moment at the population solution.
     """
     mom, _ = _resolve_moments(pop, seed)
-    sol = solve_population(spec, pop, seed)
-    return _residual_second_moment(mom, sol, 1) / pop.pi + _residual_second_moment(
-        mom, sol, 0
-    ) / (1.0 - pop.pi)
+    return _known_mean_variance(mom, _solve(spec, pop.pi, mom), pop.pi)
 
 
 def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec, seed: int = 0) -> float:
@@ -284,13 +284,11 @@ def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec, seed: int
     to the known-mean variance, with delta_f from the all-free model.
     """
     mom, _ = _resolve_moments(pop, seed)
-    sol = solve_population(spec, pop, seed)
-    v = _residual_second_moment(mom, sol, 1) / pop.pi + _residual_second_moment(
-        mom, sol, 0
-    ) / (1.0 - pop.pi)
-    full = solve_population(named_spec("ANHECOVA", spec.p), pop, seed)
-    delta_s = sol.delta
-    return v + float(delta_s @ mom.sigma @ (2.0 * full.delta - delta_s))
+    sol = _solve(spec, pop.pi, mom)
+    full = _solve(named_spec("ANHECOVA", spec.p), pop.pi, mom)
+    return _known_mean_variance(mom, sol, pop.pi) + _centering_penalty(
+        mom.sigma, sol.delta, full.delta
+    )
 
 
 def variance_gap_theorem2(
@@ -310,8 +308,8 @@ def variance_gap_theorem2(
         )
         raise ValueError(msg)
     mom, _ = _resolve_moments(pop, seed)
-    sol1 = solve_population(spec1, pop, seed)
-    sol2 = solve_population(spec2, pop, seed)
+    sol1 = _solve(spec1, pop.pi, mom)
+    sol2 = _solve(spec2, pop.pi, mom)
     d_gamma = sol1.gamma - sol2.gamma
     d_delta = sol1.delta - sol2.delta
     v = d_gamma + (1.0 - pop.pi) * d_delta
@@ -353,9 +351,7 @@ def make_counterexample(kind: str, pi: float) -> PopulationSpec:
     pi <= 1/2 that gap is nonpositive (the interactions-only estimator
     dominates there), so no counterexample exists and this raises.
     """
-    if not 0.0 < pi < 1.0:
-        msg = f"pi must lie in (0, 1), got {pi}"
-        raise ValueError(msg)
+    _check_pi(pi)
     if kind == "AncovaWorse":
         if pi == 0.5:
             msg = "AncovaWorse needs pi != 1/2; the gap vanishes with (2pi-1)^2"

@@ -1,36 +1,36 @@
 """Seeded Monte Carlo engine for the four simulation scenarios.
 
-Covariates are drawn as X_nc ~ N(2, 1) and shifted by the population
-mean, X = X_nc - 2, before any propensity or outcome is formed; the
-raw draws are retained on the result. Centering at the sample mean is
-an analysis step that happens inside the fits, so the empirically
-centered estimate genuinely differs from the known-mean one.
+Each standard scenario is written once, as a ``_Law``. Covariates are
+drawn as X_nc ~ N(2, 1) and shifted by the population mean,
+X = X_nc - 2, before any propensity or outcome is formed; the raw draws
+are retained on the result. Centering at the sample mean is an analysis
+step that happens inside the fits, so the empirically centered estimate
+genuinely differs from the known-mean one.
 Scenario 1: Y(1) = 5 + 2.5X + e1, Y(0) = 3 + X + e0, Bernoulli(pi)
-assignment. Scenario 2: Poisson outcomes with log means 3 + 0.6X and
-1 + 0.6X. Scenario 3: Y(1) = 7 + X + e1, Y(0) = 2 - X + X^2 + e0 with
-assignment probability expit(4 - 2X). Scenario 4 adds the weights
+assignment; effect 2. Scenario 2: Poisson outcomes with log means
+3 + 0.6X and 1 + 0.6X; effect e^3.18 - e^1.18, since
+E exp(c + 0.6X) = exp(c + 0.18). Scenario 3: Y(1) = 7 + X + e1,
+Y(0) = 2 - X + X^2 + e0 with assignment probability expit(4 - 2X);
+effect 7 - (2 + E X^2) = 4. Scenario 4 adds the weights
 1 / (pi(X)(1 - pi(X))) to Scenario 3. Treated potential outcomes are
-read with A = 1 substituted into their formulas.
+read with A = 1 substituted into their formulas. These effects are
+exact; Monte Carlo estimates the effect only for a custom sampler
+given without one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .estimate import EstimationError, fit_ols, fit_poisson_glm, fit_weighted
-from .model import Dataset, ModelSpec, format_formula, named_spec
-from .population import (
-    BetaAteEstimate,
-    GaussianArmSampler,
-    PopulationSpec,
-    approximate_beta_ate,
-)
+from .model import Dataset, ModelSpec, _check_pi, format_formula, named_spec
+from .population import GaussianArmSampler, PopulationSpec, approximate_beta_ate
 
 __all__ = [
     "Scenario",
@@ -54,8 +54,69 @@ FAIL_RATE_LIMIT = 0.01
 
 
 @dataclass(frozen=True)
+class _Law:
+    """Data-generating process of one standard scenario.
+
+    X_raw ~ N(2, 1) and X = X_raw - 2. ``means`` maps X to the arm
+    means (mean_1(X), mean_0(X)); Y(a) is mean_a(X) plus standard normal
+    noise for the "gaussian" family, or Poisson with mean mean_a(X) for
+    the "poisson" family, which is also fit by the Poisson GLM.
+    Treatment is Bernoulli(propensity(X)), or Bernoulli(pi) with pi set
+    per run when there is no propensity. ``weight`` maps pi(X) to the
+    unit weights of a weighted fit. ``truth`` is the exact
+    E[Y(1) - Y(0)].
+    """
+
+    means: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    truth: float
+    family: str = "gaussian"
+    propensity: Callable[[np.ndarray], np.ndarray] | None = None
+    weight: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def outcome(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        if self.family == "poisson":
+            return rng.poisson(mean).astype(float)
+        return mean + rng.standard_normal(len(mean))
+
+
+def _linear_means(x):
+    return 5.0 + 2.5 * x, 3.0 + x
+
+
+def _log_linear_means(x):
+    return np.exp(3.0 + 0.6 * x), np.exp(1.0 + 0.6 * x)
+
+
+def _quadratic_means(x):
+    return 7.0 + x, 2.0 - x + x * x
+
+
+def _expit_propensity(x):
+    return expit(4.0 - 2.0 * x)
+
+
+def _inverse_variance_weight(p):
+    return 1.0 / (p * (1.0 - p))
+
+
+_SCENARIO3 = _Law(_quadratic_means, truth=4.0, propensity=_expit_propensity)
+
+_LAWS = {
+    1: _Law(_linear_means, truth=2.0),
+    2: _Law(_log_linear_means, truth=float(np.exp(3.18) - np.exp(1.18)), family="poisson"),
+    3: _SCENARIO3,
+    4: replace(_SCENARIO3, weight=_inverse_variance_weight),
+}
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """One simulation scenario; use :func:`scenario` or :func:`custom_scenario`."""
+    """One simulation scenario; use :func:`scenario` or :func:`custom_scenario`.
+
+    A custom scenario carries a potential-outcome ``sampler`` and a
+    constant ``pi``; without a sampler, ``id`` names a standard
+    scenario 1-4, whose law and exact effect are looked up from it.
+    """
 
     id: int | str
     n: int = 1000
@@ -63,17 +124,22 @@ class Scenario:
     sampler: object | None = None
     beta_ate: float | None = None
 
-    @property
-    def weighted(self) -> bool:
-        return self.id == 4
+    def __post_init__(self) -> None:
+        if self.sampler is None and self.law is None:
+            msg = f"scenario {self.id!r} needs a sampler unless its id is 1..4"
+            raise ValueError(msg)
 
     @property
-    def poisson(self) -> bool:
-        return self.id == 2
+    def law(self) -> _Law | None:
+        return _LAWS.get(self.id) if self.sampler is None else None
+
+    @property
+    def weighted(self) -> bool:
+        return self.law is not None and self.law.weight is not None
 
     @property
     def covariate_assignment(self) -> bool:
-        return self.id in (3, 4)
+        return self.law is not None and self.law.propensity is not None
 
 
 def scenario(id: int, n: int = 1000, pi: float | None = None) -> Scenario:
@@ -89,17 +155,14 @@ def scenario(id: int, n: int = 1000, pi: float | None = None) -> Scenario:
     if n < 4:
         msg = f"scenario needs n >= 4, got {n}"
         raise ValueError(msg)
-    beta = {1: 2.0, 2: None, 3: 4.0, 4: 4.0}[id]
-    return Scenario(id=id, n=n, pi=pi, beta_ate=beta)
+    return Scenario(id=id, n=n, pi=pi, beta_ate=_LAWS[id].truth)
 
 
 def custom_scenario(
     sampler, pi: float, beta_ate: float | None = None, n: int = 1000, id: str = "custom"
 ) -> Scenario:
     """Wrap a population sampler (potential-outcome protocol) as a scenario."""
-    if not 0.0 < pi < 1.0:
-        msg = f"pi must lie in (0, 1), got {pi}"
-        raise ValueError(msg)
+    _check_pi(pi)
     return Scenario(id=id, n=n, pi=pi, sampler=sampler, beta_ate=beta_ate)
 
 
@@ -119,45 +182,41 @@ class DrawResult:
 
 
 def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
-    """Deterministically draw one replication of a scenario."""
-    rng = np.random.default_rng(seed)
-    n = scn.n
-    if scn.id == "custom" or scn.sampler is not None:
-        x, y1, y0 = scn.sampler.potential(n, rng)
+    """Deterministically draw one replication of a scenario.
+
+    A standard scenario draws X, then the assignment, then the noise of
+    Y(1) and of Y(0); a custom sampler draws its potential outcomes
+    before the assignment. ``pi`` overrides the scenario's constant
+    assignment probability and is ignored under covariate-dependent
+    assignment.
+    """
+    p = None
+    if not scn.covariate_assignment:
         p = pi if pi is not None else scn.pi
+        if p is None:
+            msg = f"scenario {scn.id} needs an assignment probability"
+            raise ValueError(msg)
+        _check_pi(p)
+    rng = np.random.default_rng(seed)
+    n, law = scn.n, scn.law
+    pi_x = weights = None
+    if law is None:
+        x, y1, y0 = scn.sampler.potential(n, rng)
+        x_raw = x.copy()
         a = (rng.random(n) < p).astype(float)
-        y = a * y1 + (1.0 - a) * y0
-        return DrawResult(Dataset(a, x, y), y1, y0, x.copy())
-
-    x_raw = rng.normal(2.0, 1.0, n)
-    x = x_raw - 2.0
-    if scn.covariate_assignment:
-        pi_x = expit(4.0 - 2.0 * x)
-        a = (rng.random(n) < pi_x).astype(float)
-        e1 = rng.standard_normal(n)
-        e0 = rng.standard_normal(n)
-        y1 = 7.0 + x + e1
-        y0 = 2.0 - x + x * x + e0
-        y = a * y1 + (1.0 - a) * y0
-        weights = 1.0 / (pi_x * (1.0 - pi_x)) if scn.weighted else None
-        return DrawResult(Dataset(a, x, y, weights), y1, y0, x_raw, pi_x)
-
-    p = pi if pi is not None else scn.pi
-    if p is None:
-        msg = f"scenario {scn.id} needs an assignment probability"
-        raise ValueError(msg)
-    if not 0.0 < p < 1.0:
-        msg = f"pi must lie in (0, 1), got {p}"
-        raise ValueError(msg)
-    a = (rng.random(n) < p).astype(float)
-    if scn.poisson:
-        y1 = rng.poisson(np.exp(3.0 + 0.6 * x)).astype(float)
-        y0 = rng.poisson(np.exp(1.0 + 0.6 * x)).astype(float)
     else:
-        y1 = 5.0 + 2.5 * x + rng.standard_normal(n)
-        y0 = 3.0 + x + rng.standard_normal(n)
+        x_raw = rng.normal(2.0, 1.0, n)
+        x = x_raw - 2.0
+        if law.propensity is not None:
+            pi_x = law.propensity(x)
+        a = (rng.random(n) < (p if pi_x is None else pi_x)).astype(float)
+        mean1, mean0 = law.means(x)
+        y1 = law.outcome(mean1, rng)
+        y0 = law.outcome(mean0, rng)
+        if law.weight is not None:
+            weights = law.weight(pi_x)
     y = a * y1 + (1.0 - a) * y0
-    return DrawResult(Dataset(a, x, y), y1, y0, x_raw)
+    return DrawResult(Dataset(a, x, y, weights), y1, y0, x_raw, pi_x)
 
 
 @dataclass
@@ -177,17 +236,7 @@ class MonteCarloCell:
     estimates: np.ndarray | None = field(default=None, repr=False)
 
     def row(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "model": self.model,
-            "pi": self.pi,
-            "n": self.n,
-            "reps": self.reps,
-            "bias": self.bias,
-            "sd": self.sd,
-            "mc_se": self.mc_se,
-            "fail_rate": self.fail_rate,
-        }
+        return {k: getattr(self, k) for k in REPORT_FIELDS}
 
 
 @dataclass
@@ -233,48 +282,11 @@ def _model_label(spec: ModelSpec) -> str:
 
 
 def _fit_for(scn: Scenario, spec: ModelSpec, data: Dataset):
-    if scn.poisson:
+    if scn.law is not None and scn.law.family == "poisson":
         return fit_poisson_glm(spec, data)
-    if scn.weighted:
+    if data.weights is not None:
         return fit_weighted(spec, data)
     return fit_ols(spec, data)
-
-
-def _resolve_beta_ate(scn: Scenario, seed: int) -> float:
-    if scn.beta_ate is not None:
-        return scn.beta_ate
-    if scn.sampler is None:
-        return _standard_beta_ate(scn.id, seed)
-    pop = PopulationSpec(pi=scn.pi if scn.pi is not None else 0.5, sampler=scn.sampler)
-    return approximate_beta_ate(pop, 10_000_000, seed=seed).value
-
-
-@lru_cache(maxsize=16)
-def _standard_beta_ate(sid: int, seed: int) -> float:
-    pop = PopulationSpec(pi=0.5, sampler=_ScenarioSampler(Scenario(id=sid)))
-    est: BetaAteEstimate = approximate_beta_ate(pop, 10_000_000, seed=seed)
-    return est.value
-
-
-class _ScenarioSampler:
-    """Potential-outcome adapter so scenarios can feed approximate_beta_ate."""
-
-    def __init__(self, scn: Scenario) -> None:
-        self._scn = scn
-        self.p = 1
-
-    def potential(self, n: int, rng: np.random.Generator):
-        x = rng.normal(2.0, 1.0, n) - 2.0
-        if self._scn.poisson:
-            y1 = rng.poisson(np.exp(3.0 + 0.6 * x)).astype(float)
-            y0 = rng.poisson(np.exp(1.0 + 0.6 * x)).astype(float)
-        elif self._scn.covariate_assignment:
-            y1 = 7.0 + x + rng.standard_normal(n)
-            y0 = 2.0 - x + x * x + rng.standard_normal(n)
-        else:
-            y1 = 5.0 + 2.5 * x + rng.standard_normal(n)
-            y0 = 3.0 + x + rng.standard_normal(n)
-        return x[:, None], y1, y0
 
 
 def run_grid(
@@ -296,8 +308,9 @@ def run_grid(
     Returns
     -------
     MonteCarloReport
-        Bias is measured against the scenario's exact effect when known
-        and a 10^7-draw Monte Carlo approximation otherwise.
+        Bias is measured against the scenario's exact effect. Only a
+        custom sampler given without one is measured against a
+        10^7-draw Monte Carlo approximation.
     """
     if reps <= 0:
         msg = f"reps must be positive, got {reps}"
@@ -316,7 +329,12 @@ def run_grid(
             msg = "this scenario needs explicit assignment probabilities"
             raise ValueError(msg)
 
-    beta_ate = _resolve_beta_ate(scn, seed)
+    beta_ate = scn.beta_ate
+    if beta_ate is None and scn.law is not None:
+        beta_ate = scn.law.truth
+    if beta_ate is None:
+        pop = PopulationSpec(pi=scn.pi if scn.pi is not None else 0.5, sampler=scn.sampler)
+        beta_ate = approximate_beta_ate(pop, 10_000_000, seed=seed).value
     cells = []
     for spec in models:
         label = _model_label(spec)
@@ -381,25 +399,21 @@ DID_LDV_CONFIGS = ("default", "unit-baseline", "zero-baseline")
 
 
 def _did_ldv_sampler(config: str) -> GaussianArmSampler:
-    if config == "default":
-        # noise scale pins corr(Y0, Y(0)) at 0.7
-        s0 = float(np.sqrt((0.6 / 0.7) ** 2 - 0.61))
-        return GaussianArmSampler(
-            sigma=np.eye(2), b0=1.0, b1=3.0,
-            l0=np.array([0.6, 0.5]), l1=np.array([0.8, 0.2]), s0=s0, s1=1.0,
-        )
-    if config == "unit-baseline":
-        return GaussianArmSampler(
-            sigma=np.eye(2), b0=1.0, b1=3.0,
-            l0=np.array([1.0, 0.5]), l1=np.array([1.0, 0.2]), s0=0.6, s1=1.0,
-        )
-    if config == "zero-baseline":
-        return GaussianArmSampler(
-            sigma=np.eye(2), b0=1.0, b1=3.0,
-            l0=np.array([0.0, 0.5]), l1=np.array([0.0, 0.2]), s0=1.0, s1=1.0,
-        )
-    msg = f"unknown config {config!r}; expected one of {DID_LDV_CONFIGS}"
-    raise ValueError(msg)
+    # the baseline covariate's control and treated slopes and the control
+    # noise scale; the default scale pins corr(Y0, Y(0)) at 0.7
+    laws = {
+        "default": (0.6, 0.8, float(np.sqrt((0.6 / 0.7) ** 2 - 0.61))),
+        "unit-baseline": (1.0, 1.0, 0.6),
+        "zero-baseline": (0.0, 0.0, 1.0),
+    }
+    if config not in laws:
+        msg = f"unknown config {config!r}; expected one of {DID_LDV_CONFIGS}"
+        raise ValueError(msg)
+    l0, l1, s0 = laws[config]
+    return GaussianArmSampler(
+        sigma=np.eye(2), b0=1.0, b1=3.0,
+        l0=np.array([l0, 0.5]), l1=np.array([l1, 0.2]), s0=s0, s1=1.0,
+    )
 
 
 def did_vs_ldv_experiment(

@@ -222,6 +222,23 @@ class TestCsvValidation:
         assert rc == 2
         assert "line 3" in err and "weight" in err
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("a,y,x1\n1,2.0,nan\n0,1.0,0.2\n1,3.0,0.3\n", "line 2: x1 must be finite, got nan"),
+            ("a,y,x1\n1,2.0,0.1\n\n0,-inf,0.2\n1,3.0,0.3\n", "line 4: y must be finite, got -inf"),
+            ("a,y,x1,w\n1,2,0.1,1\n0,1,0.2,nan\n1,3,0.3,1\n", "line 3: w must be finite, got nan"),
+            ("a,y,x1,w\n1,2,0.1,inf\n0,1,0.2,1\n1,3,0.3,1\n", "line 2: w must be finite, got inf"),
+        ],
+        ids=["covariate", "outcome-after-blank-line", "nan-weight", "inf-weight"],
+    )
+    def test_non_finite_cites_line_and_column(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        rc, _, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert rc == 2
+        assert f"{path} {message}" in err
+
     def test_missing_file(self, capsys):
         rc, _, err = run(
             ["estimate", "--data", "/does/not/exist.csv", "--model", "anova"], capsys
@@ -367,6 +384,7 @@ class TestSimulate:
             ["simulate", "--scenario", "9", "--reps", "4"],
             ["simulate", "--scenario", "1", "--reps", "0"],
             ["simulate", "--scenario", "1", "--reps", "-3"],
+            ["simulate", "--scenario", "1", "--reps", "4", "--threads", "2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from linadjust import (
     run_grid,
     scenario,
 )
-from linadjust.sim import _did_ldv_sampler
+from linadjust.sim import Scenario, _did_ldv_sampler
 
 ANCOVA1 = named_spec("ANCOVA", 1)
 TRIO = [named_spec(name, 1) for name in ("ANOVA", "ANCOVA", "ANHECOVA")]
@@ -33,7 +34,7 @@ TRIO = [named_spec(name, 1) for name in ("ANOVA", "ANCOVA", "ANHECOVA")]
 class TestScenarioConstruction:
     def test_ids(self):
         assert scenario(1).beta_ate == 2.0
-        assert scenario(2).beta_ate is None
+        assert scenario(2).beta_ate == np.exp(3.18) - np.exp(1.18)
         assert scenario(3).covariate_assignment
         assert scenario(4).weighted
 
@@ -49,6 +50,39 @@ class TestScenarioConstruction:
     def test_custom_needs_valid_pi(self):
         with pytest.raises(ValueError, match="pi"):
             custom_scenario(object(), pi=1.0)
+
+    def test_custom_pi_override_is_validated(self):
+        scn = custom_scenario(_did_ldv_sampler("default"), pi=0.5, beta_ate=2.0, n=50)
+        with pytest.raises(ValueError, match=r"pi must lie in \(0, 1\)"):
+            draw(scn, 0, pi=1.5)
+        with pytest.raises(ValueError, match=r"pi must lie in \(0, 1\)"):
+            run_grid(scn, [named_spec("LDV", 2)], [1.5], 5, seed=0)
+
+    @pytest.mark.parametrize("sid", [1, 2, 3, 4])
+    def test_pickle_round_trip_draws_the_same(self, sid):
+        scn = scenario(sid, n=30)
+        back = pickle.loads(pickle.dumps(scn))
+        a, b = draw(scn, 7, pi=0.4), draw(back, 7, pi=0.4)
+        for u, v in ((a.data.a, b.data.a), (a.data.y, b.data.y), (a.y1, b.y1), (a.y0, b.y0)):
+            assert np.array_equal(u, v)
+
+    def test_direct_construction_reads_the_law_from_the_id(self):
+        scn = Scenario(id=4, n=40)
+        assert scn.weighted and scn.covariate_assignment
+        ref = draw(scenario(4, n=40), 3)
+        assert np.array_equal(draw(scn, 3).data.weights, ref.data.weights)
+        rep = run_grid(Scenario(id=1, n=40, pi=0.5), TRIO[:1], None, 3, seed=0)
+        assert rep.to_csv() == run_grid(scenario(1, n=40, pi=0.5), TRIO[:1], None, 3).to_csv()
+        with pytest.raises(ValueError, match="needs a sampler"):
+            Scenario(id=5)
+
+    @pytest.mark.parametrize("sid", [1, 2, 3, 4])
+    def test_truth_matches_potential_outcomes(self, sid):
+        """Oracle: the closed-form effect against the mean of Y(1) - Y(0)."""
+        drw = draw(scenario(sid, n=1_000_000), rep_seed(0, "truth", sid), pi=0.5)
+        d = drw.y1 - drw.y0
+        mc_se = d.std(ddof=1) / np.sqrt(d.size)
+        assert abs(d.mean() - scenario(sid).beta_ate) < 5 * mc_se
 
 
 class TestDraw:
