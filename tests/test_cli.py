@@ -362,7 +362,7 @@ class TestSimulate:
 
     def test_covariate_assignment_note(self, capsys):
         rc, out, err = run(
-            ["simulate", "--scenario", "3", "--reps", "4", "--n", "50", "--pis", "0.3"],
+            ["simulate", "--scenario", "3", "--reps", "4", "--n", "200", "--pis", "0.3"],
             capsys,
         )
         assert rc == 0

@@ -231,7 +231,7 @@ def test_rep_seeds_are_distinct():
 
 
 def test_figure_grid_covers_both_scenarios():
-    rep = figure1_data(reps=2, seed=0, n=50)
+    rep = figure1_data(reps=2, seed=0, n=200)
     assert len(rep.cells) == 54
     assert FIGURE1_PIS == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     scenarios = {c.scenario for c in rep.cells}
