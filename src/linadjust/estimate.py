@@ -28,6 +28,7 @@ __all__ = [
 SVD_RTOL = 1e-10
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
+_DIVERGED = "Poisson fit diverged (separation or unbounded coefficients)"
 
 
 class EstimationError(Exception):
@@ -332,12 +333,15 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
     for _ in range(IRLS_MAX_ITER):
         eta = z @ coef + offset
         if not np.isfinite(eta).all() or np.abs(eta).max() > 700.0:
-            msg = "Poisson fit diverged (separation or unbounded coefficients)"
-            raise EstimationError(msg)
+            raise EstimationError(_DIVERGED)
         mu = np.exp(eta)
         work = (eta - offset) + (y - mu) / mu
         sw = np.sqrt(mu)
-        new_coef, gram_inv = _svd_solve(z * sw[:, None], work * sw, cmap.labels)
+        try:
+            new_coef, gram_inv = _svd_solve(z * sw[:, None], work * sw, cmap.labels)
+        except SingularDesignError:
+            # z itself has full rank, so the IRLS weights collapsed: a fitted mean went to 0
+            raise EstimationError(_DIVERGED) from None
         step = np.abs(new_coef - coef).max()
         coef = new_coef
         if step < IRLS_TOL:

@@ -323,16 +323,11 @@ def ancova_anova_gap(pop: PopulationSpec, seed: int = 0) -> float:
     / (pi(1-pi)); either sign can occur.
     """
     mom, _ = _resolve_moments(pop, seed)
-    pi = pop.pi
-    try:
-        gamma_f = np.linalg.solve(mom.sigma, mom.omega0)
-        delta_f = np.linalg.solve(mom.sigma, mom.omega1 - mom.omega0)
-    except np.linalg.LinAlgError:
-        msg = "sigma is singular"
-        raise SingularDesignError(msg) from None
-    left = gamma_f + pi * delta_f
-    right = (3.0 * pi - 2.0) * delta_f - gamma_f
-    return float(left @ mom.sigma @ right) / (pi * (1.0 - pi))
+    ancova, anova = (
+        _known_mean_variance(mom, _solve(named_spec(name, mom.p), pop.pi, mom), pop.pi)
+        for name in ("ANCOVA", "ANOVA")
+    )
+    return ancova - anova
 
 
 COUNTEREXAMPLE_KINDS = ("AncovaWorse", "InteractionsOnlyWorseCentered")

@@ -268,13 +268,10 @@ class MonteCarloReport:
         return json.dumps([c.row() for c in self.cells], indent=2) + "\n"
 
 
-def _cell_digest(key: str) -> int:
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
-
-
 def rep_seed(root_seed: int, cell_key: str, rep: int) -> np.random.SeedSequence:
     """Derived seed for one replication; independent across cells and reps."""
-    return np.random.SeedSequence((int(root_seed), _cell_digest(cell_key), int(rep)))
+    digest = int.from_bytes(hashlib.sha256(cell_key.encode()).digest()[:8], "big")
+    return np.random.SeedSequence((int(root_seed), digest, int(rep)))
 
 
 def _model_label(spec: ModelSpec) -> str:
@@ -299,10 +296,12 @@ def run_grid(
 ) -> MonteCarloReport:
     """Run every (model, pi) cell for ``reps`` replications each.
 
-    Replications use derived per-cell, per-rep seeds, so results are
-    reproducible bit-for-bit and independent of execution order.
+    Each replication's seed derives from (root seed, scenario, pi, n,
+    replication), so results are reproducible bit for bit and
+    independent of execution order. Every model is fitted on the
+    replication's one dataset, so the cells of one pi are paired.
     Scenarios with covariate-dependent assignment ignore ``pis``.
-    Singular replications are excluded and counted; a cell whose
+    Failed fits are excluded and counted per cell; a cell whose
     failure rate exceeds 1% raises.
 
     Returns
@@ -335,30 +334,28 @@ def run_grid(
     if beta_ate is None:
         pop = PopulationSpec(pi=scn.pi if scn.pi is not None else 0.5, sampler=scn.sampler)
         beta_ate = approximate_beta_ate(pop, 10_000_000, seed=seed).value
-    cells = []
-    for spec in models:
-        label = _model_label(spec)
-        for pi in pi_list:
-            key = f"scenario={scn.id}|model={label}|pi={pi}|n={scn.n}"
-            ests = np.empty(reps)
-            ses = np.empty(reps)
-            used = 0
-            failures = 0
-            for rep in range(reps):
-                drw = draw(scn, rep_seed(seed, key, rep), pi=pi)
+    fits = np.full((len(models), len(pi_list), reps, 2), np.nan)  # NaN: the fit failed
+    for i, pi in enumerate(pi_list):
+        key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
+        for rep in range(reps):
+            data = draw(scn, rep_seed(seed, key, rep), pi=pi).data
+            for m, spec in enumerate(models):
                 try:
-                    fit = _fit_for(scn, spec, drw.data)
+                    fit = _fit_for(scn, spec, data)
                 except EstimationError:
-                    failures += 1
                     continue
-                ests[used] = fit.ate_hat
-                ses[used] = fit.ate_se
-                used += 1
-            fail_rate = failures / reps
+                fits[m, i, rep] = fit.ate_hat, fit.ate_se
+    cells = []
+    for m, spec in enumerate(models):
+        label = _model_label(spec)
+        for i, pi in enumerate(pi_list):
+            ests, ses = fits[m, i][~np.isnan(fits[m, i, :, 0])].T
+            used = ests.size
+            fail_rate = (reps - used) / reps
             if fail_rate > FAIL_RATE_LIMIT:
-                msg = f"cell {key} failed in {failures}/{reps} replications"
+                key = f"scenario={scn.id}|model={label}|pi={pi}|n={scn.n}"
+                msg = f"cell {key} failed in {reps - used}/{reps} replications"
                 raise EstimationError(msg)
-            ests = ests[:used]
             sd = float(ests.std(ddof=1)) if used > 1 else 0.0
             cells.append(
                 MonteCarloCell(
@@ -371,7 +368,7 @@ def run_grid(
                     sd=sd,
                     mc_se=sd / float(np.sqrt(used)) if used else float("nan"),
                     fail_rate=fail_rate,
-                    mean_se=float(ses[:used].mean()) if used else None,
+                    mean_se=float(ses.mean()) if used else None,
                     estimates=ests.copy() if keep_estimates else None,
                 )
             )
@@ -425,7 +422,9 @@ def did_vs_ldv_experiment(
     population correlates it with the control outcome at 0.7 and makes
     its true control-arm slope 0.6, so pinning that slope at 1 injects
     avoidable variance and the free-slope fit is strictly better.
-    Per-replication estimates are kept for paired uncertainty checks.
+    Both models are fitted on each replication's one dataset, and the
+    kept estimates line up replication by replication when neither cell
+    dropped one, for paired uncertainty checks.
     """
     sampler = _did_ldv_sampler(config)
     scn = custom_scenario(sampler, pi=0.5, beta_ate=sampler.b1 - sampler.b0, n=n, id="did-ldv")

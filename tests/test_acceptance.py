@@ -31,13 +31,11 @@ from linadjust import (
     condition_known_mean,
     custom_scenario,
     did_vs_ldv_experiment,
-    draw,
     fit_ols,
     make_counterexample,
     named_spec,
     parse_formula,
     random_moment_population,
-    rep_seed,
     run_grid,
     scenario,
     solve_population,
@@ -108,7 +106,10 @@ def test_criterion_03_bias_and_sd_profile_over_pi():
             sd_o = rep.cell(other, pi).sd
             tol = 3.0 * np.hypot(sd_se(sd_he, reps), sd_se(sd_o, reps))
             assert sd_he <= sd_o + tol, f"{other} beats interactions at pi={pi}"
-    # main-effects-only adjustment backfires at heavy imbalance
+    # main-effects-only adjustment backfires at heavy imbalance; the exact
+    # SD ratio is only 1.023, so this claim gets its own paired grid with
+    # enough replications to settle it (about 4.8 SEs)
+    rep = run_grid(scenario(1, n=1000), [ANOVA1, ANCOVA1], [0.9], 20_000, seed=0)
     assert rep.cell("1 + A + X1", 0.9).sd > rep.cell(NULL, 0.9).sd
 
 
@@ -247,16 +248,12 @@ def test_criterion_07_centering_penalty_calibration(s1_population):
     assert target == pytest.approx(2.25, abs=1e-12)
 
     n, reps = 5000, 10_000
-    scn = scenario(1, n=n)
     spec_emp = ANHECOVA1.with_centering(Empirical())
     spec_known = ANHECOVA1.with_centering(KnownMean((0.0,)))
-    key = f"acceptance|centering-penalty|pi=0.3|n={n}"
-    est_emp = np.empty(reps)
-    est_known = np.empty(reps)
-    for r in range(reps):
-        data = draw(scn, rep_seed(0, key, r), pi=0.3).data
-        est_emp[r] = fit_ols(spec_emp, data).ate_hat
-        est_known[r] = fit_ols(spec_known, data).ate_hat
+    rep = run_grid(
+        scenario(1, n=n), [spec_emp, spec_known], [0.3], reps, seed=0, keep_estimates=True
+    )
+    est_emp, est_known = (c.estimates for c in rep.cells)
     gap = n * (est_emp.var(ddof=1) - est_known.var(ddof=1))
     assert gap == pytest.approx(target, rel=0.10), f"measured penalty {gap:.4f}"
 

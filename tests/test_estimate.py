@@ -260,6 +260,18 @@ class TestPoisson:
         with pytest.raises(EstimationError):
             fit_poisson_glm(ANOVA1, data)
 
+    def test_collapsed_irls_weights_are_divergence_not_singularity(self):
+        """Controls at x = -1, -2 with y = 0, 1 have no log-linear MLE:
+        the fitted control mean at x = -1 goes to 0 and takes its IRLS
+        weight with it, while the design itself has full rank."""
+        a = np.array([1.0] * 8 + [0.0] * 2)
+        x = np.r_[np.linspace(-1.0, 2.0, 8), -1.0, -2.0]
+        y = np.array([2, 3, 1, 4, 5, 3, 6, 4, 0, 1], dtype=float)
+        data = Dataset(a, x, y)
+        with pytest.raises(EstimationError, match="diverged") as exc:
+            fit_poisson_glm(ANHECOVA1, data)
+        assert not isinstance(exc.value, SingularDesignError)
+
 
 class TestErrors:
     def test_singular_design_names_columns(self):

@@ -214,6 +214,22 @@ class TestRunGrid:
         with pytest.raises(EstimationError, match="failed in"):
             run_grid(scn, [ANCOVA1], None, 10, seed=0)
 
+    def test_models_share_each_replication(self):
+        """Every model is fitted on each replication's one dataset: kept
+        estimates pair up across models, and a model's cell does not
+        depend on which other models the grid holds, or their order."""
+        scn = scenario(1, n=80)
+        kw = dict(pis=[0.3], reps=40, seed=5, keep_estimates=True)
+        both = run_grid(scn, [TRIO[0], ANCOVA1], **kw)
+        anova, ancova = (c.estimates for c in both.cells)
+        assert np.corrcoef(anova, ancova)[0, 1] > 0.5
+        alone = run_grid(scn, [ANCOVA1], **kw).cells[0]
+        swapped = run_grid(scn, [ANCOVA1, TRIO[0]], **kw)
+        for cell in (alone, swapped.cells[0]):
+            assert np.array_equal(cell.estimates, ancova)
+            assert cell.row() == both.cells[1].row()
+        assert np.array_equal(swapped.cells[1].estimates, anova)
+
     def test_weighted_scenario_smoke(self):
         rep = run_grid(scenario(4, n=120), [named_spec("ANHECOVA", 1)], None, 4, seed=0)
         assert rep.cells[0].fail_rate == 0.0
@@ -221,7 +237,7 @@ class TestRunGrid:
 
 def test_rep_seeds_are_distinct():
     seen = set()
-    for key in ("scenario=1|model=1 + A|pi=0.3|n=100", "scenario=1|model=1 + A|pi=0.5|n=100"):
+    for key in ("scenario=1|pi=0.3|n=100", "scenario=1|pi=0.5|n=100"):
         for rep in range(50):
             ss = rep_seed(0, key, rep)
             assert isinstance(ss, np.random.SeedSequence)
