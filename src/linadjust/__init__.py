@@ -11,131 +11,20 @@ calculus for comparing specifications, dominance checks with
 counterexample constructors, and a seeded Monte Carlo harness.
 """
 
-from .dominance import (
-    DominanceVerdict,
-    check_centered,
-    check_known_mean,
-    condition_centered,
-    condition_known_mean,
-    constraints_nested,
-    corollaries,
-    table1,
-)
-from .estimate import (
-    EstimationError,
-    FitResult,
-    SingularDesignError,
-    estimate_ate_variance_centered,
-    fit_ols,
-    fit_poisson_glm,
-    fit_weighted,
-    sandwich_vcov,
-)
-from .model import (
-    FREE,
-    CoefConstraint,
-    ColumnMap,
-    Dataset,
-    Empirical,
-    KnownMean,
-    ModelSpec,
-    build_design,
-    format_formula,
-    named_spec,
-    parse_formula,
-)
-from .population import (
-    BetaAteEstimate,
-    ExactMoments,
-    GaussianArmSampler,
-    PopulationSolution,
-    PopulationSpec,
-    ancova_anova_gap,
-    approximate_beta_ate,
-    asymptotic_variance_centered,
-    asymptotic_variance_known_mean,
-    make_counterexample,
-    population_from_dict,
-    population_to_dict,
-    random_moment_population,
-    solve_population,
-    variance_gap_theorem2,
-)
-from .sim import (
-    DID_LDV_CONFIGS,
-    FIGURE1_PIS,
-    REPORT_FIELDS,
-    DrawResult,
-    MonteCarloCell,
-    MonteCarloReport,
-    Scenario,
-    custom_scenario,
-    did_vs_ldv_experiment,
-    draw,
-    figure1_data,
-    rep_seed,
-    run_grid,
-    scenario,
-)
+from . import dominance, estimate, model, population, sim
+from .dominance import *  # noqa: F403
+from .estimate import *  # noqa: F403
+from .model import *  # noqa: F403
+from .population import *  # noqa: F403
+from .sim import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefConstraint",
-    "FREE",
-    "KnownMean",
-    "Empirical",
-    "ModelSpec",
-    "Dataset",
-    "ColumnMap",
-    "parse_formula",
-    "format_formula",
-    "named_spec",
-    "build_design",
-    "FitResult",
-    "EstimationError",
-    "SingularDesignError",
-    "fit_ols",
-    "fit_weighted",
-    "fit_poisson_glm",
-    "sandwich_vcov",
-    "estimate_ate_variance_centered",
-    "ExactMoments",
-    "GaussianArmSampler",
-    "PopulationSpec",
-    "PopulationSolution",
-    "BetaAteEstimate",
-    "solve_population",
-    "asymptotic_variance_known_mean",
-    "asymptotic_variance_centered",
-    "variance_gap_theorem2",
-    "ancova_anova_gap",
-    "make_counterexample",
-    "approximate_beta_ate",
-    "random_moment_population",
-    "population_to_dict",
-    "population_from_dict",
-    "DominanceVerdict",
-    "constraints_nested",
-    "condition_known_mean",
-    "condition_centered",
-    "check_known_mean",
-    "check_centered",
-    "table1",
-    "corollaries",
-    "Scenario",
-    "scenario",
-    "custom_scenario",
-    "DrawResult",
-    "MonteCarloCell",
-    "MonteCarloReport",
-    "draw",
-    "run_grid",
-    "rep_seed",
-    "figure1_data",
-    "did_vs_ldv_experiment",
-    "REPORT_FIELDS",
-    "FIGURE1_PIS",
-    "DID_LDV_CONFIGS",
+    *model.__all__,
+    *estimate.__all__,
+    *population.__all__,
+    *dominance.__all__,
+    *sim.__all__,
     "__version__",
 ]

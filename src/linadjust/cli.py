@@ -125,8 +125,7 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
         cov_names = names[2 : len(names) - 1 if has_w else len(names)]
         if not cov_names:
             raise CliError(f"{path}: need at least one covariate column")
-        rows = []
-        lines = []
+        rows, lines = [], []
         for row in reader:
             line = reader.line_num
             if not row or all(v.strip() == "" for v in row):
@@ -134,22 +133,24 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
             if len(row) != len(names):
                 raise CliError(f"{path} line {line}: expected {len(names)} fields, got {len(row)}")
             try:
-                vals = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError:
                 raise CliError(f"{path} line {line}: non-numeric value in {row!r}") from None
-            if vals[0] not in (0.0, 1.0):
-                raise CliError(f"{path} line {line}: a must be 0 or 1, got {row[0]}")
-            if has_w and vals[-1] <= 0:
-                raise CliError(f"{path} line {line}: weight must be positive, got {row[-1]}")
-            rows.append(vals)
             lines.append(line)
     if not rows:
         raise CliError(f"{path}: no data rows")
     arr = np.asarray(rows)
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i, j = divmod(int(bad[0]), arr.shape[1])
-        raise CliError(f"{path} line {lines[i]}: {names[j]} must be finite, got {arr[i, j]}")
+    # One pass in header order: the first bad line wins, then its first bad column.
+    bad = ~np.isfinite(arr)
+    bad[:, 0] = (arr[:, 0] != 0.0) & (arr[:, 0] != 1.0)
+    if has_w:
+        bad[:, -1] |= arr[:, -1] <= 0.0
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), arr.shape[1])
+        rule = "a must be 0 or 1" if j == 0 else f"{names[j]} must be finite"
+        if has_w and j == len(names) - 1 and np.isfinite(arr[i, j]):
+            rule = "weight must be positive"
+        raise CliError(f"{path} line {lines[i]}: {rule}, got {arr[i, j]:.15g}")
     a, y = arr[:, 0], arr[:, 1]
     x = arr[:, 2 : len(names) - 1] if has_w else arr[:, 2:]
     w = arr[:, -1] if has_w else None

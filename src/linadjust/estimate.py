@@ -2,7 +2,11 @@
 
 Every fit reduces to unconstrained least squares on the free design
 columns after the fixed-coefficient offset is moved to the response
-(linear models) or into the linear predictor (Poisson).
+(linear models) or into the linear predictor (Poisson). One kernel
+serves them all: ``_wls`` is the (weighted) SVD solve with one rank
+rule, used by OLS, WLS, every IRLS step and the full-model refit for
+the centering penalty; ``_sandwich`` is the HC0/HC1 covariance; and
+``_centered_total`` adds the empirical-centering penalty and clamps.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ColumnMap, Dataset, Empirical, KnownMean, ModelSpec, build_design, named_spec
+from .model import ColumnMap, Dataset, Empirical, ModelSpec, build_design, named_spec
 
 __all__ = [
     "EstimationError",
@@ -95,34 +99,36 @@ class FitResult:
         }
 
 
-def _svd_solve(z: np.ndarray, y: np.ndarray, labels: tuple[str, ...]):
-    """Least-squares solve with an explicit singularity check.
+def _wls(z: np.ndarray, y: np.ndarray, labels: tuple[str, ...], w=None):
+    """Least squares of y on z, weighted by w when given.
 
-    Returns the coefficient vector and the pseudo-inverse factorization
-    pieces needed for the sandwich bread.
+    Returns the coefficients and the bread (ZᵀWZ)⁻¹. One rank rule,
+    s < SVD_RTOL·s[0], both flags a singular design and names the
+    columns that load on its weak directions.
     """
+    if w is not None:
+        sw = np.sqrt(w)
+        z = z * sw[:, None]
+        y = y * sw
     u, s, vt = np.linalg.svd(z, full_matrices=False)
-    if s[0] == 0.0 or s[-1] < SVD_RTOL * s[0]:
-        bad = np.flatnonzero(s < SVD_RTOL * max(s[0], 1.0))
-        involved: list[str] = []
-        for k in bad:
-            load = np.abs(vt[k])
-            involved.extend(labels[j] for j in np.flatnonzero(load > 0.1))
+    tol = SVD_RTOL * s[0]
+    if s[-1] < tol or s[0] == 0.0:
+        weak = np.flatnonzero(s < tol)
+        involved = [labels[j] for k in weak for j in np.flatnonzero(np.abs(vt[k]) > 0.1)]
         cols = tuple(dict.fromkeys(involved)) or labels
         msg = f"singular design; offending columns: {', '.join(cols)}"
         raise SingularDesignError(msg, cols)
-    coef = vt.T @ ((u.T @ y) / s)
-    gram_inv = (vt.T / s**2) @ vt
-    return coef, gram_inv
+    return vt.T @ ((u.T @ y) / s), (vt.T / s**2) @ vt
 
 
-def _hc_vcov(z, resid, gram_inv, sqrt_w=None, hc1=False):
-    """Sandwich covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹."""
-    score = z * resid[:, None]
-    if sqrt_w is not None:
-        score *= sqrt_w[:, None]
-    meat = score.T @ score
-    vcov = gram_inv @ meat @ gram_inv
+def _sandwich(z, resid, bread, w=None, hc1=False):
+    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹."""
+    if w is None:
+        score = z * resid[:, None]
+    else:
+        sw = np.sqrt(w)[:, None]
+        score = z * sw * resid[:, None] * sw
+    vcov = bread @ (score.T @ score) @ bread
     if hc1:
         n, q = z.shape
         vcov *= n / max(n - q, 1)
@@ -159,26 +165,6 @@ def _assemble(spec, data, coef, vcov, cmap, converged=True) -> FitResult:
     )
 
 
-def _solve_linear(z: np.ndarray, yadj: np.ndarray, labels: tuple[str, ...], weights):
-    """(Weighted) least squares; also returns the sandwich's design and root weights."""
-    if weights is None:
-        coef, gram_inv = _svd_solve(z, yadj, labels)
-        return coef, gram_inv, z, None
-    sw = np.sqrt(weights)
-    zw = z * sw[:, None]
-    coef, gram_inv = _svd_solve(zw, yadj * sw, labels)
-    return coef, gram_inv, zw, sw
-
-
-def _fit_linear_core(spec: ModelSpec, data: Dataset, weights, hc1=False) -> FitResult:
-    _check_arms(data)
-    z, offset, cmap = build_design(spec, data)
-    yadj = data.y - offset
-    coef, gram_inv, zw, sw = _solve_linear(z, yadj, cmap.labels, weights)
-    vcov = _hc_vcov(zw, yadj - z @ coef, gram_inv, sqrt_w=sw, hc1=hc1)
-    return _assemble(spec, data, coef, vcov, cmap)
-
-
 def _is_full(spec: ModelSpec) -> bool:
     return all(c.is_free for c in spec.gamma) and all(c.is_free for c in spec.delta)
 
@@ -188,33 +174,37 @@ def _centering_penalty(sigma: np.ndarray, delta_s: np.ndarray, delta_f: np.ndarr
     return float(delta_s @ sigma @ (2.0 * delta_f - delta_s))
 
 
-def _sample_penalty(data: Dataset, delta_s: np.ndarray, delta_f: np.ndarray) -> float:
-    """The centering penalty with the sample covariance of X as Sigma."""
+def _centered_total(data, var, delta_s, delta_f, scale, what, stacklevel):
+    """Return (var + sample centering penalty / scale clamped at 0, whether it was
+    clamped). A clamp warns about the centered-variance ``what`` at ``stacklevel``."""
     sigma_hat = np.cov(data.x, rowvar=False, ddof=0).reshape(data.p, data.p)
-    return _centering_penalty(sigma_hat, delta_s, delta_f)
-
-
-def _apply_centered_se(fit: FitResult, data: Dataset, weights) -> None:
-    """Fold the empirical-centering variance penalty into ate_se in place."""
-    if not isinstance(fit.spec.centering, Empirical):
-        return
-    if not np.any(fit.delta):
-        return
-    if _is_full(fit.spec):
-        delta_f = fit.delta
-    else:
-        full = named_spec("ANHECOVA", fit.spec.p).with_centering(fit.spec.centering)
-        delta_f = _fit_linear_core(full, data, weights).delta
-    total = fit.vcov[1, 1] + _sample_penalty(data, fit.delta, delta_f) / data.n
+    total = var + _centering_penalty(sigma_hat, delta_s, delta_f) / scale
     if total < 0.0:
-        warnings.warn(
-            "centered-variance correction clamped at zero",
-            RuntimeWarning,
-            stacklevel=3,
+        msg = f"centered-variance {what} clamped at zero"
+        warnings.warn(msg, RuntimeWarning, stacklevel=stacklevel)
+        return 0.0, True
+    return float(total), False
+
+
+def _fit_linear(spec: ModelSpec, data: Dataset, w, hc1: bool) -> FitResult:
+    """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
+    _check_arms(data)
+    z, offset, cmap = build_design(spec, data)
+    yadj = data.y - offset
+    coef, bread = _wls(z, yadj, cmap.labels, w)
+    fit = _assemble(spec, data, coef, _sandwich(z, yadj - z @ coef, bread, w, hc1), cmap)
+    del z, offset, yadj  # so the full-model refit below does not raise peak memory
+    if isinstance(spec.centering, Empirical) and np.any(fit.delta):
+        if _is_full(spec):
+            delta_f = fit.delta
+        else:
+            zf, _, cmap_f = build_design(named_spec("ANHECOVA", spec.p), data)
+            delta_f = _wls(zf, data.y, cmap_f.labels, w)[0][-spec.p :]
+        total, fit.se_clamped = _centered_total(
+            data, fit.vcov[1, 1], fit.delta, delta_f, data.n, "correction", stacklevel=4
         )
-        fit.se_clamped = True
-        total = 0.0
-    fit.ate_se = float(np.sqrt(total))
+        fit.ate_se = float(np.sqrt(total))
+    return fit
 
 
 def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
@@ -245,9 +235,7 @@ def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
     if data.weights is not None:
         msg = "dataset has weights; use fit_weighted"
         raise ValueError(msg)
-    fit = _fit_linear_core(spec, data, None, hc1=hc1)
-    _apply_centered_se(fit, data, None)
-    return fit
+    return _fit_linear(spec, data, None, hc1)
 
 
 def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
@@ -261,9 +249,7 @@ def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult
     if data.weights is None:
         msg = "fit_weighted requires a dataset with weights"
         raise ValueError(msg)
-    fit = _fit_linear_core(spec, data, data.weights, hc1=hc1)
-    _apply_centered_se(fit, data, data.weights)
-    return fit
+    return _fit_linear(spec, data, data.weights, hc1)
 
 
 def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) -> np.ndarray:
@@ -280,8 +266,8 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) 
         msg = f"expected {z.shape[1]} free coefficients, got shape {coef.shape}"
         raise ValueError(msg)
     yadj = data.y - offset
-    _, gram_inv, zw, sw = _solve_linear(z, yadj, cmap.labels, data.weights)
-    return _hc_vcov(zw, yadj - z @ coef, gram_inv, sqrt_w=sw, hc1=hc1)
+    _, bread = _wls(z, yadj, cmap.labels, data.weights)
+    return _sandwich(z, yadj - z @ coef, bread, data.weights, hc1)
 
 
 def estimate_ate_variance_centered(
@@ -300,12 +286,8 @@ def estimate_ate_variance_centered(
     if fit_sub.spec.p != spec.p or fit_full.spec.p != spec.p:
         msg = "dimension mismatch between spec and fits"
         raise ValueError(msg)
-    correction = _sample_penalty(data, fit_sub.delta, fit_full.delta)
-    total = data.n * fit_sub.vcov[1, 1] + correction
-    if total < 0.0:
-        warnings.warn("centered-variance estimate clamped at zero", RuntimeWarning, stacklevel=2)
-        return 0.0
-    return float(total)
+    var = data.n * fit_sub.vcov[1, 1]
+    return _centered_total(data, var, fit_sub.delta, fit_full.delta, 1, "estimate", 3)[0]
 
 
 def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
@@ -328,7 +310,7 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
     _check_arms(data)
     z, offset, cmap = build_design(spec, data)
 
-    coef, _ = _svd_solve(z, np.log(y + 0.5) - offset, cmap.labels)
+    coef, _ = _wls(z, np.log(y + 0.5) - offset, cmap.labels)
     converged = False
     for _ in range(IRLS_MAX_ITER):
         eta = z @ coef + offset
@@ -336,9 +318,8 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
             raise EstimationError(_DIVERGED)
         mu = np.exp(eta)
         work = (eta - offset) + (y - mu) / mu
-        sw = np.sqrt(mu)
         try:
-            new_coef, gram_inv = _svd_solve(z * sw[:, None], work * sw, cmap.labels)
+            new_coef, bread = _wls(z, work, cmap.labels, mu)
         except SingularDesignError:
             # z itself has full rank, so the IRLS weights collapsed: a fitted mean went to 0
             raise EstimationError(_DIVERGED) from None
@@ -348,6 +329,5 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
             converged = True
             break
 
-    mu = np.exp(z @ coef + offset)
-    vcov = _hc_vcov(z, y - mu, gram_inv)
+    vcov = _sandwich(z, y - np.exp(z @ coef + offset), bread)
     return _assemble(spec, data, coef, vcov, cmap, converged=converged)

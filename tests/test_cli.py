@@ -229,8 +229,11 @@ class TestCsvValidation:
             ("a,y,x1\n1,2.0,0.1\n\n0,-inf,0.2\n1,3.0,0.3\n", "line 4: y must be finite, got -inf"),
             ("a,y,x1,w\n1,2,0.1,1\n0,1,0.2,nan\n1,3,0.3,1\n", "line 3: w must be finite, got nan"),
             ("a,y,x1,w\n1,2,0.1,inf\n0,1,0.2,1\n1,3,0.3,1\n", "line 2: w must be finite, got inf"),
+            ("a,y,x1\n1,2,nan\n2,3,0.3\n", "line 2: x1 must be finite, got nan"),
         ],
-        ids=["covariate", "outcome-after-blank-line", "nan-weight", "inf-weight"],
+        ids=[
+            "covariate", "outcome-after-blank-line", "nan-weight", "inf-weight", "first-bad-line"
+        ],
     )
     def test_non_finite_cites_line_and_column(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"

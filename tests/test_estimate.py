@@ -8,6 +8,7 @@ from linadjust import (
     EstimationError,
     KnownMean,
     SingularDesignError,
+    build_design,
     estimate_ate_variance_centered,
     fit_ols,
     fit_poisson_glm,
@@ -169,8 +170,6 @@ def test_centered_estimate_identity():
 
 
 def test_residuals_orthogonal_to_free_columns(hand_data):
-    from linadjust import build_design
-
     fit = fit_ols(ANHECOVA1, hand_data)
     z, offset, _ = build_design(ANHECOVA1, hand_data)
     resid = hand_data.y - offset - z @ fit.free_coefs
@@ -199,6 +198,38 @@ class TestWeighted:
         w = Dataset(hand_data.a, hand_data.x, hand_data.y, np.ones(6))
         with pytest.raises(ValueError, match="weight"):
             fit_ols(ANHECOVA1, w)
+
+    @pytest.mark.parametrize("scale", [1e-24, 1e24])
+    def test_weight_scale_leaves_estimate_and_se_alone(self, scale):
+        rng = np.random.default_rng(37)
+        n = 50
+        a = (rng.random(n) < 0.5).astype(float)
+        x = rng.normal(size=(n, 2))
+        y = a + x @ [1.0, -0.5] + a * x[:, 0] + rng.normal(size=n)
+        w = rng.uniform(0.5, 2.0, n)
+        spec = parse_formula("1 + A + X1 + A:X1", ["X1", "X2"])
+        base = fit_weighted(spec, Dataset(a, x, y, w))
+        scaled = fit_weighted(spec, Dataset(a, x, y, scale * w))
+        assert scaled.ate_hat == pytest.approx(base.ate_hat, rel=1e-10)
+        assert scaled.ate_se == pytest.approx(base.ate_se, rel=1e-10)
+
+    @pytest.mark.parametrize("formula", ["1 + A + X1 + X2 + A:X1 + A:X2", "1 + A + X1@0.5 + A:X2"])
+    def test_vcov_is_the_explicit_weighted_hc0_formula(self, formula):
+        rng = np.random.default_rng(41)
+        n = 60
+        a = (rng.random(n) < 0.4).astype(float)
+        x = rng.normal(size=(n, 2))
+        y = 1 + a + x @ [0.5, 1.0] + a * x[:, 1] + rng.normal(size=n) * (1 + a)
+        data = Dataset(a, x, y, rng.uniform(0.2, 3.0, n))
+        spec = parse_formula(formula, ["X1", "X2"])
+        fit = fit_weighted(spec, data)
+        z, offset, _ = build_design(spec, data)
+        w = data.weights
+        e = data.y - offset - z @ fit.free_coefs
+        bread = np.linalg.inv(z.T @ (w[:, None] * z))
+        score = z * (w * e)[:, None]
+        expect = bread @ (score.T @ score) @ bread
+        np.testing.assert_allclose(fit.vcov, expect, rtol=1e-9, atol=1e-9 * abs(expect).max())
 
     def test_weighting_moves_the_fit(self):
         rng = np.random.default_rng(23)
@@ -272,6 +303,22 @@ class TestPoisson:
             fit_poisson_glm(ANHECOVA1, data)
         assert not isinstance(exc.value, SingularDesignError)
 
+    def test_vcov_is_the_explicit_hc0_formula_at_the_fit(self):
+        rng = np.random.default_rng(43)
+        n = 80
+        a = (rng.random(n) < 0.5).astype(float)
+        x = rng.normal(size=n)
+        y = rng.poisson(np.exp(0.5 + 0.4 * a + 0.3 * x)).astype(float)
+        data = Dataset(a, x, y)
+        fit = fit_poisson_glm(ANHECOVA1, data)
+        assert fit.converged
+        z, offset, _ = build_design(ANHECOVA1, data)
+        mu = np.exp(offset + z @ fit.free_coefs)
+        bread = np.linalg.inv(z.T @ (mu[:, None] * z))
+        score = z * (y - mu)[:, None]
+        expect = bread @ (score.T @ score) @ bread
+        np.testing.assert_allclose(fit.vcov, expect, rtol=1e-9, atol=1e-9 * abs(expect).max())
+
 
 class TestErrors:
     def test_singular_design_names_columns(self):
@@ -280,6 +327,17 @@ class TestErrors:
         with pytest.raises(SingularDesignError) as exc:
             fit_ols(named_spec("ANCOVA", 2), data)
         assert exc.value.columns
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-24])
+    def test_rank_rule_names_the_same_columns_at_any_weight_scale(self, scale):
+        rng = np.random.default_rng(31)
+        n = 40
+        x = rng.normal(size=(n, 3))
+        x[:, 1] = x[:, 0]
+        data = Dataset([0, 1] * (n // 2), x, rng.normal(size=n), np.full(n, scale))
+        with pytest.raises(SingularDesignError) as exc:
+            fit_weighted(named_spec("ANCOVA", 3), data)
+        assert exc.value.columns == ("X1", "X2")
 
     def test_empty_arm(self):
         data = Dataset([1, 1, 1, 1], np.arange(4.0), np.arange(4.0))
@@ -322,3 +380,31 @@ def test_to_dict_round_trips_through_json(hand_data):
     payload = json.loads(json.dumps(fit.to_dict()))
     assert payload["ate_hat"] == fit.ate_hat
     assert payload["n_used"] == 6
+
+
+class TestClamp:
+    """A sub-model whose centering penalty outweighs its sandwich variance."""
+
+    DATA = Dataset(
+        a=[1, 1, 1, 1, 0, 0, 0, 0],
+        x=[-0.626, 1.107, 0.539, 0.829, -0.602, -0.557, -0.822, -0.541],
+        y=[-1.943, 0.429, -1.5, 0.079, -1.298, 0.117, -1.192, -0.02],
+    )
+    SPEC = parse_formula("1 + A + A:X1", ["X1"])
+
+    def test_fit_clamps_the_se_and_warns_at_the_caller(self):
+        with pytest.warns(RuntimeWarning, match="clamped at zero") as rec:
+            fit = fit_ols(self.SPEC, self.DATA)
+        assert fit.se_clamped
+        assert fit.ate_se == 0.0
+        assert len(rec) == 1
+        assert rec[0].filename == __file__
+
+    def test_variance_estimate_clamps_and_warns_at_the_caller(self):
+        with pytest.warns(RuntimeWarning):
+            fit = fit_ols(self.SPEC, self.DATA)
+        full = fit_ols(ANHECOVA1, self.DATA)
+        with pytest.warns(RuntimeWarning, match="clamped at zero") as rec:
+            total = estimate_ate_variance_centered(self.SPEC, self.DATA, full, fit)
+        assert total == 0.0
+        assert [r.filename for r in rec] == [__file__]

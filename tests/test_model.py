@@ -240,3 +240,15 @@ def test_with_centering_preserves_constraints():
     assert km.gamma == spec.gamma and km.delta == spec.delta
     assert isinstance(km.centering, KnownMean)
     assert isinstance(spec.centering, Empirical)
+
+
+def test_package_exports_each_submodule_name_once():
+    import linadjust
+    from linadjust import dominance, estimate, model, population, sim
+
+    exported = linadjust.__all__
+    assert len(exported) == len(set(exported))
+    for module in (model, estimate, population, dominance, sim):
+        for name in module.__all__:
+            assert name in exported
+            assert getattr(linadjust, name) is getattr(module, name)
