@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -179,6 +179,8 @@ def _fit_report_text(fit: FitResult, cov_names: list[str]) -> str:
     ]
     if not fit.converged:
         lines.append("converged  False")
+    if fit.se_clamped:
+        lines.append("se_clamped  True")
     lines.append("")
     lines.append(f"{'term':<12}{'estimate':>14}  status")
     for term, value, free in _coef_rows(fit, cov_names):
@@ -204,6 +206,8 @@ def _centering_name(spec: ModelSpec) -> str:
 
 def _fit_report_csv(fit: FitResult, cov_names: list[str]) -> str:
     lines = ["term,value", f"ate_hat,{fit.ate_hat!r}", f"ate_se,{fit.ate_se!r}"]
+    if fit.se_clamped:
+        lines.append("se_clamped,True")
     lines += [f"{term},{value!r}" for term, value, _ in _coef_rows(fit, cov_names)]
     return "\n".join(lines) + "\n"
 
@@ -219,6 +223,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise CliError(f"--mean needs {spec.p} values, got {len(mu)}")
         spec = spec.with_centering(KnownMean(tuple(mu)))
     else:
+        if args.mean is not None:
+            raise CliError("--mean applies only with --centering known-mean")
         spec = spec.with_centering(Empirical())
 
     pi = args.pi
@@ -242,7 +248,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         fit = fit_ols(spec, data, hc1=args.hc1)
 
     if args.format == "json":
-        payload = fit.to_dict()
+        payload = fit.to_dict(cov_names)
         payload["pi"] = pi
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
@@ -299,7 +305,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         raise CliError(f"{args.population}: {exc}") from exc
     if args.pi is not None:
-        pop = type(pop)(pi=args.pi, moments=pop.moments, sampler=pop.sampler)
+        pop = replace(pop, pi=args.pi)
 
     names = [f"X{j + 1}" for j in range(pop.p)]
     spec1 = _parse_model(args.model, names)
@@ -472,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(func=cmd_check)
 
     p_cmp = sub.add_parser("compare", help="exact asymptotic variances on a population file")
-    p_cmp.add_argument("--population", required=True, help="population JSON (moment mode)")
+    p_cmp.add_argument("--population", required=True, help="population JSON (moment record)")
     p_cmp.add_argument("--model", required=True)
     p_cmp.add_argument("--model2", required=True)
     p_cmp.add_argument("--pi", type=float, help="override the file's assignment probability")

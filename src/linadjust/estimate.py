@@ -74,10 +74,11 @@ class FitResult:
     def labels(self) -> tuple[str, ...]:
         return self.column_map.labels
 
-    def to_dict(self) -> dict:
+    def to_dict(self, cov_names: list[str] | None = None) -> dict:
+        """JSON-ready record; the spec names covariates ``cov_names`` (default X1..Xp)."""
         from .model import format_formula
 
-        names = [f"X{j + 1}" for j in range(self.spec.p)]
+        names = cov_names or [f"X{j + 1}" for j in range(self.spec.p)]
         centering = (
             "empirical"
             if isinstance(self.spec.centering, Empirical)
@@ -96,6 +97,7 @@ class FitResult:
             "ate_se": self.ate_se,
             "n_used": self.n_used,
             "converged": self.converged,
+            "se_clamped": self.se_clamped,
         }
 
 

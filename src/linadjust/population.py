@@ -1,10 +1,10 @@
 """Population least-squares solutions and exact asymptotic variances.
 
-Moment mode works from the eight-quantity record (pi, Sigma, Omega1,
+Every result works from the eight-quantity record (pi, Sigma, Omega1,
 Omega0, mu1, mu0, q1, q0) with the convention E(X) = 0; that record
 determines every residual second moment exactly, so no sampling is
-involved. Sampler mode estimates the same record by Monte Carlo and
-flags results as approximate.
+involved. A population given only a sampler reads the record from the
+sampler's closed-form ``moments()``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ __all__ = [
     "population_to_dict",
     "population_from_dict",
 ]
-
-MC_MOMENT_DRAWS = 1_000_000
-
 
 @dataclass(frozen=True)
 class ExactMoments:
@@ -138,7 +135,10 @@ class GaussianArmSampler:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Assignment probability plus moments and/or a seeded sampler."""
+    """Assignment probability plus a moment record and/or a sampler.
+
+    Given only a sampler, ``moments`` is set from ``sampler.moments()``.
+    """
 
     pi: float
     moments: ExactMoments | None = None
@@ -146,13 +146,15 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         _check_pi(self.pi)
-        if self.moments is None and self.sampler is None:
-            msg = "population needs moments, a sampler, or both"
-            raise ValueError(msg)
+        if self.moments is None:
+            if self.sampler is None:
+                msg = "population needs moments, a sampler, or both"
+                raise ValueError(msg)
+            object.__setattr__(self, "moments", self.sampler.moments())
 
     @property
     def p(self) -> int:
-        return self.moments.p if self.moments is not None else self.sampler.p
+        return self.moments.p
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,6 @@ class PopulationSolution:
     gamma: np.ndarray
     delta: np.ndarray
     beta_ate: float
-    approximate: bool = False
 
 
 class BetaAteEstimate(NamedTuple):
@@ -172,24 +173,7 @@ class BetaAteEstimate(NamedTuple):
     mc_se: float
 
 
-def _resolve_moments(pop: PopulationSpec, seed: int = 0) -> tuple[ExactMoments, bool]:
-    if pop.moments is not None:
-        return pop.moments, False
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6D6F6D)))
-    x, y1, y0 = pop.sampler.potential(MC_MOMENT_DRAWS, rng)
-    mom = ExactMoments(
-        sigma=x.T @ x / len(x),
-        omega1=x.T @ y1 / len(x),
-        omega0=x.T @ y0 / len(x),
-        mu1=float(y1.mean()),
-        mu0=float(y0.mean()),
-        q1=float((y1**2).mean()),
-        q0=float((y0**2).mean()),
-    )
-    return mom, True
-
-
-def solve_population(spec: ModelSpec, pop: PopulationSpec, seed: int = 0) -> PopulationSolution:
+def solve_population(spec: ModelSpec, pop: PopulationSpec) -> PopulationSolution:
     """Solve the restricted population least-squares problem exactly.
 
     The first-order conditions reduce, with E(X) = 0 and A independent
@@ -200,17 +184,9 @@ def solve_population(spec: ModelSpec, pop: PopulationSpec, seed: int = 0) -> Pop
         [pi*Sigma_GF pi*Sigma_GG] [delta_G] = [pi*(Omega1_G - fixed)]
 
     where Omega_bar = pi*Omega1 + (1-pi)*Omega0. Fixed coefficients are
-    echoed in the returned vectors. Sampler-only populations get their
-    moment record estimated by Monte Carlo and the result is flagged
-    approximate.
+    echoed in the returned vectors.
     """
-    mom, approximate = _resolve_moments(pop, seed)
-    return _solve(spec, pop.pi, mom, approximate)
-
-
-def _solve(
-    spec: ModelSpec, pi: float, mom: ExactMoments, approximate: bool = False
-) -> PopulationSolution:
+    pi, mom = pop.pi, pop.moments
     if spec.p != mom.p:
         msg = f"spec has p={spec.p} covariates but population has p={mom.p}"
         raise ValueError(msg)
@@ -244,7 +220,6 @@ def _solve(
         gamma=gamma,
         delta=delta,
         beta_ate=beta_ate,
-        approximate=approximate,
     )
 
 
@@ -265,35 +240,29 @@ def _known_mean_variance(mom: ExactMoments, sol: PopulationSolution, pi: float) 
     return m1 / pi + m0 / (1.0 - pi)
 
 
-def asymptotic_variance_known_mean(
-    spec: ModelSpec, pop: PopulationSpec, seed: int = 0
-) -> float:
+def asymptotic_variance_known_mean(spec: ModelSpec, pop: PopulationSpec) -> float:
     """n * avar of the treatment coefficient with a known covariate mean.
 
     Equals m2(1)/pi + m2(0)/(1-pi) with m2(a) the arm-wise residual
     second moment at the population solution.
     """
-    mom, _ = _resolve_moments(pop, seed)
-    return _known_mean_variance(mom, _solve(spec, pop.pi, mom), pop.pi)
+    return _known_mean_variance(pop.moments, solve_population(spec, pop), pop.pi)
 
 
-def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec, seed: int = 0) -> float:
+def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec) -> float:
     """n * avar of the empirically centered estimate.
 
     Adds the interaction penalty delta_s' Sigma (2 delta_f - delta_s)
     to the known-mean variance, with delta_f from the all-free model.
     """
-    mom, _ = _resolve_moments(pop, seed)
-    sol = _solve(spec, pop.pi, mom)
-    full = _solve(named_spec("ANHECOVA", spec.p), pop.pi, mom)
-    return _known_mean_variance(mom, sol, pop.pi) + _centering_penalty(
-        mom.sigma, sol.delta, full.delta
+    sol = solve_population(spec, pop)
+    full = solve_population(named_spec("ANHECOVA", spec.p), pop)
+    return _known_mean_variance(pop.moments, sol, pop.pi) + _centering_penalty(
+        pop.moments.sigma, sol.delta, full.delta
     )
 
 
-def variance_gap_theorem2(
-    spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpec, seed: int = 0
-) -> float:
+def variance_gap_theorem2(spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpec) -> float:
     """Closed-form centered variance gap V2_tilde - V1_tilde.
 
     Requires the centered dominance condition (nested constraints and
@@ -307,24 +276,22 @@ def variance_gap_theorem2(
             "and equal free main-effect/interaction sets for the first spec"
         )
         raise ValueError(msg)
-    mom, _ = _resolve_moments(pop, seed)
-    sol1 = _solve(spec1, pop.pi, mom)
-    sol2 = _solve(spec2, pop.pi, mom)
+    sol1 = solve_population(spec1, pop)
+    sol2 = solve_population(spec2, pop)
     d_gamma = sol1.gamma - sol2.gamma
     d_delta = sol1.delta - sol2.delta
     v = d_gamma + (1.0 - pop.pi) * d_delta
-    return float(v @ mom.sigma @ v) / (pop.pi * (1.0 - pop.pi))
+    return float(v @ pop.moments.sigma @ v) / (pop.pi * (1.0 - pop.pi))
 
 
-def ancova_anova_gap(pop: PopulationSpec, seed: int = 0) -> float:
+def ancova_anova_gap(pop: PopulationSpec) -> float:
     """Exact V(ANCOVA) - V(ANOVA) under known-mean centering.
 
     Equals (gamma_f + pi*delta_f)' Sigma ((3pi-2) delta_f - gamma_f)
     / (pi(1-pi)); either sign can occur.
     """
-    mom, _ = _resolve_moments(pop, seed)
     ancova, anova = (
-        _known_mean_variance(mom, _solve(named_spec(name, mom.p), pop.pi, mom), pop.pi)
+        asymptotic_variance_known_mean(named_spec(name, pop.p), pop)
         for name in ("ANCOVA", "ANOVA")
     )
     return ancova - anova
@@ -369,7 +336,7 @@ def make_counterexample(kind: str, pi: float) -> PopulationSpec:
     else:
         msg = f"unknown counterexample kind {kind!r}; expected one of {COUNTEREXAMPLE_KINDS}"
         raise ValueError(msg)
-    return PopulationSpec(pi=pi, moments=sampler.moments(), sampler=sampler)
+    return PopulationSpec(pi=pi, sampler=sampler)
 
 
 def approximate_beta_ate(
@@ -423,14 +390,11 @@ def random_moment_population(rng: np.random.Generator, p: int | None = None) -> 
         s1=float(rng.uniform(0.3, 2.0)),
     )
     pi = float(rng.uniform(0.1, 0.9))
-    return PopulationSpec(pi=pi, moments=sampler.moments(), sampler=sampler)
+    return PopulationSpec(pi=pi, sampler=sampler)
 
 
 def population_to_dict(pop: PopulationSpec) -> dict:
-    """JSON-ready moment-mode serialization."""
-    if pop.moments is None:
-        msg = "only moment-mode populations are serializable"
-        raise ValueError(msg)
+    """JSON-ready serialization of the moment record."""
     m = pop.moments
     return {
         "pi": pop.pi,

@@ -14,8 +14,8 @@ Y(0) = 2 - X + X^2 + e0 with assignment probability expit(4 - 2X);
 effect 7 - (2 + E X^2) = 4. Scenario 4 adds the weights
 1 / (pi(X)(1 - pi(X))) to Scenario 3. Treated potential outcomes are
 read with A = 1 substituted into their formulas. These effects are
-exact; Monte Carlo estimates the effect only for a custom sampler
-given without one.
+exact. A custom scenario takes its effect from ``beta_ate``, or else
+as mu1 - mu0 from its sampler's closed-form ``moments()``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from .estimate import EstimationError, fit_ols, fit_poisson_glm, fit_weighted
 from .model import Dataset, ModelSpec, _check_pi, format_formula, named_spec
-from .population import GaussianArmSampler, PopulationSpec, approximate_beta_ate
+from .population import GaussianArmSampler
 
 __all__ = [
     "Scenario",
@@ -115,7 +115,9 @@ class Scenario:
 
     A custom scenario carries a potential-outcome ``sampler`` and a
     constant ``pi``; without a sampler, ``id`` names a standard
-    scenario 1-4, whose law and exact effect are looked up from it.
+    scenario 1-4, whose law is looked up from it. ``beta_ate`` is
+    resolved once, here: the given value, else the law's exact truth,
+    else mu1 - mu0 from the sampler's ``moments()``.
     """
 
     id: int | str
@@ -128,6 +130,16 @@ class Scenario:
         if self.sampler is None and self.law is None:
             msg = f"scenario {self.id!r} needs a sampler unless its id is 1..4"
             raise ValueError(msg)
+        if self.beta_ate is None:
+            if self.law is not None:
+                truth = self.law.truth
+            elif hasattr(self.sampler, "moments"):
+                mom = self.sampler.moments()
+                truth = mom.mu1 - mom.mu0
+            else:
+                msg = f"scenario {self.id!r} needs beta_ate: its sampler has no exact moments()"
+                raise ValueError(msg)
+            object.__setattr__(self, "beta_ate", truth)
 
     @property
     def law(self) -> _Law | None:
@@ -155,7 +167,7 @@ def scenario(id: int, n: int = 1000, pi: float | None = None) -> Scenario:
     if n < 4:
         msg = f"scenario needs n >= 4, got {n}"
         raise ValueError(msg)
-    return Scenario(id=id, n=n, pi=pi, beta_ate=_LAWS[id].truth)
+    return Scenario(id=id, n=n, pi=pi)
 
 
 def custom_scenario(
@@ -307,9 +319,8 @@ def run_grid(
     Returns
     -------
     MonteCarloReport
-        Bias is measured against the scenario's exact effect. Only a
-        custom sampler given without one is measured against a
-        10^7-draw Monte Carlo approximation.
+        Bias is measured against the scenario's exact effect,
+        ``scn.beta_ate``.
     """
     if reps <= 0:
         msg = f"reps must be positive, got {reps}"
@@ -328,12 +339,6 @@ def run_grid(
             msg = "this scenario needs explicit assignment probabilities"
             raise ValueError(msg)
 
-    beta_ate = scn.beta_ate
-    if beta_ate is None and scn.law is not None:
-        beta_ate = scn.law.truth
-    if beta_ate is None:
-        pop = PopulationSpec(pi=scn.pi if scn.pi is not None else 0.5, sampler=scn.sampler)
-        beta_ate = approximate_beta_ate(pop, 10_000_000, seed=seed).value
     fits = np.full((len(models), len(pi_list), reps, 2), np.nan)  # NaN: the fit failed
     for i, pi in enumerate(pi_list):
         key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
@@ -364,7 +369,7 @@ def run_grid(
                     pi=pi,
                     n=scn.n,
                     reps=reps,
-                    bias=float(ests.mean() - beta_ate),
+                    bias=float(ests.mean() - scn.beta_ate),
                     sd=sd,
                     mc_se=sd / float(np.sqrt(used)) if used else float("nan"),
                     fail_rate=fail_rate,
@@ -426,8 +431,7 @@ def did_vs_ldv_experiment(
     kept estimates line up replication by replication when neither cell
     dropped one, for paired uncertainty checks.
     """
-    sampler = _did_ldv_sampler(config)
-    scn = custom_scenario(sampler, pi=0.5, beta_ate=sampler.b1 - sampler.b0, n=n, id="did-ldv")
+    scn = custom_scenario(_did_ldv_sampler(config), pi=0.5, n=n, id="did-ldv")
     models = [named_spec("DiD", 2), named_spec("LDV", 2)]
     report = run_grid(scn, models, None, reps, seed, keep_estimates=True)
     for cell, name in zip(report.cells, ("DiD", "LDV")):

@@ -58,6 +58,8 @@ class TestEstimate:
         assert payload["theta_hat"]["gamma"][0] == pytest.approx(fit.gamma[0], abs=1e-12)
         assert payload["n_used"] == len(A)
         assert payload["pi"] is None
+        assert payload["spec"] == "1 + A + x1 + A:x1"
+        assert payload["se_clamped"] is False
 
     def test_text_report(self, data_csv, capsys):
         rc, out, _ = run(
@@ -100,6 +102,33 @@ class TestEstimate:
         )
         assert rc == 2
         assert "--mean" in err
+
+    def test_mean_requires_known_mean_centering(self, data_csv, capsys):
+        rc, _, err = run(
+            ["estimate", "--data", str(data_csv), "--model", "ancova", "--mean", "5.0"],
+            capsys,
+        )
+        assert rc == 2
+        assert "--mean" in err and "--centering known-mean" in err
+
+    def test_clamped_se_is_flagged_in_every_format(self, tmp_path, capsys):
+        path = tmp_path / "clamp.csv"
+        x = [-0.626, 1.107, 0.539, 0.829, -0.602, -0.557, -0.822, -0.541]
+        y = [-1.943, 0.429, -1.5, 0.079, -1.298, 0.117, -1.192, -0.02]
+        path.write_text("\n".join(["a,y,x1"] + [f"{a},{v},{u}" for a, v, u in zip(A, y, x)]))
+        out = {}
+        for fmt in ("json", "text", "csv"):
+            with pytest.warns(RuntimeWarning, match="clamped at zero"):
+                rc, out[fmt], _ = run(
+                    ["estimate", "--data", str(path), "--model", "1 + A + A:x1", "--format", fmt],
+                    capsys,
+                )
+            assert rc == 0
+        payload = json.loads(out["json"])
+        assert payload["ate_se"] == 0.0
+        assert payload["se_clamped"] is True
+        assert "se_clamped  True" in out["text"].splitlines()
+        assert "se_clamped,True" in out["csv"].splitlines()
 
     def test_estimate_pi_warning_and_conflict(self, data_csv, capsys):
         rc, out, err = run(

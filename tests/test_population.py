@@ -236,23 +236,25 @@ def test_sampler_draws_match_moments():
     assert (y1**2).mean() == pytest.approx(mom.q1, rel=0.02)
 
 
-def test_sampler_only_population_is_flagged_approximate():
+def test_sampler_only_population_is_exact():
     sampler = GaussianArmSampler(
-        sigma=np.array([[1.0]]),
+        sigma=np.array([[1.5]]),
         b0=0.0,
         b1=1.0,
-        l0=np.array([1.0]),
-        l1=np.array([1.0]),
+        l0=np.array([0.5]),
+        l1=np.array([2.0]),
         s0=1.0,
-        s1=1.0,
+        s1=0.7,
     )
-    sol = solve_population(ANCOVA1, PopulationSpec(pi=0.5, sampler=sampler))
-    assert sol.approximate
-    assert sol.gamma[0] == pytest.approx(1.0, abs=0.02)
-
-
-def test_moment_mode_not_flagged(s1_population):
-    assert not solve_population(ANOVA1, s1_population).approximate
+    alone = PopulationSpec(pi=0.3, sampler=sampler)
+    exact = PopulationSpec(pi=0.3, moments=sampler.moments())
+    for spec in (ANOVA1, ANCOVA1, ANHECOVA1, parse_formula("1 + A + A:X1", ["X1"])):
+        got, want = solve_population(spec, alone), solve_population(spec, exact)
+        assert (got.alpha, got.beta, got.beta_ate) == (want.alpha, want.beta, want.beta_ate)
+        assert np.array_equal(got.gamma, want.gamma)
+        assert np.array_equal(got.delta, want.delta)
+        for variance in (asymptotic_variance_known_mean, asymptotic_variance_centered):
+            assert variance(spec, alone) == variance(spec, exact)
 
 
 def test_random_moment_population_is_well_posed():

@@ -14,6 +14,7 @@ from linadjust import (
     FIGURE1_PIS,
     REPORT_FIELDS,
     EstimationError,
+    GaussianArmSampler,
     PopulationSpec,
     asymptotic_variance_centered,
     custom_scenario,
@@ -75,6 +76,32 @@ class TestScenarioConstruction:
         assert rep.to_csv() == run_grid(scenario(1, n=40, pi=0.5), TRIO[:1], None, 3).to_csv()
         with pytest.raises(ValueError, match="needs a sampler"):
             Scenario(id=5)
+
+    def test_sampler_truth_is_exact_and_resolved_once(self, monkeypatch):
+        sampler = GaussianArmSampler(
+            sigma=np.eye(1), b0=1.0, b1=2.5, l0=np.array([0.5]), l1=np.array([1.5]),
+            s0=1.0, s1=1.0,
+        )
+        scn = custom_scenario(sampler, pi=0.4, n=60)
+        assert scn.beta_ate == sampler.b1 - sampler.b0
+
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("the truth must not be estimated by Monte Carlo")
+
+        monkeypatch.setattr("linadjust.population.approximate_beta_ate", no_monte_carlo)
+        rep = run_grid(scn, [ANCOVA1], None, 5, seed=0)
+        assert np.isfinite(rep.cells[0].bias)
+
+    def test_sampler_without_moments_needs_beta_ate(self):
+        class DrawOnlySampler:
+            p = 1
+
+            def potential(self, n, rng):
+                x = rng.standard_normal((n, 1))
+                return x, x[:, 0] + 1.0, x[:, 0]
+
+        with pytest.raises(ValueError, match="beta_ate"):
+            custom_scenario(DrawOnlySampler(), pi=0.5, n=40)
 
     @pytest.mark.parametrize("sid", [1, 2, 3, 4])
     def test_truth_matches_potential_outcomes(self, sid):
