@@ -3,9 +3,11 @@
 Commands: ``estimate`` (fit a model to a CSV), ``check`` (dominance
 verdict for a model pair), ``compare`` (exact asymptotic variances on
 a population file), ``simulate`` (Monte Carlo grids), and ``table1``
-(the standard comparison table). Exit codes: 0 success, 2 invalid
-input or arguments, 3 estimation failure (for example a singular
-design).
+(the standard comparison table). Each command returns its report;
+``main`` writes it to stdout or ``--out`` and maps errors to exit
+codes: 0 success, 2 invalid input or arguments (including an
+unwritable ``--out``), 3 estimation failure (for example a singular
+design). A failing command writes no report.
 
 Input CSV layout: header ``a,y,<covariates...>`` with an optional
 trailing ``w`` column holding positive replication weights; UTF-8,
@@ -37,6 +39,7 @@ from .model import (
     Empirical,
     KnownMean,
     ModelSpec,
+    _check_pi,
     format_formula,
     named_spec,
     parse_formula,
@@ -55,10 +58,6 @@ __all__ = ["main"]
 _NAMED = frozenset(name.lower() for name in NAMED_SPECS)
 
 
-class CliError(Exception):
-    """Invalid input; maps to exit code 2."""
-
-
 def _positive_int(text: str) -> int:
     try:
         v = int(text)
@@ -73,17 +72,14 @@ def _parse_model(text: str, covariate_names: list[str]) -> ModelSpec:
     name = text.strip().lower()
     if name in _NAMED:
         return named_spec(name, len(covariate_names))
-    try:
-        return parse_formula(text, covariate_names)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return parse_formula(text, covariate_names)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise CliError(f"{what} must be comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
 
 
 def _parse_pis(text: str) -> list[float]:
@@ -91,18 +87,18 @@ def _parse_pis(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(f"pi range must be start:stop:step, got {text!r}")
+            raise ValueError(f"pi range must be start:stop:step, got {text!r}")
         try:
             start, stop, step = (float(v) for v in parts)
         except ValueError:
-            raise CliError(f"pi range must be numeric, got {text!r}") from None
+            raise ValueError(f"pi range must be numeric, got {text!r}") from None
         if step <= 0 or stop < start:
-            raise CliError(f"pi range must increase, got {text!r}")
+            raise ValueError(f"pi range must increase, got {text!r}")
         vals = [round(v, 12) for v in np.arange(start, stop + step / 2, step)]
     else:
         vals = _parse_float_list(text, "--pis")
     if not vals or not all(0.0 < v < 1.0 for v in vals):
-        raise CliError(f"assignment probabilities must lie in (0, 1), got {text!r}")
+        raise ValueError(f"assignment probabilities must lie in (0, 1), got {text!r}")
     return vals
 
 
@@ -111,34 +107,35 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise CliError(f"{path}: empty file")
+            raise ValueError(f"{path}: empty file")
         names = [h.strip() for h in header]
         if len(names) < 3 or names[0] != "a" or names[1] != "y":
             got = ",".join(names)
-            raise CliError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
+            raise ValueError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
         has_w = names[-1] == "w"
         cov_names = names[2 : len(names) - 1 if has_w else len(names)]
         if not cov_names:
-            raise CliError(f"{path}: need at least one covariate column")
+            raise ValueError(f"{path}: need at least one covariate column")
         rows, lines = [], []
         for row in reader:
             line = reader.line_num
             if not row or all(v.strip() == "" for v in row):
                 continue
             if len(row) != len(names):
-                raise CliError(f"{path} line {line}: expected {len(names)} fields, got {len(row)}")
+                msg = f"{path} line {line}: expected {len(names)} fields, got {len(row)}"
+                raise ValueError(msg)
             try:
                 rows.append([float(v) for v in row])
             except ValueError:
-                raise CliError(f"{path} line {line}: non-numeric value in {row!r}") from None
+                raise ValueError(f"{path} line {line}: non-numeric value in {row!r}") from None
             lines.append(line)
     if not rows:
-        raise CliError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows)
     # One pass in header order: the first bad line wins, then its first bad column.
     bad = ~np.isfinite(arr)
@@ -150,168 +147,139 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
         rule = "a must be 0 or 1" if j == 0 else f"{names[j]} must be finite"
         if has_w and j == len(names) - 1 and np.isfinite(arr[i, j]):
             rule = "weight must be positive"
-        raise CliError(f"{path} line {lines[i]}: {rule}, got {arr[i, j]:.15g}")
+        raise ValueError(f"{path} line {lines[i]}: {rule}, got {arr[i, j]:.15g}")
     a, y = arr[:, 0], arr[:, 1]
     x = arr[:, 2 : len(names) - 1] if has_w else arr[:, 2:]
     w = arr[:, -1] if has_w else None
     try:
         data = Dataset(a, x, y, w)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return data, cov_names
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _fit_report_text(fit: FitResult, cov_names: list[str]) -> str:
+def _fit_report(fit: FitResult, payload: dict, cov_names: list[str], fmt: str) -> str:
+    """Render the ``estimate`` record; free/fixed status comes from ``fit.spec``."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    theta = payload["theta_hat"]
+    coefs = [("intercept", theta["alpha"], True), ("A", theta["beta"], True)]
+    for name, g, c in zip(cov_names, theta["gamma"], fit.spec.gamma):
+        coefs.append((name, g, c.is_free))
+    for name, d, c in zip(cov_names, theta["delta"], fit.spec.delta):
+        coefs.append(("A:" + name, d, c.is_free))
+    pi = payload["pi"]
+    if fmt == "csv":
+        lines = ["term,value", f"ate_hat,{payload['ate_hat']!r}", f"ate_se,{payload['ate_se']!r}"]
+        if pi is not None:
+            lines.append(f"pi,{pi!r}")
+        if payload["se_clamped"]:
+            lines.append("se_clamped,True")
+        lines += [f"{term},{float(value)!r}" for term, value, _ in coefs]
+        return "\n".join(lines) + "\n"
     lines = [
-        f"model      {format_formula(fit.spec, cov_names)}",
-        f"centering  {_centering_name(fit.spec)}",
-        f"n          {fit.n_used}",
-        f"ate_hat    {fit.ate_hat:.10g}",
-        f"ate_se     {fit.ate_se:.10g}",
+        f"model      {payload['spec']}",
+        f"centering  {payload['centering']}",
+        f"n          {payload['n_used']}",
     ]
-    if not fit.converged:
+    if pi is not None:
+        lines.append(f"pi         {pi:.10g}")
+    lines += [f"ate_hat    {payload['ate_hat']:.10g}", f"ate_se     {payload['ate_se']:.10g}"]
+    if not payload["converged"]:
         lines.append("converged  False")
-    if fit.se_clamped:
+    if payload["se_clamped"]:
         lines.append("se_clamped  True")
     lines.append("")
     lines.append(f"{'term':<12}{'estimate':>14}  status")
-    for term, value, free in _coef_rows(fit, cov_names):
+    for term, value, free in coefs:
         lines.append(f"{term:<12}{value:>14.6g}  {'free' if free else 'fixed'}")
     return "\n".join(lines) + "\n"
 
 
-def _coef_rows(fit: FitResult, cov_names: list[str]) -> list[tuple]:
-    """(term, estimate, is free) for the intercept, A, each X and each A:X."""
-    rows = [("intercept", fit.alpha, True), ("A", fit.beta, True)]
-    for j, name in enumerate(cov_names):
-        rows.append((name, fit.gamma[j], fit.spec.gamma[j].is_free))
-    for j, name in enumerate(cov_names):
-        rows.append(("A:" + name, fit.delta[j], fit.spec.delta[j].is_free))
-    return rows
-
-
-def _centering_name(spec: ModelSpec) -> str:
-    if isinstance(spec.centering, KnownMean):
-        return "known-mean " + ",".join(repr(v) for v in spec.centering.mu)
-    return "empirical"
-
-
-def _fit_report_csv(fit: FitResult, cov_names: list[str]) -> str:
-    lines = ["term,value", f"ate_hat,{fit.ate_hat!r}", f"ate_se,{fit.ate_se!r}"]
-    if fit.se_clamped:
-        lines.append("se_clamped,True")
-    lines += [f"{term},{value!r}" for term, value, _ in _coef_rows(fit, cov_names)]
-    return "\n".join(lines) + "\n"
-
-
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> str:
     data, cov_names = _read_dataset(args.data)
     spec = _parse_model(args.model, cov_names)
     if args.centering == "known-mean":
         if args.mean is None:
-            raise CliError("--centering known-mean requires --mean v1,v2,...")
+            raise ValueError("--centering known-mean requires --mean v1,v2,...")
         mu = _parse_float_list(args.mean, "--mean")
         if len(mu) != spec.p:
-            raise CliError(f"--mean needs {spec.p} values, got {len(mu)}")
+            raise ValueError(f"--mean needs {spec.p} values, got {len(mu)}")
         spec = spec.with_centering(KnownMean(tuple(mu)))
     else:
         if args.mean is not None:
-            raise CliError("--mean applies only with --centering known-mean")
+            raise ValueError("--mean applies only with --centering known-mean")
         spec = spec.with_centering(Empirical())
 
     pi = args.pi
     if args.estimate_pi:
         if pi is not None:
-            raise CliError("--pi and --estimate-pi are mutually exclusive")
+            raise ValueError("--pi and --estimate-pi are mutually exclusive")
         pi = float(data.a.mean())
         print(
             f"warning: estimating pi from the sample treated fraction ({pi:.6g}); "
             "design-based results assume pi is known",
             file=sys.stderr,
         )
+    elif pi is not None:
+        _check_pi(pi)
 
     if args.family == "poisson":
-        if data.weights is not None:
-            raise CliError("poisson fits do not accept a weight column")
         fit = fit_poisson_glm(spec, data)
     elif data.weights is not None:
         fit = fit_weighted(spec, data, hc1=args.hc1)
     else:
         fit = fit_ols(spec, data, hc1=args.hc1)
-
-    if args.format == "json":
-        payload = fit.to_dict(cov_names)
-        payload["pi"] = pi
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _fit_report_csv(fit, cov_names)
-    else:
-        text = _fit_report_text(fit, cov_names)
-    _emit(text, args.out)
-    return 0
+    payload = fit.to_dict(cov_names)
+    payload["pi"] = pi
+    return _fit_report(fit, payload, cov_names, args.format)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> str:
     names = [f"X{j + 1}" for j in range(args.p)]
     spec1 = _parse_model(args.model, names)
     spec2 = _parse_model(args.model2, names)
-    try:
-        if args.centering == "known-mean":
-            verdict = check_known_mean(spec1, spec2, args.pi)
-        else:
-            verdict = check_centered(spec1, spec2, args.pi)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.centering == "known-mean":
+        verdict = check_known_mean(spec1, spec2, args.pi)
+    else:
+        verdict = check_centered(spec1, spec2, args.pi)
     if args.format == "json":
         payload = asdict(verdict)
         payload["model1"] = format_formula(spec1, names)
         payload["model2"] = format_formula(spec2, names)
         payload["pi"] = args.pi
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"model1     {format_formula(spec1, names)}",
-            f"model2     {format_formula(spec2, names)}",
-            f"pi         {args.pi:g}",
-            f"centering  {verdict.centering}",
-            f"verdict    {verdict.verdict}",
-            f"condition  {verdict.theorem}",
-        ]
-        for k, v in verdict.explanation.items():
-            lines.append(f"  {k}: {v}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [
+        f"model1     {format_formula(spec1, names)}",
+        f"model2     {format_formula(spec2, names)}",
+        f"pi         {args.pi:g}",
+        f"centering  {verdict.centering}",
+        f"verdict    {verdict.verdict}",
+        f"condition  {verdict.theorem}",
+    ]
+    for k, v in verdict.explanation.items():
+        lines.append(f"  {k}: {v}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> str:
     try:
         with open(args.population, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {args.population}: {exc}") from exc
+        raise ValueError(f"cannot read {args.population}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{args.population}: invalid JSON: {exc}") from exc
+        raise ValueError(f"{args.population}: invalid JSON: {exc}") from exc
     try:
         pop = population_from_dict(raw)
     except (ValueError, TypeError) as exc:
-        raise CliError(f"{args.population}: {exc}") from exc
+        raise ValueError(f"{args.population}: {exc}") from exc
     if args.pi is not None:
         pop = replace(pop, pi=args.pi)
 
     names = [f"X{j + 1}" for j in range(pop.p)]
     spec1 = _parse_model(args.model, names)
     spec2 = _parse_model(args.model2, names)
-    if spec1.p != pop.p or spec2.p != pop.p:
-        raise CliError(f"population has {pop.p} covariates; models must match")
 
     sol1 = solve_population(spec1, pop)
     v1 = asymptotic_variance_known_mean(spec1, pop)
@@ -338,34 +306,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "verdict_centered": asdict(verdict_c),
     }
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"population  {args.population} (p={pop.p}, pi={pop.pi:g})",
-            f"beta_ate    {sol1.beta_ate:.10g}",
-            f"model1      {payload['model1']}",
-            f"model2      {payload['model2']}",
-            "",
-            f"{'':<22}{'model1':>14}{'model2':>14}{'gap(2-1)':>14}",
-            f"{'V (known mean)':<22}{v1:>14.8g}{v2:>14.8g}{v2 - v1:>14.8g}",
-            f"{'V~ (centered)':<22}{vc1:>14.8g}{vc2:>14.8g}{vc2 - vc1:>14.8g}",
-            "",
-            f"closed-form centered gap  {'n/a (condition fails)' if gap is None else format(gap, '.8g')}",
-            f"verdict (known mean)      {verdict_km.verdict} [{verdict_km.theorem}]",
-            f"verdict (centered)        {verdict_c.verdict} [{verdict_c.theorem}]",
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [
+        f"population  {args.population} (p={pop.p}, pi={pop.pi:g})",
+        f"beta_ate    {sol1.beta_ate:.10g}",
+        f"model1      {payload['model1']}",
+        f"model2      {payload['model2']}",
+        "",
+        f"{'':<22}{'model1':>14}{'model2':>14}{'gap(2-1)':>14}",
+        f"{'V (known mean)':<22}{v1:>14.8g}{v2:>14.8g}{v2 - v1:>14.8g}",
+        f"{'V~ (centered)':<22}{vc1:>14.8g}{vc2:>14.8g}{vc2 - vc1:>14.8g}",
+        "",
+        f"closed-form centered gap  {'n/a (condition fails)' if gap is None else format(gap, '.8g')}",
+        f"verdict (known mean)      {verdict_km.verdict} [{verdict_km.theorem}]",
+        f"verdict (centered)        {verdict_c.verdict} [{verdict_c.theorem}]",
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> str:
     scn = scenario(args.scenario, n=args.n)
     names = ["X1"]
     if args.models:
         models = [_parse_model(m, names) for m in args.models.split(",") if m.strip()]
         if not models:
-            raise CliError("--models is empty")
+            raise ValueError("--models is empty")
     else:
         models = [named_spec("ANOVA", 1), named_spec("ANCOVA", 1), named_spec("ANHECOVA", 1)]
     if scn.covariate_assignment:
@@ -379,50 +344,44 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pis = _parse_pis(args.pis) if args.pis else [0.5]
     report = run_grid(scn, models, pis, args.reps, seed=args.seed)
     if args.format == "json":
-        text = report.to_json()
-    elif args.format == "text":
-        widths = (10, 24, 6, 6, 8, 12, 12, 12, 10)
-        lines = ["".join(f"{h:<{w}}" for h, w in zip(REPORT_FIELDS, widths))]
-        for c in report.cells:
-            row = (
-                str(c.scenario),
-                c.model,
-                "" if c.pi is None else f"{c.pi:g}",
-                str(c.n),
-                str(c.reps),
-                f"{c.bias:.6f}",
-                f"{c.sd:.6f}",
-                f"{c.mc_se:.6f}",
-                f"{c.fail_rate:.4f}",
-            )
-            lines.append("".join(f"{v:<{w}}" for v, w in zip(row, widths)))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = report.to_csv()
-    _emit(text, args.out)
-    return 0
+        return report.to_json()
+    if args.format == "csv":
+        return report.to_csv()
+    widths = (10, 24, 6, 6, 8, 12, 12, 12, 10)
+    lines = ["".join(f"{h:<{w}}" for h, w in zip(REPORT_FIELDS, widths))]
+    for c in report.cells:
+        row = (
+            str(c.scenario),
+            c.model,
+            "" if c.pi is None else f"{c.pi:g}",
+            str(c.n),
+            str(c.reps),
+            f"{c.bias:.6f}",
+            f"{c.sd:.6f}",
+            f"{c.mc_se:.6f}",
+            f"{c.fail_rate:.4f}",
+        )
+        lines.append("".join(f"{v:<{w}}" for v, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(args: argparse.Namespace) -> str:
     rows = table1(args.p, args.pi)
     extra = corollaries(args.pi, args.p)
     if args.format == "json":
-        text = json.dumps({"pi": args.pi, "rows": rows, "corollaries": extra}, indent=2) + "\n"
-    else:
-        lines = [f"pairwise dominance at pi = {args.pi:g} (does model1 dominate model2?)", ""]
-        lines.append(f"{'model1':<28}{'model2':<28}{'known mean':<16}{'centered':<16}")
-        for r in rows:
-            lines.append(
-                f"{r['model1']:<28}{r['model2']:<28}{r['known_mean']:<16}{r['empirical']:<16}"
-            )
-        lines.append("")
-        lines.append("named-estimator claims:")
-        for r in extra:
-            status = "certified" if r["certified"] else "not certified by these conditions"
-            lines.append(f"  {r['model1']} vs {r['model2']}: {r['verdict']} ({status})")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return json.dumps({"pi": args.pi, "rows": rows, "corollaries": extra}, indent=2) + "\n"
+    lines = [f"pairwise dominance at pi = {args.pi:g} (does model1 dominate model2?)", ""]
+    lines.append(f"{'model1':<28}{'model2':<28}{'known mean':<16}{'centered':<16}")
+    for r in rows:
+        lines.append(
+            f"{r['model1']:<28}{r['model2']:<28}{r['known_mean']:<16}{r['empirical']:<16}"
+        )
+    lines.append("")
+    lines.append("named-estimator claims:")
+    for r in extra:
+        status = "certified" if r["certified"] else "not certified by these conditions"
+        lines.append(f"  {r['model1']} vs {r['model2']}: {r['verdict']} ({status})")
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -507,10 +466,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, EstimationError, ValueError) as exc:
+        text = args.func(args)
+    except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, EstimationError) else 2
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

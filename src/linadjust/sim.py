@@ -269,11 +269,8 @@ class MonteCarloReport:
         lines = [",".join(REPORT_FIELDS)]
         for c in self.cells:
             row = c.row()
-            vals = []
-            for k in REPORT_FIELDS:
-                v = row[k]
-                vals.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            lines.append(",".join(vals))
+            # str, not repr: a numpy pi would otherwise print as np.float64(0.2).
+            lines.append(",".join("" if row[k] is None else str(row[k]) for k in REPORT_FIELDS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

@@ -94,6 +94,14 @@ class TestEstimate:
         assert payload["ate_hat"] == pytest.approx(fit.ate_hat, abs=1e-12)
         assert payload["centering"] == "known-mean [0.0]"
 
+        rc, out, _ = run(
+            ["estimate", "--data", str(data_csv), "--model", "anhecova",
+             "--centering", "known-mean", "--mean", "0.0"],
+            capsys,
+        )
+        assert rc == 0
+        assert "centering  known-mean [0.0]" in out.splitlines()
+
     def test_known_mean_requires_values(self, data_csv, capsys):
         rc, _, err = run(
             ["estimate", "--data", str(data_csv), "--model", "anova",
@@ -129,6 +137,10 @@ class TestEstimate:
         assert payload["se_clamped"] is True
         assert "se_clamped  True" in out["text"].splitlines()
         assert "se_clamped,True" in out["csv"].splitlines()
+        for line in out["csv"].splitlines()[1:]:
+            term, value = line.split(",")
+            if term != "se_clamped":
+                float(value)
 
     def test_estimate_pi_warning_and_conflict(self, data_csv, capsys):
         rc, out, err = run(
@@ -148,6 +160,30 @@ class TestEstimate:
         assert rc == 2
         assert "mutually exclusive" in err
 
+    def test_pi_out_of_range(self, data_csv, capsys):
+        rc, out, err = run(
+            ["estimate", "--data", str(data_csv), "--model", "anova", "--pi", "1.5"], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert "pi must lie in (0, 1), got 1.5" in err
+
+    def test_pi_is_recorded_in_every_format(self, data_csv, capsys):
+        base = ["estimate", "--data", str(data_csv), "--model", "ancova", "--format"]
+        out = {}
+        for pi in ([], ["--pi", "0.4"]):
+            for fmt in ("json", "text", "csv"):
+                rc, out[fmt, bool(pi)], _ = run(base + [fmt] + pi, capsys)
+                assert rc == 0
+        assert json.loads(out["json", True])["pi"] == 0.4
+        text = out["text", True].splitlines()
+        assert text[text.index("n          8") + 1] == "pi         0.4"
+        rows = out["csv", True].splitlines()
+        assert rows[rows.index("pi,0.4") - 1].startswith("ate_se,")
+        for fmt in ("text", "csv"):
+            without = [line for line in out[fmt, True].splitlines() if not line.startswith("pi")]
+            assert out[fmt, False].splitlines() == without
+
     def test_out_file(self, data_csv, tmp_path, capsys):
         target = tmp_path / "fit.json"
         rc, out, _ = run(
@@ -158,6 +194,17 @@ class TestEstimate:
         assert rc == 0
         assert out == ""
         assert json.loads(target.read_text())["spec"] == "1 + A"
+
+    def test_out_under_missing_directory(self, data_csv, tmp_path, capsys):
+        target = tmp_path / "missing" / "fit.json"
+        rc, out, err = run(
+            ["estimate", "--data", str(data_csv), "--model", "anova", "--out", str(target)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert f"error: cannot write {target}" in err
+        assert not target.exists()
 
     def test_weight_column(self, tmp_path, capsys):
         path = tmp_path / "weighted.csv"
@@ -392,6 +439,14 @@ class TestSimulate:
         assert len(cells) == 6
         assert {c["pi"] for c in cells} == {0.2, 0.3, 0.4}
 
+    def test_pi_range_csv_equals_pi_list(self, capsys):
+        base = ["simulate", "--scenario", "1", "--reps", "4", "--n", "40", "--pis"]
+        rc, ranged, _ = run(base + ["0.2:0.4:0.1"], capsys)
+        assert rc == 0
+        rc, listed, _ = run(base + ["0.2,0.3,0.4"], capsys)
+        assert rc == 0
+        assert ranged == listed
+
     def test_covariate_assignment_note(self, capsys):
         rc, out, err = run(
             ["simulate", "--scenario", "3", "--reps", "4", "--n", "200", "--pis", "0.3"],
@@ -445,6 +500,26 @@ class TestTable1:
         payload = json.loads(out)
         assert len(payload["rows"]) == 5
         assert payload["rows"][1]["empirical"] == "EqualVariance"
+
+
+@pytest.mark.parametrize("command", ["estimate", "check", "compare", "simulate", "table1"])
+def test_out_file_equals_stdout(command, data_csv, s1_population, tmp_path, capsys):
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps(population_to_dict(s1_population)))
+    argv = {
+        "estimate": ["estimate", "--data", str(data_csv), "--model", "anhecova", "--format", "csv"],
+        "check": ["check", "--model", "ancova", "--model2", "anova", "--pi", "0.3"],
+        "compare": ["compare", "--population", str(pop), "--model", "anhecova", "--model2", "anova"],
+        "simulate": ["simulate", "--scenario", "1", "--reps", "4", "--n", "40", "--pis", "0.5"],
+        "table1": ["table1", "--format", "json"],
+    }[command]
+    rc, printed, _ = run(argv, capsys)
+    assert rc == 0
+    target = tmp_path / "report.out"
+    rc, out, _ = run(argv + ["--out", str(target)], capsys)
+    assert rc == 0
+    assert out == ""
+    assert target.read_text(encoding="utf-8") == printed
 
 
 def test_console_script(tmp_path):
