@@ -102,38 +102,53 @@ def _parse_pis(text: str) -> list[float]:
     return vals
 
 
+def _not_utf8(path: str) -> ValueError:
+    """The error for a file that is not UTF-8, citing the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path} line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
 def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
     """Read the input CSV; returns the dataset and covariate names."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        names = [h.strip() for h in header]
-        if len(names) < 3 or names[0] != "a" or names[1] != "y":
-            got = ",".join(names)
-            raise ValueError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
-        has_w = names[-1] == "w"
-        cov_names = names[2 : len(names) - 1 if has_w else len(names)]
-        if not cov_names:
-            raise ValueError(f"{path}: need at least one covariate column")
-        rows, lines = [], []
-        for row in reader:
-            line = reader.line_num
-            if not row or all(v.strip() == "" for v in row):
-                continue
-            if len(row) != len(names):
-                msg = f"{path} line {line}: expected {len(names)} fields, got {len(row)}"
-                raise ValueError(msg)
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path} line {line}: non-numeric value in {row!r}") from None
-            lines.append(line)
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            names = [h.strip() for h in header]
+            if len(names) < 3 or names[0] != "a" or names[1] != "y":
+                got = ",".join(names)
+                raise ValueError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
+            has_w = names[-1] == "w"
+            cov_names = names[2 : len(names) - 1 if has_w else len(names)]
+            if not cov_names:
+                raise ValueError(f"{path}: need at least one covariate column")
+            rows, lines = [], []
+            for row in reader:
+                line = reader.line_num
+                if not row or all(v.strip() == "" for v in row):
+                    continue
+                if len(row) != len(names):
+                    msg = f"{path} line {line}: expected {len(names)} fields, got {len(row)}"
+                    raise ValueError(msg)
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ValueError(f"{path} line {line}: non-numeric value in {row!r}") from None
+                lines.append(line)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows)
@@ -189,6 +204,8 @@ def _fit_report(fit: FitResult, payload: dict, cov_names: list[str], fmt: str) -
         lines.append("converged  False")
     if payload["se_clamped"]:
         lines.append("se_clamped  True")
+    lines.append(f"condition  {payload['condition_number']:.6g}")
+    lines.append(f"iterations {payload['iterations']}")
     lines.append("")
     lines.append(f"{'term':<12}{'estimate':>14}  status")
     for term, value, free in coefs:
@@ -268,6 +285,8 @@ def cmd_compare(args: argparse.Namespace) -> str:
             raw = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {args.population}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(args.population) from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.population}: invalid JSON: {exc}") from exc
     try:

@@ -2,21 +2,28 @@
 
 Every fit reduces to unconstrained least squares on the free design
 columns after the fixed-coefficient offset is moved to the response
-(linear models) or into the linear predictor (Poisson). One kernel
-serves them all: ``_wls`` is the (weighted) SVD solve with one rank
-rule, used by OLS, WLS, every IRLS step and the full-model refit for
-the centering penalty; ``_sandwich`` is the HC0/HC1 covariance; and
-``_centered_total`` adds the empirical-centering penalty and clamps.
+(linear models) or into the linear predictor (Poisson). One stacked
+kernel serves them all: ``_Stack`` holds R samples of equal shape and
+``_fit`` fits one spec to every sample at once. Inside it, ``_solve`` is
+the (weighted) SVD solve with one rank rule, used by OLS, WLS, every
+IRLS step and the full-model refit for the centering penalty;
+``_sandwich`` is the HC0/HC1 covariance; and ``_penalized`` adds the
+empirical-centering penalty and clamps. A sample that cannot be fitted
+is NaN in the stack and keeps the error a fit of it alone raises. The
+public ``fit_*`` functions fit a stack of one; ``sim.run_grid`` fits a
+stack per chunk of replications.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import ColumnMap, Dataset, Empirical, ModelSpec, build_design, named_spec
+from .model import _center, _design
 
 __all__ = [
     "EstimationError",
@@ -33,6 +40,7 @@ SVD_RTOL = 1e-10
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
 _DIVERGED = "Poisson fit diverged (separation or unbounded coefficients)"
+_CLAMPED = "centered-variance {} clamped at zero"
 
 
 class EstimationError(Exception):
@@ -53,7 +61,10 @@ class FitResult:
 
     ``gamma`` and ``delta`` have length p with fixed entries echoed at
     their constraint values. ``vcov`` covers the free coefficients in
-    design-column order (see ``labels``).
+    design-column order (see ``labels``). ``condition_number`` is
+    s_max/s_min of the (square-root-weighted) free design in the final
+    solve, and ``iterations`` the number of IRLS steps (1 for a linear
+    fit).
     """
 
     alpha: float
@@ -69,6 +80,8 @@ class FitResult:
     converged: bool = True
     se_clamped: bool = False
     free_coefs: np.ndarray = field(default=None, repr=False)
+    condition_number: float = float("nan")
+    iterations: int = 1
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -98,115 +111,262 @@ class FitResult:
             "n_used": self.n_used,
             "converged": self.converged,
             "se_clamped": self.se_clamped,
+            "condition_number": self.condition_number,
+            "iterations": self.iterations,
         }
 
 
-def _wls(z: np.ndarray, y: np.ndarray, labels: tuple[str, ...], w=None):
-    """Least squares of y on z, weighted by w when given.
+class _Stack:
+    """R samples of n rows and p covariates each, stacked on a leading axis.
 
-    Returns the coefficients and the bread (ZᵀWZ)⁻¹. One rank rule,
-    s < SVD_RTOL·s[0], both flags a singular design and names the
-    columns that load on its weak directions.
+    ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, n) or
+    None. What every spec fitted to the stack shares (the covariates'
+    covariance and the full model's interaction estimate for the
+    centering penalty) is computed once.
+    """
+
+    def __init__(self, datasets: list[Dataset]) -> None:
+        def stack(arrays):  # a view for one sample, so a lone large fit copies nothing
+            return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+        self.a = stack([d.a for d in datasets])
+        self.x = stack([d.x for d in datasets])
+        self.y = stack([d.y for d in datasets])
+        weighted = datasets[0].weights is not None
+        self.w = stack([d.weights for d in datasets]) if weighted else None
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[1]
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Sample covariance (ddof 0) of the covariates, (R, p, p)."""
+        xc = _center(Empirical(), self.x)
+        return (xc.swapaxes(-1, -2) @ xc) * (1.0 / self.n)
+
+    @cached_property
+    def full_delta(self) -> tuple[np.ndarray, dict[int, EstimationError]]:
+        """Interaction estimates (R, p) of the empirically centered full model, and its errors."""
+        p = self.x.shape[2]
+        z, _, cmap = _design(named_spec("ANHECOVA", p), self.a, _center(Empirical(), self.x))
+        coef, _, _, errors = _solve(z, self.y, cmap.labels, self.w)
+        return coef[:, -p:], errors
+
+
+@dataclass
+class _Fits:
+    """One spec fitted to every sample of a stack; a failed sample's row is NaN
+    and ``errors`` holds what a fit of that sample alone raises."""
+
+    spec: ModelSpec
+    cmap: ColumnMap
+    coef: np.ndarray
+    vcov: np.ndarray
+    ate_se: np.ndarray
+    condition: np.ndarray
+    errors: dict[int, EstimationError]
+    clamped: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+    @property
+    def ate_hat(self) -> np.ndarray:
+        return self.coef[:, 1]
+
+    def result(self, r: int, n: int) -> FitResult:
+        spec, cmap, coef = self.spec, self.cmap, self.coef[r]
+        one = self.coef[r : r + 1]
+        return FitResult(
+            alpha=float(coef[0]),
+            beta=float(coef[1]),
+            gamma=_with_fixed(spec.gamma, cmap.gamma_cols, one)[0],
+            delta=_with_fixed(spec.delta, cmap.delta_cols, one)[0],
+            ate_hat=float(coef[1]),
+            ate_se=float(self.ate_se[r]),
+            vcov=self.vcov[r],
+            n_used=n,
+            spec=spec,
+            column_map=cmap,
+            converged=bool(self.converged[r]),
+            se_clamped=bool(self.clamped[r]),
+            free_coefs=coef,
+            condition_number=float(self.condition[r]),
+            iterations=int(self.iterations[r]),
+        )
+
+
+def _solve(z, y, labels: tuple[str, ...], w=None):
+    """Least squares of y (R, n) on z (R, n, q), per sample, weighted by w when given.
+
+    Returns the coefficients (R, q), the breads (ZᵀWZ)⁻¹ (R, q, q), the
+    singular values (R, q) of W^½Z and, keyed by row, a
+    SingularDesignError for each sample that fails the one rank rule
+    s < SVD_RTOL·s[0]; it names the columns that load on the weak
+    directions. Those rows are NaN.
     """
     if w is not None:
         sw = np.sqrt(w)
-        z = z * sw[:, None]
+        z = z * sw[..., None]
         y = y * sw
     u, s, vt = np.linalg.svd(z, full_matrices=False)
-    tol = SVD_RTOL * s[0]
-    if s[-1] < tol or s[0] == 0.0:
-        weak = np.flatnonzero(s < tol)
-        involved = [labels[j] for k in weak for j in np.flatnonzero(np.abs(vt[k]) > 0.1)]
+    tol = SVD_RTOL * s[:, 0]
+    bad = (s[:, -1] < tol) | (s[:, 0] == 0.0)
+    errors = {}
+    for r in np.flatnonzero(bad):
+        weak = np.flatnonzero(s[r] < tol[r])
+        involved = [labels[j] for k in weak for j in np.flatnonzero(np.abs(vt[r, k]) > 0.1)]
         cols = tuple(dict.fromkeys(involved)) or labels
-        msg = f"singular design; offending columns: {', '.join(cols)}"
-        raise SingularDesignError(msg, cols)
-    return vt.T @ ((u.T @ y) / s), (vt.T / s**2) @ vt
+        errors[int(r)] = SingularDesignError(
+            f"singular design; offending columns: {', '.join(cols)}", cols
+        )
+    s = np.where(bad[:, None], np.nan, s)
+    v = vt.swapaxes(-1, -2)
+    coef = (v @ ((y[:, None, :] @ u)[:, 0] / s)[..., None])[..., 0]
+    return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
 
 
 def _sandwich(z, resid, bread, w=None, hc1=False):
-    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹."""
+    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample."""
     if w is None:
-        score = z * resid[:, None]
+        score = z * resid[..., None]
     else:
-        sw = np.sqrt(w)[:, None]
-        score = z * sw * resid[:, None] * sw
-    vcov = bread @ (score.T @ score) @ bread
+        sw = np.sqrt(w)[..., None]
+        score = z * sw * resid[..., None] * sw
+    vcov = bread @ (score.swapaxes(-1, -2) @ score) @ bread
     if hc1:
-        n, q = z.shape
+        n, q = z.shape[-2:]
         vcov *= n / max(n - q, 1)
-    return 0.5 * (vcov + vcov.T)
+    return 0.5 * (vcov + vcov.swapaxes(-1, -2))
 
 
-def _check_arms(data: Dataset) -> None:
-    n1 = int(data.a.sum())
-    if n1 == 0 or n1 == data.n:
-        msg = f"both treatment arms must be nonempty (treated count {n1} of {data.n})"
-        raise EstimationError(msg)
-
-
-def _assemble(spec, data, coef, vcov, cmap, converged=True) -> FitResult:
-    gamma = np.array(
-        [coef[cmap.gamma_cols[j]] if c.is_free else c.value for j, c in enumerate(spec.gamma)]
-    )
-    delta = np.array(
-        [coef[cmap.delta_cols[j]] if c.is_free else c.value for j, c in enumerate(spec.delta)]
-    )
-    return FitResult(
-        alpha=float(coef[0]),
-        beta=float(coef[1]),
-        gamma=gamma,
-        delta=delta,
-        ate_hat=float(coef[1]),
-        ate_se=float(np.sqrt(max(vcov[1, 1], 0.0))),
-        vcov=vcov,
-        n_used=data.n,
-        spec=spec,
-        column_map=cmap,
-        converged=converged,
-        free_coefs=coef,
-    )
+def _with_fixed(constraints, cols: dict[int, int], coef: np.ndarray) -> np.ndarray:
+    """Per-sample coefficient vectors (R, p): free entries from ``coef``, fixed ones echoed."""
+    out = np.empty((len(coef), len(constraints)))
+    for j, c in enumerate(constraints):
+        out[:, j] = coef[:, cols[j]] if c.is_free else c.value
+    return out
 
 
 def _is_full(spec: ModelSpec) -> bool:
     return all(c.is_free for c in spec.gamma) and all(c.is_free for c in spec.delta)
 
 
-def _centering_penalty(sigma: np.ndarray, delta_s: np.ndarray, delta_f: np.ndarray) -> float:
-    """The empirical-centering penalty delta_s' Sigma (2 delta_f - delta_s)."""
-    return float(delta_s @ sigma @ (2.0 * delta_f - delta_s))
+def _centering_penalty(sigma, delta_s, delta_f):
+    """The empirical-centering penalty delta_s' Sigma (2 delta_f - delta_s), per sample."""
+    return (delta_s[..., None, :] @ sigma @ (2.0 * delta_f - delta_s)[..., :, None])[..., 0, 0]
 
 
-def _centered_total(data, var, delta_s, delta_f, scale, what, stacklevel):
-    """Return (var + sample centering penalty / scale clamped at 0, whether it was
-    clamped). A clamp warns about the centered-variance ``what`` at ``stacklevel``."""
-    sigma_hat = np.cov(data.x, rowvar=False, ddof=0).reshape(data.p, data.p)
-    total = var + _centering_penalty(sigma_hat, delta_s, delta_f) / scale
-    if total < 0.0:
-        msg = f"centered-variance {what} clamped at zero"
-        warnings.warn(msg, RuntimeWarning, stacklevel=stacklevel)
-        return 0.0, True
-    return float(total), False
+def _penalized(var, sigma, delta_s, delta_f, scale):
+    """var + centering penalty / scale, clamped at 0, and whether each was clamped."""
+    total = var + _centering_penalty(sigma, delta_s, delta_f) / scale
+    clamped = total < 0.0
+    return np.where(clamped, 0.0, total), clamped
 
 
-def _fit_linear(spec: ModelSpec, data: Dataset, w, hc1: bool) -> FitResult:
-    """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
-    _check_arms(data)
-    z, offset, cmap = build_design(spec, data)
-    yadj = data.y - offset
-    coef, bread = _wls(z, yadj, cmap.labels, w)
-    fit = _assemble(spec, data, coef, _sandwich(z, yadj - z @ coef, bread, w, hc1), cmap)
-    del z, offset, yadj  # so the full-model refit below does not raise peak memory
-    if isinstance(spec.centering, Empirical) and np.any(fit.delta):
-        if _is_full(spec):
-            delta_f = fit.delta
-        else:
-            zf, _, cmap_f = build_design(named_spec("ANHECOVA", spec.p), data)
-            delta_f = _wls(zf, data.y, cmap_f.labels, w)[0][-spec.p :]
-        total, fit.se_clamped = _centered_total(
-            data, fit.vcov[1, 1], fit.delta, delta_f, data.n, "correction", stacklevel=4
+def _empty_arms(st: _Stack) -> dict[int, EstimationError]:
+    n1 = st.a.sum(axis=1)
+    return {
+        int(r): EstimationError(
+            f"both treatment arms must be nonempty (treated count {int(n1[r])} of {st.n})"
         )
-        fit.ate_se = float(np.sqrt(total))
-    return fit
+        for r in np.flatnonzero((n1 == 0) | (n1 == st.n))
+    }
+
+
+def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = False) -> _Fits:
+    """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson"."""
+    if st.x.shape[2] != spec.p:
+        msg = f"dataset has p={st.x.shape[2]} covariates but spec expects {spec.p}"
+        raise ValueError(msg)
+    fits = _fit_poisson(spec, st) if family == "poisson" else _fit_linear(spec, st, hc1)
+    # an empty arm is also a singular design, but it is reported as what it is
+    fits.errors.update(_empty_arms(st))
+    failed = list(fits.errors)
+    fits.coef[failed] = np.nan
+    fits.ate_se[failed] = np.nan
+    fits.clamped[failed] = False
+    return fits
+
+
+def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
+    """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
+    z, offset, cmap = _design(spec, st.a, _center(spec.centering, st.x))
+    yadj = st.y - offset
+    coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.w)
+    vcov = _sandwich(z, yadj - (z @ coef[..., None])[..., 0], bread, st.w, hc1)
+    del z, offset, yadj  # so the full-model refit below does not raise peak memory
+    var = vcov[:, 1, 1]
+    ate_se = np.sqrt(np.maximum(var, 0.0))
+    clamped = np.zeros(len(var), dtype=bool)
+    if isinstance(spec.centering, Empirical):
+        delta = _with_fixed(spec.delta, cmap.delta_cols, coef)
+        need = np.any(delta != 0.0, axis=1)
+        if need.any():
+            delta_f, full_errors = (delta, {}) if _is_full(spec) else st.full_delta
+            total, over = _penalized(var, st.sigma, delta, delta_f, st.n)
+            clamped = need & over
+            ate_se = np.where(need, np.sqrt(total), ate_se)
+            errors.update((r, e) for r, e in full_errors.items() if need[r] and r not in errors)
+    r = len(var)
+    return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors, clamped,
+                 np.ones(r, dtype=bool), np.ones(r, dtype=int))
+
+
+def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
+    """Poisson IRLS as a loop of stacked weighted solves.
+
+    Each sample keeps its own iteration sequence and stops when its
+    step falls below IRLS_TOL; a sample whose linear predictor leaves
+    |eta| <= 700 or whose IRLS weights collapse diverges alone.
+    """
+    y = st.y
+    if (y < 0).any() or not np.allclose(y, np.round(y)):
+        msg = "Poisson outcomes must be nonnegative integers"
+        raise ValueError(msg)
+    z, offset, cmap = _design(spec, st.a, _center(spec.centering, st.x))
+    coef, bread, s, errors = _solve(z, np.log(y + 0.5) - offset, cmap.labels)
+    converged = np.zeros(len(y), dtype=bool)
+    iterations = np.zeros(len(y), dtype=int)
+    active = np.ones(len(y), dtype=bool)
+    active[list(errors)] = False
+    for it in range(1, IRLS_MAX_ITER + 1):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        zi, oi = z[idx], offset[idx]
+        eta = (zi @ coef[idx, :, None])[..., 0] + oi
+        out = ~np.isfinite(eta).all(axis=1) | (np.abs(eta).max(axis=1) > 700.0)
+        mu = np.exp(np.where(out[:, None], 0.0, eta))
+        work = (eta - oi) + (y[idx] - mu) / mu
+        new, bread[idx], s[idx], collapsed = _solve(zi, work, cmap.labels, mu)
+        # z itself has full rank, so a rank failure here means the IRLS weights
+        # collapsed: a fitted mean went to 0
+        out[list(collapsed)] = True
+        for r in idx[out]:
+            errors[int(r)] = EstimationError(_DIVERGED)
+        step = np.abs(new - coef[idx]).max(axis=1)
+        coef[idx] = new
+        iterations[idx] = it
+        done = ~out & (step < IRLS_TOL)
+        converged[idx[done]] = True
+        active[idx[out | done]] = False
+
+    coef[list(errors)] = np.nan
+    vcov = _sandwich(z, y - np.exp((z @ coef[..., None])[..., 0] + offset), bread)
+    ate_se = np.sqrt(np.maximum(vcov[:, 1, 1], 0.0))
+    return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors,
+                 np.zeros(len(y), dtype=bool), converged, iterations)
+
+
+def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:
+    """Fit a stack of one; raise its error, or warn at the public function's caller on a clamp."""
+    fits = _fit(spec, _Stack([data]), family, hc1)
+    if fits.errors:
+        raise fits.errors[0]
+    if fits.clamped[0]:
+        warnings.warn(_CLAMPED.format("correction"), RuntimeWarning, stacklevel=3)
+    return fits.result(0, data.n)
 
 
 def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
@@ -237,7 +397,7 @@ def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
     if data.weights is not None:
         msg = "dataset has weights; use fit_weighted"
         raise ValueError(msg)
-    return _fit_linear(spec, data, None, hc1)
+    return _fit_one(spec, data, "gaussian", hc1)
 
 
 def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
@@ -251,7 +411,7 @@ def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult
     if data.weights is None:
         msg = "fit_weighted requires a dataset with weights"
         raise ValueError(msg)
-    return _fit_linear(spec, data, data.weights, hc1)
+    return _fit_one(spec, data, "gaussian", hc1)
 
 
 def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) -> np.ndarray:
@@ -267,9 +427,12 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) 
     if coef.shape != (z.shape[1],):
         msg = f"expected {z.shape[1]} free coefficients, got shape {coef.shape}"
         raise ValueError(msg)
-    yadj = data.y - offset
-    _, bread = _wls(z, yadj, cmap.labels, data.weights)
-    return _sandwich(z, yadj - z @ coef, bread, data.weights, hc1)
+    z, yadj = z[None], (data.y - offset)[None]
+    w = None if data.weights is None else data.weights[None]
+    _, bread, _, errors = _solve(z, yadj, cmap.labels, w)
+    if errors:
+        raise errors[0]
+    return _sandwich(z, yadj - z @ coef, bread, w, hc1)[0]
 
 
 def estimate_ate_variance_centered(
@@ -289,7 +452,10 @@ def estimate_ate_variance_centered(
         msg = "dimension mismatch between spec and fits"
         raise ValueError(msg)
     var = data.n * fit_sub.vcov[1, 1]
-    return _centered_total(data, var, fit_sub.delta, fit_full.delta, 1, "estimate", 3)[0]
+    total, clamped = _penalized(var, _Stack([data]).sigma[0], fit_sub.delta, fit_full.delta, 1)
+    if clamped:
+        warnings.warn(_CLAMPED.format("estimate"), RuntimeWarning, stacklevel=2)
+    return float(total)
 
 
 def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
@@ -305,31 +471,4 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
     if data.weights is not None:
         msg = "weighted Poisson fits are not supported"
         raise ValueError(msg)
-    y = data.y
-    if (y < 0).any() or not np.allclose(y, np.round(y)):
-        msg = "Poisson outcomes must be nonnegative integers"
-        raise ValueError(msg)
-    _check_arms(data)
-    z, offset, cmap = build_design(spec, data)
-
-    coef, _ = _wls(z, np.log(y + 0.5) - offset, cmap.labels)
-    converged = False
-    for _ in range(IRLS_MAX_ITER):
-        eta = z @ coef + offset
-        if not np.isfinite(eta).all() or np.abs(eta).max() > 700.0:
-            raise EstimationError(_DIVERGED)
-        mu = np.exp(eta)
-        work = (eta - offset) + (y - mu) / mu
-        try:
-            new_coef, bread = _wls(z, work, cmap.labels, mu)
-        except SingularDesignError:
-            # z itself has full rank, so the IRLS weights collapsed: a fitted mean went to 0
-            raise EstimationError(_DIVERGED) from None
-        step = np.abs(new_coef - coef).max()
-        coef = new_coef
-        if step < IRLS_TOL:
-            converged = True
-            break
-
-    vcov = _sandwich(z, y - np.exp(z @ coef + offset), bread)
-    return _assemble(spec, data, coef, vcov, cmap, converged=converged)
+    return _fit_one(spec, data, "poisson", False)

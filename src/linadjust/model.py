@@ -416,35 +416,44 @@ def build_design(spec: ModelSpec, data: Dataset):
     if data.p != spec.p:
         msg = f"dataset has p={data.p} covariates but spec expects {spec.p}"
         raise ValueError(msg)
-    if isinstance(spec.centering, KnownMean):
-        xc = data.x - np.asarray(spec.centering.mu)
-    else:
-        xc = data.x - data.x.mean(axis=0)
-    a = data.a
-    n = data.n
+    return _design(spec, data.a, _center(spec.centering, data.x))
 
+
+def _center(centering: Centering, x: np.ndarray) -> np.ndarray:
+    """Covariates ``x`` (..., n, p) centered at the known mean or each sample's mean."""
+    if isinstance(centering, KnownMean):
+        return x - np.asarray(centering.mu)
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+def _design(spec: ModelSpec, a: np.ndarray, xc: np.ndarray):
+    """:func:`build_design` on centered covariates, for samples stacked on leading axes.
+
+    ``a`` is (..., n) and ``xc`` (..., n, p); returns Z (..., n, q),
+    the offset (..., n) and the ColumnMap.
+    """
     free_g = spec.unrestricted_gamma()
     free_d = spec.unrestricted_delta()
-    cols = [np.ones(n), a]
+    cols = [np.ones_like(a), a]
     labels = ["1", "A"]
     gamma_cols: dict[int, int] = {}
     delta_cols: dict[int, int] = {}
     for j in free_g:
         gamma_cols[j] = len(cols)
-        cols.append(xc[:, j])
+        cols.append(xc[..., j])
         labels.append(f"X{j + 1}")
     for j in free_d:
         delta_cols[j] = len(cols)
-        cols.append(a * xc[:, j])
+        cols.append(a * xc[..., j])
         labels.append(f"A:X{j + 1}")
-    z = np.column_stack(cols)
+    z = np.stack(cols, axis=-1)
 
-    offset = np.zeros(n)
+    offset = np.zeros_like(a)
     for j, c in enumerate(spec.gamma):
         if not c.is_free and c.value != 0.0:
-            offset += c.value * xc[:, j]
+            offset += c.value * xc[..., j]
     for j, c in enumerate(spec.delta):
         if not c.is_free and c.value != 0.0:
-            offset += c.value * (a * xc[:, j])
+            offset += c.value * (a * xc[..., j])
 
     return z, offset, ColumnMap(tuple(labels), gamma_cols, delta_cols)

@@ -60,6 +60,9 @@ class TestEstimate:
         assert payload["pi"] is None
         assert payload["spec"] == "1 + A + x1 + A:x1"
         assert payload["se_clamped"] is False
+        assert payload["condition_number"] == fit.condition_number
+        assert payload["iterations"] == 1
+        assert list(payload)[-3:] == ["condition_number", "iterations", "pi"]
 
     def test_text_report(self, data_csv, capsys):
         rc, out, _ = run(
@@ -69,6 +72,9 @@ class TestEstimate:
         assert "ate_hat" in out
         assert "A:x1" in out
         assert "fixed" in out and "free" in out
+        lines = out.splitlines()
+        assert lines[lines.index("") - 2].startswith("condition  ")
+        assert lines[lines.index("") - 1] == "iterations 1"
 
     def test_known_mean_centering(self, data_csv, capsys):
         rc, out, _ = run(
@@ -239,7 +245,10 @@ class TestEstimate:
         assert rc == 0
         spec = named_spec("ANCOVA", 1).with_centering(Empirical())
         fit = fit_poisson_glm(spec, Dataset(a, x, y))
-        assert json.loads(out)["ate_hat"] == pytest.approx(fit.ate_hat, rel=1e-9)
+        payload = json.loads(out)
+        assert payload["ate_hat"] == pytest.approx(fit.ate_hat, rel=1e-9)
+        assert payload["iterations"] == fit.iterations > 1
+        assert payload["condition_number"] == fit.condition_number
 
     def test_poisson_rejects_weights(self, tmp_path, capsys):
         path = tmp_path / "wcounts.csv"
@@ -324,6 +333,14 @@ class TestCsvValidation:
         )
         assert rc == 2
         assert "cannot read" in err
+
+    def test_non_utf8_byte_cites_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y,x1\n1,2.0,0.1\n0,1.0,0.2\xff\n1,3.0,0.3\n")
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {path} line 3: not UTF-8 text (byte 0xff)\n"
 
 
 class TestCheck:
@@ -414,6 +431,16 @@ class TestCompare:
         )
         assert rc == 2
         assert "invalid JSON" in err
+
+    def test_non_utf8_byte_cites_file_and_line(self, pop_file, capsys):
+        pop_file.write_bytes(pop_file.read_bytes().replace(b"{", b"{\n\xff", 1))
+        rc, out, err = run(
+            ["compare", "--population", str(pop_file), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {pop_file} line 2: not UTF-8 text (byte 0xff)\n"
 
 
 class TestSimulate:

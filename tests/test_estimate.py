@@ -408,3 +408,92 @@ class TestClamp:
             total = estimate_ate_variance_centered(self.SPEC, self.DATA, full, fit)
         assert total == 0.0
         assert [r.filename for r in rec] == [__file__]
+
+
+class TestProperties:
+    """Invariances of the fit, at covariate scales from 1e-6 to 1e6."""
+
+    SPECS = ["1 + A + X1 + X2 + A:X1 + A:X2", "1 + A + A:X1", "1 + A + X1@0.5 + X2 + A:X2"]
+
+    @staticmethod
+    def data(scale, weighted=False, seed=53):
+        rng = np.random.default_rng(seed)
+        n = 80
+        a = (rng.random(n) < 0.4).astype(float)
+        x = rng.normal(3.0, 1.0, (n, 2))
+        y = 1 + a + x @ [0.5, -1.0] + a * x[:, 0] + rng.normal(size=n) * (1 + a)
+        return Dataset(a, scale * x, y, rng.uniform(0.2, 3.0, n) if weighted else None)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("formula", SPECS)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_row_permutation_leaves_estimate_and_se_alone(self, scale, formula, weighted):
+        data = self.data(scale, weighted)
+        spec = parse_formula(formula, ["X1", "X2"])
+        fit = fit_weighted if weighted else fit_ols
+        perm = np.random.default_rng(59).permutation(data.n)
+        w = None if data.weights is None else data.weights[perm]
+        base = fit(spec, data)
+        moved = fit(spec, Dataset(data.a[perm], data.x[perm], data.y[perm], w))
+        assert moved.ate_hat == pytest.approx(base.ate_hat, rel=1e-9)
+        assert moved.ate_se == pytest.approx(base.ate_se, rel=1e-9)
+
+    def test_row_permutation_of_a_poisson_fit(self):
+        rng = np.random.default_rng(61)
+        n = 80
+        a = (rng.random(n) < 0.5).astype(float)
+        x = rng.normal(size=n)
+        y = rng.poisson(np.exp(0.5 + 0.4 * a + 0.3 * x)).astype(float)
+        perm = rng.permutation(n)
+        base = fit_poisson_glm(ANHECOVA1, Dataset(a, x, y))
+        moved = fit_poisson_glm(ANHECOVA1, Dataset(a[perm], x[perm], y[perm]))
+        assert moved.ate_hat == pytest.approx(base.ate_hat, rel=1e-9)
+        assert moved.ate_se == pytest.approx(base.ate_se, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("formula", SPECS)
+    def test_known_sample_mean_equals_empirical_estimate(self, scale, formula):
+        data = self.data(scale)
+        spec = parse_formula(formula, ["X1", "X2"])
+        emp = fit_ols(spec, data)
+        known = fit_ols(spec.with_centering(KnownMean(tuple(data.x.mean(axis=0)))), data)
+        assert known.ate_hat == pytest.approx(emp.ate_hat, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_covariate_scale_leaves_free_fits_alone(self, scale):
+        spec = parse_formula(self.SPECS[0], ["X1", "X2"])
+        base = fit_ols(spec, self.data(1.0))
+        scaled = fit_ols(spec, self.data(scale))
+        assert scaled.ate_hat == pytest.approx(base.ate_hat, rel=1e-9)
+        assert scaled.ate_se == pytest.approx(base.ate_se, rel=1e-9)
+        assert scaled.condition_number > base.condition_number
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_condition_number_is_that_of_the_solved_design(self, weighted):
+        data = TestProperties.data(1.0, weighted)
+        spec = named_spec("ANHECOVA", 2)
+        fit = (fit_weighted if weighted else fit_ols)(spec, data)
+        z = build_design(spec, data)[0]
+        if weighted:
+            z = z * np.sqrt(data.weights)[:, None]
+        s = np.linalg.svd(z, compute_uv=False)
+        assert fit.condition_number == pytest.approx(s[0] / s[-1], rel=1e-12)
+        assert fit.iterations == 1
+        record = fit.to_dict()
+        assert record["condition_number"] == fit.condition_number
+        assert record["iterations"] == 1
+
+    def test_irls_iterations_are_counted(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        a = (rng.random(60) < 0.5).astype(float)
+        x = rng.normal(size=60)
+        data = Dataset(a, x, rng.poisson(np.exp(1.0 + 0.3 * a + 0.5 * x)).astype(float))
+        fit = fit_poisson_glm(ANHECOVA1, data)
+        assert fit.converged and 2 <= fit.iterations < 100
+        monkeypatch.setattr("linadjust.estimate.IRLS_MAX_ITER", 2)
+        short = fit_poisson_glm(ANHECOVA1, data)
+        assert not short.converged
+        assert short.iterations == 2
+        assert short.to_dict()["iterations"] == 2

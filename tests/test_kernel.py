@@ -1,0 +1,221 @@
+"""The stacked fitting kernel against fits of each sample alone.
+
+``run_grid`` fits a whole chunk of replications in one stacked call;
+the public ``fit_*`` functions fit a stack of one. Every sample of a
+mixed stack must get the estimate, standard error, clamp flag and
+error that the public function gives it alone.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from linadjust import (
+    Dataset,
+    EstimationError,
+    KnownMean,
+    SingularDesignError,
+    custom_scenario,
+    draw,
+    fit_ols,
+    fit_poisson_glm,
+    fit_weighted,
+    named_spec,
+    parse_formula,
+    rep_seed,
+    run_grid,
+    scenario,
+)
+from linadjust.estimate import _fit, _Stack
+
+IO1 = parse_formula("1 + A + A:X1", ["X1"])
+SPECS1 = [
+    named_spec("ANOVA", 1),
+    named_spec("ANCOVA", 1),
+    named_spec("ANHECOVA", 1),
+    IO1,
+    parse_formula("1 + A + X1@0.5 + A:X1@-0.25", ["X1"]),
+    named_spec("ANHECOVA", 1).with_centering(KnownMean((0.3,))),
+    IO1.with_centering(KnownMean((0.3,))),
+]
+SPECS2 = [
+    named_spec("DiD", 2),
+    named_spec("LDV", 2),
+    named_spec("ANHECOVA", 2),
+    parse_formula("1 + A + X1@0.6 + X2 + A:X2", ["X1", "X2"]),
+    named_spec("DiD", 2).with_centering(KnownMean((0.0, 0.0))),
+]
+CLAMP_A = [1, 1, 1, 1, 0, 0, 0, 0]
+CLAMP_X = [-0.626, 1.107, 0.539, 0.829, -0.602, -0.557, -0.822, -0.541]
+CLAMP_Y = [-1.943, 0.429, -1.5, 0.079, -1.298, 0.117, -1.192, -0.02]
+
+
+def _alone(fit_fn, spec, data):
+    """(ate_hat, ate_se, se_clamped, error) of the public fit of one sample."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            fit = fit_fn(spec, data)
+        except EstimationError as exc:
+            return np.nan, np.nan, False, exc
+    assert len(rec) == fit.se_clamped
+    return fit.ate_hat, fit.ate_se, fit.se_clamped, None
+
+
+def _gaussian(rng, n, p, weighted=False):
+    a = np.array([1.0, 0.0] * (n // 2))
+    x = rng.normal(1.0, 1.0, (n, p))
+    y = 1.0 + a + x @ np.linspace(0.5, -0.5, p) + a * x[:, 0] + rng.normal(size=n)
+    return Dataset(a, x, y, rng.uniform(0.2, 3.0, n) if weighted else None)
+
+
+def _stack_p1(rng):
+    ds = [_gaussian(rng, 8, 1) for _ in range(3)]
+    ds.append(Dataset(CLAMP_A, CLAMP_X, CLAMP_Y))  # interactions-only SE clamps
+    ds.append(Dataset(np.ones(8), rng.normal(size=8), rng.normal(size=8)))  # empty arm
+    ds.append(Dataset(CLAMP_A, np.full(8, 0.5), rng.normal(size=8)))  # constant covariate
+    # constant control-arm covariate: the empirical full-model refit is singular
+    ds.append(Dataset(CLAMP_A, [0.1, 0.9, -1.2, 0.4, 2.0, 2.0, 2.0, 2.0], rng.normal(size=8)))
+    return ds, SPECS1, fit_ols, "gaussian"
+
+
+def _stack_weighted(rng):
+    ds = [_gaussian(rng, 8, 1, weighted=True) for _ in range(3)]
+    big = ds[0]
+    ds.append(Dataset(big.a, big.x, big.y, 1e24 * big.weights))
+    ds.append(Dataset(CLAMP_A, np.full(8, -1.0), rng.normal(size=8), np.ones(8)))
+    ds.append(Dataset(np.zeros(8), rng.normal(size=8), rng.normal(size=8), np.ones(8)))
+    return ds, SPECS1, fit_weighted, "gaussian"
+
+
+def _stack_p2(rng):
+    ds = [_gaussian(rng, 10, 2) for _ in range(4)]
+    x = rng.normal(size=(10, 2))
+    x[:, 1] = 2.0 * x[:, 0]
+    ds.append(Dataset(ds[0].a, x, rng.normal(size=10)))  # collinear covariates
+    return ds, SPECS2, fit_ols, "gaussian"
+
+
+def _stack_poisson(rng):
+    a = np.array([1.0] * 5 + [0.0] * 5)
+    ds = []
+    for _ in range(3):
+        x = rng.normal(size=10)
+        ds.append(Dataset(a, x, rng.poisson(np.exp(1.0 + 0.5 * a + 0.3 * x)).astype(float)))
+    # separation: every treated count is 0
+    ds.append(Dataset(a, np.arange(10.0), np.r_[np.zeros(5), np.full(5, 9.0)]))
+    # controls at x = -1, -2 with y = 0, 1: the IRLS weights collapse
+    a2 = np.array([1.0] * 8 + [0.0] * 2)
+    x2 = np.r_[np.linspace(-1.0, 2.0, 8), -1.0, -2.0]
+    ds.append(Dataset(a2, x2, np.array([2, 3, 1, 4, 5, 3, 6, 4, 0, 1], dtype=float)))
+    ds.append(Dataset(np.zeros(10), rng.normal(size=10), np.arange(10.0)))  # empty arm
+    return ds, SPECS1[:3] + SPECS1[5:6], fit_poisson_glm, "poisson"
+
+
+def test_mixed_stacks_match_fits_alone():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for make in (_stack_p1, _stack_weighted, _stack_p2, _stack_poisson):
+        datasets, specs, fit_fn, family = make(rng)
+        stack = _Stack(datasets)
+        for spec in specs:
+            fits = _fit(spec, stack, family)
+            for r, data in enumerate(datasets):
+                ate_hat, ate_se, clamped, error = _alone(fit_fn, spec, data)
+                assert np.isnan(fits.ate_hat[r]) == (error is not None)
+                assert np.isnan(fits.ate_se[r]) == (error is not None)
+                if error is not None:
+                    got = fits.errors[r]
+                    assert (type(got), str(got)) == (type(error), str(error))
+                    assert getattr(got, "columns", None) == getattr(error, "columns", None)
+                    seen.add(str(error).split(";")[0].split(" (")[0])
+                    continue
+                assert r not in fits.errors
+                assert fits.ate_hat[r] == pytest.approx(ate_hat, rel=1e-12, abs=1e-12)
+                assert fits.ate_se[r] == pytest.approx(ate_se, rel=1e-12, abs=1e-12)
+                assert fits.clamped[r] == clamped
+                seen.add("clamped" if clamped else "fitted")
+                one = fits.result(r, data.n)
+                assert one.iterations >= 1 and np.isfinite(one.condition_number)
+    assert seen == {
+        "fitted",
+        "clamped",
+        "singular design",
+        "both treatment arms must be nonempty",
+        "Poisson fit diverged",
+    }
+
+
+def test_full_model_refit_failure_drops_only_penalized_specs():
+    data = _stack_p1(np.random.default_rng(7))[0][-1]
+    with pytest.raises(SingularDesignError):
+        fit_ols(named_spec("ANHECOVA", 1), data)
+    with pytest.raises(SingularDesignError):
+        fit_ols(IO1, data)
+    assert np.isfinite(fit_ols(IO1.with_centering(KnownMean((0.0,))), data).ate_se)
+    assert np.isfinite(fit_ols(named_spec("ANCOVA", 1), data).ate_se)
+
+
+class _SometimesConstant:
+    """n-row draws whose covariate is constant in about 1 draw of 200."""
+
+    p = 1
+
+    def potential(self, n, rng):
+        x = rng.standard_normal((n, 1))
+        if rng.random() < 0.005:
+            x[:] = 0.5
+        y1 = 1.0 + 1.5 * x[:, 0] + rng.standard_normal(n)
+        y0 = -0.5 * x[:, 0] + rng.standard_normal(n)
+        return x, y1, y0
+
+
+def test_run_grid_matches_a_scalar_reference_loop():
+    scn = custom_scenario(_SometimesConstant(), pi=0.5, beta_ate=1.0, n=14)
+    models = [
+        named_spec("ANOVA", 1),
+        named_spec("ANCOVA", 1),
+        IO1,
+        named_spec("ANHECOVA", 1).with_centering(KnownMean((0.0,))),
+    ]
+    reps, seed = 1500, 3
+    key = f"scenario={scn.id}|pi=0.5|n=14"
+    ref = [[] for _ in models]
+    failed = [0] * len(models)
+    clamps = 0
+    for rep in range(reps):
+        data = draw(scn, rep_seed(seed, key, rep), pi=0.5).data
+        for m, spec in enumerate(models):
+            ate_hat, ate_se, clamped, error = _alone(fit_ols, spec, data)
+            failed[m] += error is not None
+            clamps += clamped
+            if error is None:
+                ref[m].append((ate_hat, ate_se))
+    assert 0 < max(failed) <= 0.01 * reps
+    assert clamps > 0
+
+    with pytest.warns(RuntimeWarning, match="clamped at zero"):
+        report = run_grid(scn, models, None, reps, seed=seed, keep_estimates=True)
+    for cell, want, f in zip(report.cells, ref, failed):
+        assert cell.fail_rate == f / reps
+        ests, ses = np.array(want).T
+        np.testing.assert_allclose(cell.estimates, ests, rtol=1e-12, atol=1e-12)
+        assert cell.mean_se == pytest.approx(ses.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("sid", [1, 2, 4])
+def test_chunk_size_does_not_change_a_grid(sid, monkeypatch):
+    """A replication's numbers do not depend on which chunk it is stacked in."""
+    scn = scenario(sid, n=100)
+    models = SPECS1[:3] + SPECS1[5:6]
+    pis = [0.4] if sid in (1, 2) else None
+    reports = []
+    for rows in (100, 300, 8192):
+        monkeypatch.setattr("linadjust.sim.CHUNK_ROWS", rows)
+        reports.append(run_grid(scn, models, pis, 25, seed=1, keep_estimates=True))
+    for other in reports[1:]:
+        assert other.to_csv() == reports[0].to_csv()
+        for c0, c1 in zip(reports[0].cells, other.cells):
+            assert np.array_equal(c0.estimates, c1.estimates)
+            assert c0.mean_se == c1.mean_se
