@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -241,12 +242,17 @@ def cmd_estimate(args: argparse.Namespace) -> str:
     elif pi is not None:
         _check_pi(pi)
 
-    if args.family == "poisson":
-        fit = fit_poisson_glm(spec, data)
-    elif data.weights is not None:
-        fit = fit_weighted(spec, data, hc1=args.hc1)
-    else:
-        fit = fit_ols(spec, data, hc1=args.hc1)
+    # a library warning would print this file's source line: say each once, plainly
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.family == "poisson":
+            fit = fit_poisson_glm(spec, data)
+        elif data.weights is not None:
+            fit = fit_weighted(spec, data, hc1=args.hc1)
+        else:
+            fit = fit_ols(spec, data, hc1=args.hc1)
+    for msg in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {msg}", file=sys.stderr)
     payload = fit.to_dict(cov_names)
     payload["pi"] = pi
     return _fit_report(fit, payload, cov_names, args.format)

@@ -44,14 +44,18 @@ _CLAMPED = "centered-variance {} clamped at zero"
 
 
 class EstimationError(Exception):
-    """A fit could not be computed."""
+    """A fit could not be computed; ``cause`` names why in a few words."""
+
+    def __init__(self, msg: str, cause: str = "estimation error") -> None:
+        super().__init__(msg)
+        self.cause = cause
 
 
 class SingularDesignError(EstimationError):
     """The free-column Gram matrix is singular to working tolerance."""
 
     def __init__(self, msg: str, columns: tuple[str, ...] = ()) -> None:
-        super().__init__(msg)
+        super().__init__(msg, "singular design")
         self.columns = columns
 
 
@@ -134,6 +138,14 @@ class _Stack:
         self.y = stack([d.y for d in datasets])
         weighted = datasets[0].weights is not None
         self.w = stack([d.weights for d in datasets]) if weighted else None
+
+    @classmethod
+    def empty(cls, reps: int, n: int, p: int, weighted: bool) -> _Stack:
+        """An unfilled stack of ``reps`` samples, to be written in place."""
+        st = cls.__new__(cls)
+        st.a, st.x, st.y = np.empty((reps, n)), np.empty((reps, n, p)), np.empty((reps, n))
+        st.w = np.empty((reps, n)) if weighted else None
+        return st
 
     @property
     def n(self) -> int:
@@ -268,7 +280,8 @@ def _empty_arms(st: _Stack) -> dict[int, EstimationError]:
     n1 = st.a.sum(axis=1)
     return {
         int(r): EstimationError(
-            f"both treatment arms must be nonempty (treated count {int(n1[r])} of {st.n})"
+            f"both treatment arms must be nonempty (treated count {int(n1[r])} of {st.n})",
+            "empty arm",
         )
         for r in np.flatnonzero((n1 == 0) | (n1 == st.n))
     }
@@ -344,7 +357,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         # collapsed: a fitted mean went to 0
         out[list(collapsed)] = True
         for r in idx[out]:
-            errors[int(r)] = EstimationError(_DIVERGED)
+            errors[int(r)] = EstimationError(_DIVERGED, "Poisson divergence")
         step = np.abs(new - coef[idx]).max(axis=1)
         coef[idx] = new
         iterations[idx] = it

@@ -144,6 +144,38 @@ def _check_pi(pi: float) -> None:
         raise ValueError(msg)
 
 
+def _check_samples(a, x, y, w=None) -> None:
+    """Raise the ValueError a Dataset raises, for the first invalid sample of a stack.
+
+    ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, ...) or
+    None; a Dataset is a stack of one. Within a sample the rules apply in
+    order: finite covariates and outcomes, 0/1 treatment, n >= p + 2, then
+    the weights' shape and their positivity.
+    """
+    n, p = x.shape[1:]
+    nonfinite = ~(np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1))
+    not01 = ~((a == 0.0) | (a == 1.0))
+    w_shape = w is not None and w.shape != y.shape
+    bad = nonfinite | not01.any(axis=1) | (n < p + 2) | w_shape
+    if w is not None and not w_shape:
+        bad |= ~(np.isfinite(w) & (w > 0)).all(axis=1)
+    if not bad.any():
+        return
+    r = int(np.argmax(bad))
+    if nonfinite[r]:
+        msg = "covariates and outcomes must be finite"
+    elif not01[r].any():
+        i = int(np.argmax(not01[r]))
+        msg = f"treatment indicator must be 0 or 1, got {a[r, i]!r} at row {i}"
+    elif n < p + 2:
+        msg = f"need at least p + 2 = {p + 2} rows, got {n}"
+    elif w_shape:
+        msg = f"weights shape {w.shape[1:]} does not match n={n}"
+    else:
+        msg = "weights must be strictly positive and finite"
+    raise ValueError(msg)
+
+
 class Dataset:
     """A sample of (treatment, covariates, outcome) records.
 
@@ -172,25 +204,9 @@ class Dataset:
         if a.shape != (n,) or y.shape != (n,):
             msg = f"shape mismatch: a {a.shape}, y {y.shape}, x {x.shape}"
             raise ValueError(msg)
-        if not np.isfinite(x).all() or not np.isfinite(y).all():
-            msg = "covariates and outcomes must be finite"
-            raise ValueError(msg)
-        bad = ~((a == 0.0) | (a == 1.0))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            msg = f"treatment indicator must be 0 or 1, got {a[i]!r} at row {i}"
-            raise ValueError(msg)
-        if n < x.shape[1] + 2:
-            msg = f"need at least p + 2 = {x.shape[1] + 2} rows, got {n}"
-            raise ValueError(msg)
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n,):
-                msg = f"weights shape {weights.shape} does not match n={n}"
-                raise ValueError(msg)
-            if not np.isfinite(weights).all() or (weights <= 0).any():
-                msg = "weights must be strictly positive and finite"
-                raise ValueError(msg)
+        _check_samples(a[None], x[None], y[None], None if weights is None else weights[None])
         self.a = a
         self.x = x
         self.y = y

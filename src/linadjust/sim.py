@@ -16,6 +16,11 @@ effect 7 - (2 + E X^2) = 4. Scenario 4 adds the weights
 read with A = 1 substituted into their formulas. These effects are
 exact. A custom scenario takes its effect from ``beta_ate``, or else
 as mu1 - mu0 from its sampler's closed-form ``moments()``.
+
+Seeds: replication r of a cell is ``draw(scn, rep_seed(root, key, r),
+pi)``, whose numpy ``SeedSequence`` hashes (root, cell key digest, r).
+``run_grid`` keeps exactly those streams but derives the PCG64 state
+words of a whole chunk of replications at once (``_rep_states``).
 """
 
 from __future__ import annotations
@@ -23,14 +28,16 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .estimate import EstimationError, _fit, _Stack
-from .model import Dataset, ModelSpec, _check_pi, format_formula, named_spec
+from .model import Dataset, ModelSpec, _check_pi, _check_samples, format_formula, named_spec
 from .population import GaussianArmSampler
 
 __all__ = [
@@ -197,28 +204,30 @@ class DrawResult:
     pi_x: np.ndarray | None = None
 
 
-def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
-    """Deterministically draw one replication of a scenario.
+def _assignment_pi(scn: Scenario, pi: float | None) -> float | None:
+    """The constant assignment probability of a draw; None under covariate-dependent assignment."""
+    if scn.covariate_assignment:
+        return None
+    p = pi if pi is not None else scn.pi
+    if p is None:
+        msg = f"scenario {scn.id} needs an assignment probability"
+        raise ValueError(msg)
+    _check_pi(p)
+    return p
+
+
+def _draw_one(scn: Scenario, rng: np.random.Generator, p: float | None):
+    """One replication's (a, x, y, weights, y1, y0, x_raw, pi_x), in its law's draw order.
 
     A standard scenario draws X, then the assignment, then the noise of
     Y(1) and of Y(0); a custom sampler draws its potential outcomes
-    before the assignment. ``pi`` overrides the scenario's constant
-    assignment probability and is ignored under covariate-dependent
-    assignment.
+    before the assignment, and its x is also x_raw.
     """
-    p = None
-    if not scn.covariate_assignment:
-        p = pi if pi is not None else scn.pi
-        if p is None:
-            msg = f"scenario {scn.id} needs an assignment probability"
-            raise ValueError(msg)
-        _check_pi(p)
-    rng = np.random.default_rng(seed)
     n, law = scn.n, scn.law
     pi_x = weights = None
     if law is None:
         x, y1, y0 = scn.sampler.potential(n, rng)
-        x_raw = x.copy()
+        x_raw = x
         a = (rng.random(n) < p).astype(float)
     else:
         x_raw = rng.normal(2.0, 1.0, n)
@@ -232,12 +241,59 @@ def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
         if law.weight is not None:
             weights = law.weight(pi_x)
     y = a * y1 + (1.0 - a) * y0
-    return DrawResult(Dataset(a, x, y, weights), y1, y0, x_raw, pi_x)
+    return a, x, y, weights, y1, y0, x_raw, pi_x
+
+
+def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
+    """Deterministically draw one replication of a scenario.
+
+    ``pi`` overrides the scenario's constant assignment probability and
+    is ignored under covariate-dependent assignment.
+    """
+    p = _assignment_pi(scn, pi)
+    a, x, y, weights, y1, y0, x_raw, pi_x = _draw_one(scn, np.random.default_rng(seed), p)
+    # a copy: the dataset may share a custom sampler's x
+    return DrawResult(Dataset(a, x, y, weights), y1, y0, np.array(x_raw), pi_x)
+
+
+def _draw_stack(scn: Scenario, p: float | None, states: np.ndarray) -> _Stack:
+    """Draw one chunk of replications straight into a stack.
+
+    Replication k is drawn by ``_draw_one`` from a PCG64 generator seeded
+    with the state words ``states[k]``, so its data are those of
+    ``draw`` with the seed that gave those words. The chunk is validated
+    once, by Dataset's rules: the first invalid replication raises what
+    ``draw`` raises for it.
+    """
+    st = None
+    for k, state in enumerate(states):
+        rng = np.random.Generator(np.random.PCG64(_Derived(state)))
+        a, x, y, w, *_ = _draw_one(scn, rng, p)
+        if st is None or np.shape(x) != shape or y.shape != st.y.shape[1:]:
+            if st is not None:  # an earlier replication's error comes first
+                _check_samples(st.a[:k], st.x[:k], st.y[:k], None if w is None else st.w[:k])
+            data = Dataset(a, x, y, w)  # raises a replication's own shape error
+            if st is None:
+                shape = np.shape(x)
+                st = _Stack.empty(len(states), data.n, data.p, w is not None)
+                rows = st.x[..., 0] if len(shape) == 1 else st.x  # shaped like the draws' x
+            st.x[k] = data.x
+        else:
+            rows[k] = x
+        st.a[k], st.y[k] = a, y
+        if w is not None:
+            st.w[k] = w
+    _check_samples(st.a, st.x, st.y, st.w)
+    return st
 
 
 @dataclass
 class MonteCarloCell:
-    """Aggregates for one (scenario, model, pi) cell."""
+    """Aggregates for one (scenario, model, pi) cell.
+
+    ``failures`` counts the dropped replications by cause ("empty arm",
+    "singular design", "Poisson divergence"); it is not a report field.
+    """
 
     scenario: int | str
     model: str
@@ -250,6 +306,7 @@ class MonteCarloCell:
     fail_rate: float
     mean_se: float | None = None
     estimates: np.ndarray | None = field(default=None, repr=False)
+    failures: dict[str, int] = field(default_factory=dict)
 
     def row(self) -> dict:
         return {k: getattr(self, k) for k in REPORT_FIELDS}
@@ -281,10 +338,83 @@ class MonteCarloReport:
         return json.dumps([c.row() for c in self.cells], indent=2) + "\n"
 
 
+def _digest(cell_key: str) -> int:
+    return int.from_bytes(hashlib.sha256(cell_key.encode()).digest()[:8], "big")
+
+
 def rep_seed(root_seed: int, cell_key: str, rep: int) -> np.random.SeedSequence:
     """Derived seed for one replication; independent across cells and reps."""
-    digest = int.from_bytes(hashlib.sha256(cell_key.encode()).digest()[:8], "big")
-    return np.random.SeedSequence((int(root_seed), digest, int(rep)))
+    return np.random.SeedSequence((int(root_seed), _digest(cell_key), int(rep)))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, k: int) -> np.ndarray:
+    """The running hash multipliers init * mult**i mod 2**32, i < k, as a column."""
+    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(k)], np.uint32)[:, None]
+
+
+_A, _B = _powers(_INIT_A, _MULT_A, 64), _powers(_INIT_B, _MULT_B, 9)  # A: entropy of <= 15 words
+_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+
+
+def _words(v: int) -> list[int]:
+    """A seed integer as SeedSequence reads it: 32-bit words, least significant first."""
+    if v < 0:
+        msg = "expected non-negative integer"
+        raise ValueError(msg)
+    return [(v >> b) & 0xFFFFFFFF for b in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _rep_states(root: int, digest: int, lo: int, hi: int) -> np.ndarray:
+    """PCG64 state words (hi - lo, 4) of replications lo..hi-1 of one cell.
+
+    Row k is ``SeedSequence((root, digest, lo + k)).generate_state(4,
+    np.uint64)``, the seed of ``rep_seed``, computed for every row at
+    once in uint32 arithmetic; replications from 2**32 on, whose number
+    takes two words, go through SeedSequence itself.
+    """
+    if hi > 1 << 32:
+        return np.array([np.random.SeedSequence((root, digest, r)).generate_state(4, np.uint64)
+                         for r in range(lo, hi)])
+    prefix = _words(root) + _words(digest)
+    size = len(prefix) + 1
+    entropy = np.zeros((max(size, 4), hi - lo), np.uint32)  # one column per replication
+    entropy[: size - 1] = np.array(prefix, np.uint32)[:, None]
+    entropy[size - 1] = np.arange(lo, hi, dtype=np.uint32)
+    a = _A if size <= 15 else _powers(_INIT_A, _MULT_A, 17 + 4 * (size - 4))
+
+    def hashmix(v, i, m):  # the pool's hash calls i..i+m-1, one per row
+        v = (v ^ a[i : i + m]) * a[i + 1 : i + 1 + m]
+        return v ^ (v >> 16)
+
+    def mix(v, h):
+        v = v * _MIX_L - h * _MIX_R
+        return v ^ (v >> 16)
+
+    # hash the first four words into the pool, mix each pool word into the
+    # others, then each further word into all four; hash the pool out twice
+    pool = hashmix(entropy[:4], 0, 4)
+    for s in range(4):
+        pool[_OTHERS[s]] = mix(pool[_OTHERS[s]], hashmix(pool[s], 4 + 3 * s, 3))
+    for s in range(4, size):
+        pool = mix(pool, hashmix(entropy[s], 16 + 4 * (s - 4), 4))
+    v = (np.concatenate([pool, pool]) ^ _B[:8]) * _B[1:]
+    v ^= v >> 16
+    return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _Derived(ISeedSequence):
+    """A seed sequence whose PCG64 state words (a row of ``_rep_states``) are known."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state  # PCG64 asks for its 4 uint64 words
 
 
 def _model_label(spec: ModelSpec) -> str:
@@ -301,16 +431,20 @@ def run_grid(
 ) -> MonteCarloReport:
     """Run every (model, pi) cell for ``reps`` replications each.
 
-    Each replication's seed derives from (root seed, scenario, pi, n,
-    replication), so results are reproducible bit for bit and
-    independent of execution order. Every model is fitted on the
-    replication's one dataset, so the cells of one pi are paired.
-    Replications are drawn in chunks of about CHUNK_ROWS rows, and each
-    model is fitted to a whole chunk in one stacked call; the numbers
-    are those of fitting each replication alone.
+    Replication r of a pi's cells holds the data of
+    ``draw(scn, rep_seed(seed, f"scenario={scn.id}|pi={pi}|n={scn.n}", r), pi)``,
+    so results are reproducible bit for bit and independent of
+    execution order. Every model is fitted on the replication's one
+    dataset, so the cells of one pi are paired. Replications are drawn
+    in chunks of about CHUNK_ROWS rows, each chunk in one pass (its
+    seeds derived together, its draws written into the stacked arrays
+    and validated once), and each model is fitted to a whole chunk in
+    one stacked call; the numbers are those of drawing and fitting each
+    replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
-    Failed fits are excluded and counted per cell; a cell whose
-    failure rate exceeds 1% raises. A cell with replications whose
+    Failed fits are excluded and counted per cell, by cause, in
+    ``MonteCarloCell.failures``; a cell whose failure rate exceeds 1%
+    raises, naming the causes. A cell with replications whose
     centered-variance correction was clamped at zero warns once.
 
     Returns
@@ -340,16 +474,19 @@ def run_grid(
     chunk = max(1, CHUNK_ROWS // scn.n)
     fits = np.full((len(models), len(pi_list), reps, 2), np.nan)  # NaN: the fit failed
     clamped = np.zeros((len(models), len(pi_list)), dtype=int)
+    failures = [[Counter() for _ in pi_list] for _ in models]
     for i, pi in enumerate(pi_list):
         key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
+        digest, p = _digest(key), _assignment_pi(scn, pi)
         for lo in range(0, reps, chunk):
             hi = min(lo + chunk, reps)
-            stack = _Stack([draw(scn, rep_seed(seed, key, r), pi=pi).data for r in range(lo, hi)])
+            stack = _draw_stack(scn, p, _rep_states(int(seed), digest, lo, hi))
             for m, spec in enumerate(models):
                 res = _fit(spec, stack, family)
                 fits[m, i, lo:hi, 0] = res.ate_hat
                 fits[m, i, lo:hi, 1] = res.ate_se
                 clamped[m, i] += int(res.clamped.sum())
+                failures[m][i].update(e.cause for e in res.errors.values())
     cells = []
     for m, spec in enumerate(models):
         label = _model_label(spec)
@@ -358,8 +495,10 @@ def run_grid(
             used = ests.size
             fail_rate = (reps - used) / reps
             key = f"scenario={scn.id}|model={label}|pi={pi}|n={scn.n}"
+            causes = dict(sorted(failures[m][i].items()))
             if fail_rate > FAIL_RATE_LIMIT:
-                msg = f"cell {key} failed in {reps - used}/{reps} replications"
+                why = ", ".join(f"{cause} {k}" for cause, k in causes.items())
+                msg = f"cell {key} failed in {reps - used}/{reps} replications ({why})"
                 raise EstimationError(msg)
             if clamped[m, i]:
                 msg = (
@@ -381,6 +520,7 @@ def run_grid(
                     fail_rate=fail_rate,
                     mean_se=float(ses.mean()) if used else None,
                     estimates=ests.copy() if keep_estimates else None,
+                    failures=causes,
                 )
             )
     return MonteCarloReport(cells, seed)

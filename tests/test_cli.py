@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,18 +126,22 @@ class TestEstimate:
         assert rc == 2
         assert "--mean" in err and "--centering known-mean" in err
 
-    def test_clamped_se_is_flagged_in_every_format(self, tmp_path, capsys):
+    @staticmethod
+    def clamp_csv(tmp_path):
         path = tmp_path / "clamp.csv"
         x = [-0.626, 1.107, 0.539, 0.829, -0.602, -0.557, -0.822, -0.541]
         y = [-1.943, 0.429, -1.5, 0.079, -1.298, 0.117, -1.192, -0.02]
         path.write_text("\n".join(["a,y,x1"] + [f"{a},{v},{u}" for a, v, u in zip(A, y, x)]))
+        return path
+
+    def test_clamped_se_is_flagged_in_every_format(self, tmp_path, capsys):
+        path = self.clamp_csv(tmp_path)
         out = {}
         for fmt in ("json", "text", "csv"):
-            with pytest.warns(RuntimeWarning, match="clamped at zero"):
-                rc, out[fmt], _ = run(
-                    ["estimate", "--data", str(path), "--model", "1 + A + A:x1", "--format", fmt],
-                    capsys,
-                )
+            rc, out[fmt], _ = run(
+                ["estimate", "--data", str(path), "--model", "1 + A + A:x1", "--format", fmt],
+                capsys,
+            )
             assert rc == 0
         payload = json.loads(out["json"])
         assert payload["ate_se"] == 0.0
@@ -147,6 +152,18 @@ class TestEstimate:
             term, value = line.split(",")
             if term != "se_clamped":
                 float(value)
+
+    def test_clamp_warning_is_one_plain_stderr_line(self, tmp_path, capsys):
+        """No Python warning, whose text would name a source line of the package."""
+        path = self.clamp_csv(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run(
+                ["estimate", "--data", str(path), "--model", "1 + A + A:x1", "--format", "json"],
+                capsys,
+            )
+        assert rc == 0
+        assert err == "warning: centered-variance correction clamped at zero\n"
 
     def test_estimate_pi_warning_and_conflict(self, data_csv, capsys):
         rc, out, err = run(

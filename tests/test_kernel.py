@@ -28,6 +28,7 @@ from linadjust import (
     scenario,
 )
 from linadjust.estimate import _fit, _Stack
+from linadjust.sim import _did_ldv_sampler, _digest, _draw_stack, _rep_states
 
 IO1 = parse_formula("1 + A + A:X1", ["X1"])
 SPECS1 = [
@@ -219,3 +220,89 @@ def test_chunk_size_does_not_change_a_grid(sid, monkeypatch):
         for c0, c1 in zip(reports[0].cells, other.cells):
             assert np.array_equal(c0.estimates, c1.estimates)
             assert c0.mean_se == c1.mean_se
+
+
+GRID_CASES = {
+    "s1": (scenario(1, n=150), 0.4, fit_ols),
+    "s2": (scenario(2, n=150), 0.4, fit_poisson_glm),
+    "s3": (scenario(3, n=150), None, fit_ols),
+    "s4": (scenario(4, n=150), None, fit_weighted),
+    "did-ldv": (custom_scenario(_did_ldv_sampler("default"), pi=0.5, n=150, id="did-ldv"), 0.5, fit_ols),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_chunk_draw_and_grid_match_draw_and_fits_alone(case, monkeypatch):
+    """Each chunk holds exactly the data of draw(scn, rep_seed(...), pi), and
+    run_grid's numbers are those of the public fits of each replication alone."""
+    scn, pi, fit_fn = GRID_CASES[case]
+    models = [named_spec(m, 2) for m in ("DiD", "LDV", "ANHECOVA")] if case == "did-ldv" else SPECS1
+    reps, seed = 40, 8
+    key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
+    data = [draw(scn, rep_seed(seed, key, r), pi=pi).data for r in range(reps)]
+    stack = _draw_stack(scn, pi, _rep_states(seed, _digest(key), 0, reps))
+    assert np.array_equal(stack.a, np.stack([d.a for d in data]))
+    assert np.array_equal(stack.x, np.stack([d.x for d in data]))
+    assert np.array_equal(stack.y, np.stack([d.y for d in data]))
+    if scn.weighted:
+        assert np.array_equal(stack.w, np.stack([d.weights for d in data]))
+    else:
+        assert stack.w is None
+
+    monkeypatch.setattr("linadjust.sim.CHUNK_ROWS", 7 * scn.n)  # several chunks, the last short
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_grid(scn, models, [pi] if pi else None, reps, seed=seed, keep_estimates=True)
+    for spec, cell in zip(models, report.cells):
+        ref = [_alone(fit_fn, spec, d) for d in data]
+        ok = [r for r in ref if r[3] is None]
+        assert cell.fail_rate == (reps - len(ok)) / reps
+        ests, ses = np.array([r[:2] for r in ok]).T
+        np.testing.assert_allclose(cell.estimates, ests, rtol=1e-12, atol=1e-12)
+        assert cell.mean_se == pytest.approx(ses.mean(), rel=1e-12)
+
+
+class _Faulty:
+    """Draws that go wrong in about one replication in ten."""
+
+    p = 1
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def potential(self, n, rng):
+        x = rng.standard_normal((n, 1))
+        y1, y0 = x[:, 0] + rng.standard_normal(n), rng.standard_normal(n)
+        if rng.random() < 0.1:
+            if self.fault == "nan-outcome":
+                y1[n // 2] = np.nan
+            elif self.fault == "3-d-x":
+                x = x[None]
+            else:
+                x = x[1:]
+        return x, y1, y0
+
+
+@pytest.mark.parametrize("fault", ["nan-outcome", "3-d-x", "short-x"])
+def test_run_grid_raises_what_draw_raises(fault):
+    scn = custom_scenario(_Faulty(fault), pi=0.5, beta_ate=0.0, n=20)
+    key = "scenario=custom|pi=0.5|n=20"
+    for k in range(100):
+        try:
+            draw(scn, rep_seed(4, key, k), pi=0.5)
+        except ValueError as exc:
+            msg = str(exc)
+            break
+    assert k > 0
+    with pytest.raises(ValueError) as got:
+        run_grid(scn, [named_spec("ANCOVA", 1)], None, 100, seed=4)
+    assert str(got.value) == msg
+
+
+def test_errors_name_their_cause():
+    ds, specs, _, family = _stack_poisson(np.random.default_rng(5))
+    causes = {r: e.cause for r, e in _fit(specs[2], _Stack(ds), family).errors.items()}
+    assert causes == {3: "Poisson divergence", 4: "Poisson divergence", 5: "empty arm"}
+    ds, specs, _, family = _stack_p1(np.random.default_rng(5))
+    causes = {r: e.cause for r, e in _fit(named_spec("ANCOVA", 1), _Stack(ds), family).errors.items()}
+    assert causes == {4: "empty arm", 5: "singular design"}

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 from scipy.stats import norm
@@ -26,10 +28,26 @@ from linadjust import (
     run_grid,
     scenario,
 )
+from linadjust import sim
 from linadjust.sim import Scenario, _did_ldv_sampler
 
 ANCOVA1 = named_spec("ANCOVA", 1)
 TRIO = [named_spec(name, 1) for name in ("ANOVA", "ANCOVA", "ANHECOVA")]
+
+
+class ConstantCovariateSampler:
+    """A covariate that is constant in each draw with probability ``rate``."""
+
+    p = 1
+
+    def __init__(self, rate=1.0):
+        self.rate = rate
+
+    def potential(self, n, rng):
+        x = rng.standard_normal((n, 1))
+        if rng.random() < self.rate:
+            x[:] = 0.0
+        return x, rng.standard_normal(n) + 1.0, rng.standard_normal(n)
 
 
 class TestScenarioConstruction:
@@ -241,6 +259,22 @@ class TestRunGrid:
         with pytest.raises(EstimationError, match="failed in"):
             run_grid(scn, [ANCOVA1], None, 10, seed=0)
 
+    def test_failures_are_counted_by_cause(self):
+        models = [TRIO[0], ANCOVA1]
+        scn = custom_scenario(ConstantCovariateSampler(), pi=0.5, beta_ate=1.0, n=40)
+        with pytest.raises(EstimationError, match=r"in 10/10 replications \(singular design 10\)$"):
+            run_grid(scn, models, None, 10, seed=0)
+        # at n = 9 an arm is empty in about 2 of 512 draws
+        scn = custom_scenario(ConstantCovariateSampler(rate=0.003), pi=0.5, beta_ate=1.0, n=9)
+        rep = run_grid(scn, models, None, 2000, seed=1)
+        anova, ancova = rep.cells
+        assert set(anova.failures) == {"empty arm"}
+        assert set(ancova.failures) == {"empty arm", "singular design"}
+        assert ancova.failures["empty arm"] == anova.failures["empty arm"]
+        for cell in rep.cells:
+            assert sum(cell.failures.values()) == round(cell.fail_rate * 2000)
+        assert "failures" not in rep.to_json()
+
     def test_models_share_each_replication(self):
         """Every model is fitted on each replication's one dataset: kept
         estimates pair up across models, and a model's cell does not
@@ -328,3 +362,38 @@ class TestDidVsLdv:
         # each arm's sampling sd tracks its exact asymptotic value
         assert sd_did == pytest.approx(np.sqrt(v_did / n), abs=4 * sd_did / np.sqrt(2 * reps))
         assert sd_ldv == pytest.approx(np.sqrt(v_ldv / n), abs=4 * sd_ldv / np.sqrt(2 * reps))
+
+
+class TestChunkSeeds:
+    """run_grid derives a chunk's seeds at once; each must give rep_seed's stream."""
+
+    @staticmethod
+    def streams(root, key, lo, hi):
+        states = sim._rep_states(root, sim._digest(key), lo, hi)
+        return [np.random.Generator(np.random.PCG64(sim._Derived(s))).random(8) for s in states]
+
+    @given(
+        root=st.integers(0, 2**64 - 1),
+        key=st.text(st.characters(blacklist_categories=("Cs",))),
+        rep=st.integers(0, 2**32 - 1),
+    )
+    @example(root=0, key="", rep=0)
+    @example(root=2**32, key="scenario=1|pi=0.5|n=200", rep=2**32 - 1)
+    @example(root=2**62 + 3, key="k", rep=7)
+    @example(root=2**80 + 1, key="k", rep=3)  # a three-word root
+    def test_streams_equal_rep_seed(self, root, key, rep):
+        lo = max(rep - 2, 0)
+        for r, got in zip(range(lo, rep + 1), self.streams(root, key, lo, rep + 1)):
+            assert np.array_equal(got, np.random.default_rng(rep_seed(root, key, r)).random(8))
+
+    def test_outside_the_proved_domain(self):
+        # replications from 2**32 on take two words and fall back to SeedSequence
+        lo, hi = 2**32 - 2, 2**32 + 2
+        for r, got in zip(range(lo, hi), self.streams(9, "k", lo, hi)):
+            assert np.array_equal(got, np.random.default_rng(rep_seed(9, "k", r)).random(8))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            rep_seed(-1, "k", 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            sim._rep_states(-1, sim._digest("k"), 0, 3)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run_grid(scenario(1, n=40), [ANCOVA1], [0.5], 3, seed=-1)
