@@ -215,6 +215,8 @@ def _fit_report(fit: FitResult, payload: dict, cov_names: list[str], fmt: str) -
 
 
 def cmd_estimate(args: argparse.Namespace) -> str:
+    if args.hc1 and args.family != "gaussian":
+        raise ValueError("--hc1 applies only to --family gaussian")
     data, cov_names = _read_dataset(args.data)
     spec = _parse_model(args.model, cov_names)
     if args.centering == "known-mean":
@@ -359,14 +361,14 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     else:
         models = [named_spec("ANOVA", 1), named_spec("ANCOVA", 1), named_spec("ANHECOVA", 1)]
     if scn.covariate_assignment:
-        if args.pis:
+        if args.pis is not None:
             print(
                 f"note: scenario {scn.id} assigns treatment from the covariate; --pis ignored",
                 file=sys.stderr,
             )
         pis = None
     else:
-        pis = _parse_pis(args.pis) if args.pis else [0.5]
+        pis = _parse_pis(args.pis) if args.pis is not None else [0.5]
     report = run_grid(scn, models, pis, args.reps, seed=args.seed)
     if args.format == "json":
         return report.to_json()

@@ -241,10 +241,7 @@ class ColumnMap:
 
 _NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z_0-9.]*"
-_TERM_RE = re.compile(
-    rf"^(?:(?P<one>1)|(?P<inter>A:(?P<iname>{_IDENT})(?:@(?P<ival>{_NUMBER}))?)"
-    rf"|(?P<treat>A)|(?P<main>(?P<mname>{_IDENT})(?:@(?P<mval>{_NUMBER}))?))$"
-)
+_TERM_RE = re.compile(rf"^(?P<side>A:)?(?P<name>{_IDENT})(?:@(?P<value>{_NUMBER}))?$")
 
 
 def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
@@ -295,8 +292,7 @@ def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
 
     gamma: list[CoefConstraint | None] = [None] * p
     delta: list[CoefConstraint | None] = [None] * p
-    saw_one = False
-    saw_a = False
+    seen: set[str] = set()
 
     pos = 0
     for raw in text.split("+"):
@@ -307,41 +303,32 @@ def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
             msg = f"empty term at position {at} in {text!r}"
             raise ValueError(msg)
         compact = re.sub(r"\s+", "", term)
-        if compact in ("X", "A:X") and "X" not in index:
-            slots, side = (gamma, "") if compact == "X" else (delta, "A:")
-            for j in range(p):
-                _set_term(slots, j, FREE, names, side=side)
+        if compact in ("1", "A"):
+            if compact in seen:
+                msg = f"duplicate term {compact!r}"
+                raise ValueError(msg)
+            seen.add(compact)
             continue
         m = _TERM_RE.match(compact)
         if m is None:
             msg = f"cannot parse term {term!r} at position {at} in {text!r}"
             raise ValueError(msg)
-        if m.group("one"):
-            if saw_one:
-                msg = "duplicate term '1'"
-                raise ValueError(msg)
-            saw_one = True
-        elif m.group("treat"):
-            if saw_a:
-                msg = "duplicate term 'A'"
-                raise ValueError(msg)
-            saw_a = True
-        else:
-            inter = m.group("inter") is not None
-            name = m.group("iname" if inter else "mname")
-            if name not in index:
-                msg = f"unknown covariate {name!r} at position {at}"
-                raise ValueError(msg)
-            val = m.group("ival" if inter else "mval")
-            c = FREE if val is None else CoefConstraint(float(val))
-            _set_term(delta if inter else gamma, index[name], c, names, side="A:" if inter else "")
+        side, name, val = m.group("side") or "", m.group("name"), m.group("value")
+        slots = delta if side else gamma
+        if name == "X" and val is None and "X" not in index:
+            for j in range(p):
+                _set_term(slots, j, FREE, names, side=side)
+            continue
+        if name not in index:
+            msg = f"unknown covariate {name!r} at position {at}"
+            raise ValueError(msg)
+        c = FREE if val is None else CoefConstraint(float(val))
+        _set_term(slots, index[name], c, names, side=side)
 
-    if not saw_one:
-        msg = "formula must contain the intercept term '1'"
-        raise ValueError(msg)
-    if not saw_a:
-        msg = "formula must contain the treatment term 'A'"
-        raise ValueError(msg)
+    for required, what in (("1", "intercept"), ("A", "treatment")):
+        if required not in seen:
+            msg = f"formula must contain the {what} term {required!r}"
+            raise ValueError(msg)
 
     zero = CoefConstraint(0.0)
     return ModelSpec(
@@ -367,16 +354,12 @@ def format_formula(spec: ModelSpec, covariate_names: list[str]) -> str:
         msg = f"expected {spec.p} covariate names, got {len(covariate_names)}"
         raise ValueError(msg)
     parts = ["1", "A"]
-    for j, c in enumerate(spec.gamma):
-        if c.is_free:
-            parts.append(covariate_names[j])
-        elif c.value != 0.0:
-            parts.append(f"{covariate_names[j]}@{c.value!r}")
-    for j, c in enumerate(spec.delta):
-        if c.is_free:
-            parts.append(f"A:{covariate_names[j]}")
-        elif c.value != 0.0:
-            parts.append(f"A:{covariate_names[j]}@{c.value!r}")
+    for side, coefs in (("", spec.gamma), ("A:", spec.delta)):
+        for name, c in zip(covariate_names, coefs):
+            if c.is_free:
+                parts.append(side + name)
+            elif c.value != 0.0:
+                parts.append(f"{side}{name}@{c.value!r}")
     return " + ".join(parts)
 
 
@@ -448,28 +431,19 @@ def _design(spec: ModelSpec, a: np.ndarray, xc: np.ndarray):
     ``a`` is (..., n) and ``xc`` (..., n, p); returns Z (..., n, q),
     the offset (..., n) and the ColumnMap.
     """
-    free_g = spec.unrestricted_gamma()
-    free_d = spec.unrestricted_delta()
     cols = [np.ones_like(a), a]
     labels = ["1", "A"]
+    offset = np.zeros_like(a)
     gamma_cols: dict[int, int] = {}
     delta_cols: dict[int, int] = {}
-    for j in free_g:
-        gamma_cols[j] = len(cols)
-        cols.append(xc[..., j])
-        labels.append(f"X{j + 1}")
-    for j in free_d:
-        delta_cols[j] = len(cols)
-        cols.append(a * xc[..., j])
-        labels.append(f"A:X{j + 1}")
-    z = np.stack(cols, axis=-1)
-
-    offset = np.zeros_like(a)
-    for j, c in enumerate(spec.gamma):
-        if not c.is_free and c.value != 0.0:
-            offset += c.value * xc[..., j]
-    for j, c in enumerate(spec.delta):
-        if not c.is_free and c.value != 0.0:
-            offset += c.value * (a * xc[..., j])
-
-    return z, offset, ColumnMap(tuple(labels), gamma_cols, delta_cols)
+    for side, coefs, where in (("", spec.gamma, gamma_cols), ("A:", spec.delta, delta_cols)):
+        for j, c in enumerate(coefs):
+            if c.is_free or c.value != 0.0:
+                term = a * xc[..., j] if side else xc[..., j]
+                if c.is_free:
+                    where[j] = len(cols)
+                    cols.append(term)
+                    labels.append(f"{side}X{j + 1}")
+                else:
+                    offset += c.value * term
+    return np.stack(cols, axis=-1), offset, ColumnMap(tuple(labels), gamma_cols, delta_cols)

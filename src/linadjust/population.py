@@ -9,8 +9,7 @@ sampler's closed-form ``moments()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,14 +22,12 @@ __all__ = [
     "GaussianArmSampler",
     "PopulationSpec",
     "PopulationSolution",
-    "BetaAteEstimate",
     "solve_population",
     "asymptotic_variance_known_mean",
     "asymptotic_variance_centered",
     "variance_gap_theorem2",
     "ancova_anova_gap",
     "make_counterexample",
-    "approximate_beta_ate",
     "random_moment_population",
     "population_to_dict",
     "population_from_dict",
@@ -166,11 +163,6 @@ class PopulationSolution:
     gamma: np.ndarray
     delta: np.ndarray
     beta_ate: float
-
-
-class BetaAteEstimate(NamedTuple):
-    value: float
-    mc_se: float
 
 
 def solve_population(spec: ModelSpec, pop: PopulationSpec) -> PopulationSolution:
@@ -339,33 +331,6 @@ def make_counterexample(kind: str, pi: float) -> PopulationSpec:
     return PopulationSpec(pi=pi, sampler=sampler)
 
 
-def approximate_beta_ate(
-    pop: PopulationSpec, n_draws: int = 10_000_000, seed: int = 0
-) -> BetaAteEstimate:
-    """Monte Carlo estimate of E[Y(1) - Y(0)] with its standard error."""
-    if pop.sampler is None:
-        msg = "approximate_beta_ate needs a sampler with potential outcomes"
-        raise ValueError(msg)
-    if n_draws <= 0:
-        msg = f"n_draws must be positive, got {n_draws}"
-        raise ValueError(msg)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB47A)))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1_000_000
-    while done < n_draws:
-        m = min(chunk, n_draws - done)
-        _, y1, y0 = pop.sampler.potential(m, rng)
-        d = y1 - y0
-        total += float(d.sum())
-        total_sq += float((d * d).sum())
-        done += m
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean * mean, 0.0)
-    return BetaAteEstimate(mean, float(np.sqrt(var / n_draws)))
-
-
 def random_moment_population(rng: np.random.Generator, p: int | None = None) -> PopulationSpec:
     """Random Gaussian-arm population for property suites.
 
@@ -396,29 +361,13 @@ def random_moment_population(rng: np.random.Generator, p: int | None = None) -> 
 def population_to_dict(pop: PopulationSpec) -> dict:
     """JSON-ready serialization of the moment record."""
     m = pop.moments
-    return {
-        "pi": pop.pi,
-        "sigma": m.sigma.tolist(),
-        "omega1": m.omega1.tolist(),
-        "omega0": m.omega0.tolist(),
-        "mu1": m.mu1,
-        "mu0": m.mu0,
-        "q1": m.q1,
-        "q0": m.q0,
-    }
+    record = {f.name: np.asarray(getattr(m, f.name)).tolist() for f in fields(ExactMoments)}
+    return {"pi": pop.pi, **record}
 
 
 def population_from_dict(d: dict) -> PopulationSpec:
     try:
-        moments = ExactMoments(
-            sigma=np.asarray(d["sigma"], dtype=float),
-            omega1=np.asarray(d["omega1"], dtype=float),
-            omega0=np.asarray(d["omega0"], dtype=float),
-            mu1=d["mu1"],
-            mu0=d["mu0"],
-            q1=d["q1"],
-            q0=d["q0"],
-        )
+        moments = ExactMoments(**{f.name: d[f.name] for f in fields(ExactMoments)})
         return PopulationSpec(pi=float(d["pi"]), moments=moments)
     except KeyError as exc:
         msg = f"population record is missing field {exc.args[0]!r}"

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import expit
 
 from .estimate import EstimationError, _fit, _Stack
 from .model import Dataset, ModelSpec, _check_pi, _check_samples, format_formula, named_spec
@@ -103,6 +102,9 @@ def _quadratic_means(x):
 
 
 def _expit_propensity(x):
+    # imported here so that only scenario 3/4 draws pay scipy's import time
+    from scipy.special import expit
+
     return expit(4.0 - 2.0 * x)
 
 

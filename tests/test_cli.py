@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -34,6 +35,18 @@ def data_csv(tmp_path):
     path = tmp_path / "trial.csv"
     rows = ["a,y,x1"]
     rows += [f"{a},{y},{x}" for a, y, x in zip(A, Y, X)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture
+def counts_csv(tmp_path):
+    rng = np.random.default_rng(4)
+    a = (np.arange(40) % 2).astype(float)
+    x = rng.normal(size=40)
+    y = rng.poisson(np.exp(0.5 + 0.8 * a + 0.2 * x)).astype(float)
+    path = tmp_path / "counts.csv"
+    rows = ["a,y,x1"] + [f"{ai:g},{yi:g},{xi}" for ai, yi, xi in zip(a, y, x)]
     path.write_text("\n".join(rows) + "\n")
     return path
 
@@ -117,6 +130,21 @@ class TestEstimate:
         )
         assert rc == 2
         assert "--mean" in err
+
+    @pytest.mark.parametrize(
+        "mean, message",
+        [
+            ("1,x", "--mean must be comma-separated numbers, got '1,x'"),
+            ("0,0", "--mean needs 1 values, got 2"),
+        ],
+    )
+    def test_bad_known_mean(self, data_csv, capsys, mean, message):
+        rc, out, err = run(
+            ["estimate", "--data", str(data_csv), "--model", "ancova",
+             "--centering", "known-mean", "--mean", mean],
+            capsys,
+        )
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_mean_requires_known_mean_centering(self, data_csv, capsys):
         rc, _, err = run(
@@ -246,16 +274,10 @@ class TestEstimate:
         )
         assert json.loads(out)["ate_hat"] == pytest.approx(fit.ate_hat, abs=1e-12)
 
-    def test_poisson_family(self, tmp_path, capsys):
-        rng = np.random.default_rng(4)
-        a = (np.arange(40) % 2).astype(float)
-        x = rng.normal(size=40)
-        y = rng.poisson(np.exp(0.5 + 0.8 * a + 0.2 * x)).astype(float)
-        path = tmp_path / "counts.csv"
-        rows = ["a,y,x1"] + [f"{ai:g},{yi:g},{xi}" for ai, yi, xi in zip(a, y, x)]
-        path.write_text("\n".join(rows) + "\n")
+    def test_poisson_family(self, counts_csv, capsys):
+        a, y, x = np.loadtxt(counts_csv, delimiter=",", skiprows=1, unpack=True)
         rc, out, _ = run(
-            ["estimate", "--data", str(path), "--model", "ancova",
+            ["estimate", "--data", str(counts_csv), "--model", "ancova",
              "--family", "poisson", "--format", "json"],
             capsys,
         )
@@ -266,6 +288,25 @@ class TestEstimate:
         assert payload["ate_hat"] == pytest.approx(fit.ate_hat, rel=1e-9)
         assert payload["iterations"] == fit.iterations > 1
         assert payload["condition_number"] == fit.condition_number
+
+    def test_hc1_is_gaussian_only(self, counts_csv, capsys):
+        rc, out, err = run(
+            ["estimate", "--data", str(counts_csv), "--model", "ancova",
+             "--family", "poisson", "--hc1"],
+            capsys,
+        )
+        assert (rc, out, err) == (2, "", "error: --hc1 applies only to --family gaussian\n")
+
+    def test_unconverged_poisson_fit_is_flagged(self, counts_csv, capsys, monkeypatch):
+        monkeypatch.setattr("linadjust.estimate.IRLS_MAX_ITER", 2)
+        rc, out, _ = run(
+            ["estimate", "--data", str(counts_csv), "--model", "ancova", "--family", "poisson"],
+            capsys,
+        )
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[lines.index("converged  False") - 1].startswith("ate_se ")
+        assert "iterations 2" in lines
 
     def test_poisson_rejects_weights(self, tmp_path, capsys):
         path = tmp_path / "wcounts.csv"
@@ -344,6 +385,21 @@ class TestCsvValidation:
         assert rc == 2
         assert f"{path} {message}" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("a,y,w\n1,2,1\n", "need at least one covariate column"),
+            ("a,y,x1\n", "no data rows"),
+            ("a,y,x1,x2\n1,1,0,1\n0,2,1,0\n1,3,2,2\n", "need at least p + 2 = 4 rows, got 3"),
+        ],
+    )
+    def test_csv_structure(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
+
     def test_missing_file(self, capsys):
         rc, _, err = run(
             ["estimate", "--data", "/does/not/exist.csv", "--model", "anova"], capsys
@@ -389,6 +445,13 @@ class TestCheck:
         assert payload["verdict"] == "Dominates"
         assert payload["theorem"] == "Theorem1-interaction-superset"
         assert payload["model1"] == "1 + A + A:X1 + A:X2"
+
+    def test_non_integer_p(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--model", "ancova", "--model2", "anova", "--pi", "0.3",
+                  "--p", "abc"])
+        assert exc.value.code == 2
+        assert "argument --p: expected an integer, got 'abc'" in capsys.readouterr().err
 
     def test_identical_models_rejected(self, capsys):
         rc, _, err = run(
@@ -448,6 +511,27 @@ class TestCompare:
         )
         assert rc == 2
         assert "invalid JSON" in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_non_square_sigma(self, tmp_path, capsys):
+        path = tmp_path / "pop.json"
+        record = {"pi": 0.3, "sigma": [[1.0, 0.0]], "omega1": [1.0], "omega0": [1.0],
+                  "mu1": 1.0, "mu0": 0.0, "q1": 3.0, "q0": 2.0}
+        path.write_text(json.dumps(record))
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: sigma must be square, got shape (1, 2)\n"
 
     def test_non_utf8_byte_cites_file_and_line(self, pop_file, capsys):
         pop_file.write_bytes(pop_file.read_bytes().replace(b"{", b"{\n\xff", 1))
@@ -522,6 +606,31 @@ class TestSimulate:
             assert exc.value.code == 2
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "pis, message",
+        [
+            ("0.1:0.9", "pi range must be start:stop:step, got '0.1:0.9'"),
+            ("a:b:c", "pi range must be numeric, got 'a:b:c'"),
+            ("0.9:0.1:0.1", "pi range must increase, got '0.9:0.1:0.1'"),
+        ],
+    )
+    def test_bad_pi_range(self, capsys, pis, message):
+        rc, out, err = run(
+            ["simulate", "--scenario", "1", "--reps", "2", "--n", "40", "--pis", pis], capsys
+        )
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_empty_model_list(self, capsys):
+        rc, out, err = run(
+            ["simulate", "--scenario", "1", "--reps", "2", "--n", "40", "--models", ","], capsys
+        )
+        assert (rc, out, err) == (2, "", "error: --models is empty\n")
+
+    def test_empty_pis_is_rejected(self, capsys):
+        rc, out, err = run(["simulate", "--scenario", "1", "--reps", "4", "--pis="], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: assignment probabilities must lie in (0, 1), got ''\n"
+
     def test_bad_pi_values(self, capsys):
         rc, _, err = run(
             ["simulate", "--scenario", "1", "--reps", "4", "--pis", "0,0.5"], capsys
@@ -564,6 +673,19 @@ def test_out_file_equals_stdout(command, data_csv, s1_population, tmp_path, caps
     assert rc == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == printed
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported only when a replication of scenario 3 or 4 is drawn."""
+    path = [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = (
+        "import sys, linadjust.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script(tmp_path):

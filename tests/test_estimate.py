@@ -344,6 +344,30 @@ class TestErrors:
         with pytest.raises(EstimationError, match="arm"):
             fit_ols(ANOVA1, data)
 
+    def test_covariate_count_mismatch(self, hand_data):
+        with pytest.raises(ValueError, match="dataset has p=1 covariates but spec expects 2"):
+            fit_ols(named_spec("ANCOVA", 2), hand_data)
+
+    def test_sandwich_rejects_a_wrong_length_vector(self, hand_data):
+        with pytest.raises(ValueError, match=r"expected 4 free coefficients, got shape \(2,\)"):
+            sandwich_vcov(ANHECOVA1, hand_data, [1.0, 2.0])
+
+    def test_sandwich_on_a_singular_design(self, hand_data):
+        data = Dataset(hand_data.a, np.column_stack([hand_data.x, hand_data.x]), hand_data.y)
+        with pytest.raises(SingularDesignError, match="offending columns: X1, X2"):
+            sandwich_vcov(named_spec("ANCOVA", 2), data, np.zeros(4))
+
+    def test_centered_variance_needs_the_full_fit(self, hand_data):
+        sub = fit_ols(named_spec("ANCOVA", 1), hand_data)
+        with pytest.raises(ValueError, match=r"fit_full must be the all-free \(ANHECOVA\) fit"):
+            estimate_ate_variance_centered(sub.spec, hand_data, sub, sub)
+
+    def test_centered_variance_checks_dimensions(self, hand_data):
+        sub = fit_ols(named_spec("ANCOVA", 1), hand_data)
+        full = fit_ols(ANHECOVA1, hand_data)
+        with pytest.raises(ValueError, match="dimension mismatch between spec and fits"):
+            estimate_ate_variance_centered(named_spec("ANCOVA", 2), hand_data, full, sub)
+
 
 def test_sandwich_vcov_matches_fit(hand_data):
     fit = fit_ols(ANHECOVA1, hand_data)

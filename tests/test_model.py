@@ -78,7 +78,8 @@ class TestParse:
             ("A + X1", "intercept"),
             ("1 + X1", "treatment"),
             ("1 + A + X1 + X1", "duplicate"),
-            ("1 + 1 + A", "duplicate"),
+            ("1 + 1 + A", "duplicate term '1'"),
+            ("1 + A + A", "duplicate term 'A'"),
             ("1 + A + X9", "unknown covariate"),
             ("1 + A + A:X9", "unknown covariate"),
             ("1 + A + ", "empty term"),
@@ -130,6 +131,11 @@ def test_format_omits_fixed_zero():
     assert format_formula(spec, NAMES2) == "1 + A + X1 + A:X1@1.5"
 
 
+def test_format_rejects_wrong_name_count():
+    with pytest.raises(ValueError, match="expected 1 covariate names, got 2"):
+        format_formula(named_spec("ANOVA", 1), NAMES2)
+
+
 class TestNamedSpecs:
     def test_case_insensitive(self):
         assert named_spec("AnHeCoVa", 2) == named_spec("ANHECOVA", 2)
@@ -153,6 +159,10 @@ class TestNamedSpecs:
         spec = named_spec("LDV", 2)
         assert spec.gamma == (FREE, FREE)
         assert spec.delta == (CoefConstraint(0.0), FREE)
+
+    def test_needs_a_covariate(self):
+        with pytest.raises(ValueError, match="p must be positive, got 0"):
+            named_spec("ANOVA", 0)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -180,6 +190,10 @@ class TestDataset:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             Dataset([0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], [0.0] * 4, [1.0, 0.0, 1.0, 1.0])
+
+    def test_weights_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"weights shape \(3,\) does not match n=4"):
+            Dataset([0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], [0.0] * 4, [1.0, 1.0, 1.0])
 
 
 class TestBuildDesign:
@@ -228,10 +242,24 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match="length"):
             named_spec("ANCOVA", 1).with_centering(KnownMean((0.0, 1.0)))
 
+    def test_known_mean_must_be_finite(self):
+        with pytest.raises(ValueError, match="known mean must be finite"):
+            KnownMean((float("nan"),))
+
+    def test_covariate_count_mismatch(self):
+        data = Dataset([0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], np.zeros(4))
+        with pytest.raises(ValueError, match="dataset has p=1 covariates but spec expects 2"):
+            build_design(named_spec("ANCOVA", 2), data)
+
 
 def test_spec_length_mismatch():
     with pytest.raises(ValueError):
         ModelSpec((FREE,), (FREE, FREE))
+
+
+def test_spec_needs_a_covariate():
+    with pytest.raises(ValueError, match="at least one covariate is required"):
+        ModelSpec((), ())
 
 
 def test_with_centering_preserves_constraints():

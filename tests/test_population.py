@@ -10,7 +10,6 @@ from linadjust import (
     PopulationSpec,
     SingularDesignError,
     ancova_anova_gap,
-    approximate_beta_ate,
     asymptotic_variance_centered,
     asymptotic_variance_known_mean,
     make_counterexample,
@@ -201,22 +200,6 @@ class TestTheorem2Gap:
             variance_gap_theorem2(ANCOVA1, ANOVA1, s1_population)
 
 
-def test_approximate_beta_ate_scenario1_population():
-    sampler = GaussianArmSampler(
-        sigma=np.array([[1.0]]),
-        b0=3.0,
-        b1=5.0,
-        l0=np.array([1.0]),
-        l1=np.array([2.5]),
-        s0=1.0,
-        s1=1.0,
-    )
-    pop = PopulationSpec(pi=0.3, sampler=sampler)
-    est = approximate_beta_ate(pop, 200_000, seed=1)
-    assert est.mc_se > 0
-    assert est.value == pytest.approx(2.0, abs=4 * est.mc_se)
-
-
 def test_sampler_draws_match_moments():
     sampler = GaussianArmSampler(
         sigma=np.array([[2.0, 0.5], [0.5, 1.0]]),
@@ -286,6 +269,24 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             population_from_dict({"pi": 0.5})
+
+
+def test_solve_population_checks_covariate_count(s1_population):
+    with pytest.raises(ValueError, match="spec has p=2 covariates but population has p=1"):
+        solve_population(named_spec("ANCOVA", 2), s1_population)
+
+
+@pytest.mark.parametrize(
+    "sigma, omega1, omega0, match",
+    [
+        ([[1.0, 0.0]], [1.0], [1.0], r"sigma must be square, got shape \(1, 2\)"),
+        (np.eye(2), [1.0], [1.0, 0.0], "omega1 and omega0 must match sigma's dimension"),
+        ([[2.0, 1.0], [0.0, 2.0]], [1.0, 0.0], [1.0, 0.0], "sigma must be symmetric"),
+    ],
+)
+def test_moment_record_shape_rules(sigma, omega1, omega0, match):
+    with pytest.raises(ValueError, match=match):
+        ExactMoments(sigma, omega1, omega0, mu1=1.0, mu0=0.0, q1=3.0, q0=2.0)
 
 
 def test_non_positive_definite_sigma_rejected():
