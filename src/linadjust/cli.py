@@ -11,18 +11,25 @@ design). A failing command writes no report.
 
 Input CSV layout: header ``a,y,<covariates...>`` with an optional
 trailing ``w`` column holding positive replication weights; UTF-8,
-``.`` as the decimal separator. Validation errors cite the offending
+``.`` as the decimal separator. Each field is read as Python's
+``float`` reads it; quoted fields and CRLF line endings are accepted and
+blank lines are skipped. Validation errors cite the offending physical
 line, counting the header as line 1.
+
+``main`` may be called any number of times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import warnings
 from dataclasses import asdict, replace
+from itertools import chain, compress, islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .dominance import check_centered, check_known_mean, corollaries, table1
 from .estimate import (
     EstimationError,
     FitResult,
+    SingularDesignError,
     fit_ols,
     fit_poisson_glm,
     fit_weighted,
@@ -57,6 +65,7 @@ from .sim import REPORT_FIELDS, run_grid, scenario
 __all__ = ["main"]
 
 _NAMED = frozenset(name.lower() for name in NAMED_SPECS)
+_BLOCK_ROWS = 4096  # CSV rows converted to floats per pass
 
 
 def _positive_int(text: str) -> int:
@@ -77,8 +86,9 @@ def _parse_model(text: str, covariate_names: list[str]) -> ModelSpec:
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
+    """Comma-separated numbers; an empty text is an empty list, an empty item an error."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
 
@@ -115,26 +125,82 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
-def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
-    """Read the input CSV; returns the dataset and covariate names."""
+def _open_csv(path: str):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _header(reader, path: str) -> list[str]:
+    """The checked header names: ``a``, ``y``, at least one covariate, optional ``w``."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    names = [h.strip() for h in header]
+    if len(names) < 3 or names[0] != "a" or names[1] != "y":
+        got = ",".join(names)
+        raise ValueError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
+    if names[2:] == ["w"]:
+        raise ValueError(f"{path}: need at least one covariate column")
+    return names
+
+
+def _bad_cells(arr: np.ndarray, names: list[str]) -> np.ndarray:
+    """Where a value rule fails: a not 0 or 1, a value not finite, a weight not positive."""
+    bad = ~np.isfinite(arr)
+    bad[:, 0] = (arr[:, 0] != 0.0) & (arr[:, 0] != 1.0)
+    if names[-1] == "w":
+        bad[:, -1] |= arr[:, -1] <= 0.0
+    return bad
+
+
+def _floats(rows: list[list[str]], width: int) -> np.ndarray:
+    """Rows of equal width as a float array, each field read by ``float``."""
+    values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * width)
+    return values.reshape(-1, width)
+
+
+def _block_floats(block: list[list[str]], width: int) -> np.ndarray | None:
+    """A block of CSV rows as floats, blank rows dropped; None for a bad row."""
+    if set(map(len, block)) == {width}:
+        try:
+            return _floats(block, width)
+        except ValueError:
+            pass  # a non-numeric value, or a full-width row of blank fields
+    block = list(compress(block, map(str.strip, map("".join, block))))
+    if any(len(row) != width for row in block):
+        return None
     try:
-        with fh:
+        return _floats(block, width)
+    except ValueError:
+        return None
+
+
+def _read_blocks(path: str) -> tuple[list[str], np.ndarray | None]:
+    """The header and the data rows, ``_BLOCK_ROWS`` at a time; None for a bad row."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        names = _header(reader, path)
+        blocks = [np.empty((0, len(names)))]
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            values = _block_floats(block, len(names))
+            if values is None:
+                return names, None
+            blocks.append(values)
+    return names, np.concatenate(blocks)
+
+
+def _reject(path: str) -> NoReturn:
+    """Raise the error of a file that broke a rule: its first bad line, then column.
+
+    Re-reads the file one row at a time; line numbers are those of
+    ``csv.reader``, counting physical lines from the header as line 1.
+    """
+    try:
+        with _open_csv(path) as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            names = [h.strip() for h in header]
-            if len(names) < 3 or names[0] != "a" or names[1] != "y":
-                got = ",".join(names)
-                raise ValueError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
-            has_w = names[-1] == "w"
-            cov_names = names[2 : len(names) - 1 if has_w else len(names)]
-            if not cov_names:
-                raise ValueError(f"{path}: need at least one covariate column")
+            names = _header(reader, path)
             rows, lines = [], []
             for row in reader:
                 line = reader.line_num
@@ -150,20 +216,34 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
                 lines.append(line)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows)
-    # One pass in header order: the first bad line wins, then its first bad column.
-    bad = ~np.isfinite(arr)
-    bad[:, 0] = (arr[:, 0] != 0.0) & (arr[:, 0] != 1.0)
-    if has_w:
-        bad[:, -1] |= arr[:, -1] <= 0.0
+    has_w = names[-1] == "w"
+    arr = np.asarray(rows).reshape(-1, len(names))
+    bad = _bad_cells(arr, names)
     if bad.any():
+        # the first bad line wins, then its first bad column in header order
         i, j = divmod(int(bad.argmax()), arr.shape[1])
         rule = "a must be 0 or 1" if j == 0 else f"{names[j]} must be finite"
         if has_w and j == len(names) - 1 and np.isfinite(arr[i, j]):
             rule = "weight must be positive"
         raise ValueError(f"{path} line {lines[i]}: {rule}, got {arr[i, j]:.15g}")
+    raise ValueError(f"{path}: changed while it was read")
+
+
+def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
+    """Read the input CSV; returns the dataset and covariate names.
+
+    Rows are tokenised by ``csv.reader`` and converted to floats a block
+    at a time. A file that breaks a rule is handed to ``_reject``.
+    """
+    try:
+        names, arr = _read_blocks(path)
+    except (UnicodeDecodeError, csv.Error):
+        arr = None
+    if arr is None or _bad_cells(arr, names).any():
+        _reject(path)
+    if not len(arr):
+        raise ValueError(f"{path}: no data rows")
+    has_w = names[-1] == "w"
     a, y = arr[:, 0], arr[:, 1]
     x = arr[:, 2 : len(names) - 1] if has_w else arr[:, 2:]
     w = arr[:, -1] if has_w else None
@@ -171,7 +251,7 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
         data = Dataset(a, x, y, w)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return data, cov_names
+    return data, names[2 : len(names) - 1 if has_w else len(names)]
 
 
 def _fit_report(fit: FitResult, payload: dict, cov_names: list[str], fmt: str) -> str:
@@ -299,7 +379,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
         raise ValueError(f"{args.population}: invalid JSON: {exc}") from exc
     try:
         pop = population_from_dict(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, SingularDesignError) as exc:
         raise ValueError(f"{args.population}: {exc}") from exc
     if args.pi is not None:
         pop = replace(pop, pi=args.pi)
@@ -411,7 +491,9 @@ def cmd_table1(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="linadjust",
         description=(

@@ -21,6 +21,7 @@ from linadjust import (
     run_grid,
     scenario,
 )
+from linadjust import cli
 from linadjust.cli import main
 
 A = [1, 1, 1, 1, 0, 0, 0, 0]
@@ -145,6 +146,15 @@ class TestEstimate:
             capsys,
         )
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_known_mean_with_empty_item(self, data_csv, capsys):
+        rc, out, err = run(
+            ["estimate", "--data", str(data_csv), "--model", "ancova",
+             "--centering", "known-mean", "--mean", "0,"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: --mean must be comma-separated numbers, got '0,'\n"
 
     def test_mean_requires_known_mean_centering(self, data_csv, capsys):
         rc, _, err = run(
@@ -416,6 +426,178 @@ class TestCsvValidation:
         assert err == f"error: {path} line 3: not UTF-8 text (byte 0xff)\n"
 
 
+def _rows(n, weighted=False):
+    """n valid data rows of fields, as strings: a, y, x1[, w]."""
+    rows = []
+    for i in range(n):
+        row = [str(i % 2), f"{(i * 7919) % 1000 / 37 - 13.5!r}", f"{0.1 * (i % 53) - 2.6:.17g}"]
+        rows.append(row + [repr(0.5 + (i % 9) / 4)] if weighted else row)
+    return rows
+
+
+class TestCsvReader:
+    """The block reader loads what a row-at-a-time ``float`` loads, and fails alike."""
+
+    @staticmethod
+    def write(tmp_path, lines, eol="\n"):
+        path = tmp_path / "data.csv"
+        path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+        return path
+
+    @staticmethod
+    def past_first_block():
+        return cli._BLOCK_ROWS + 17
+
+    @pytest.fixture(params=["block", "tiny-block"])
+    def block_rows(self, request, monkeypatch):
+        """Run each case with the reader's own block size and with 3-row blocks."""
+        if request.param == "tiny-block":
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+
+    def loaded(self, path, header, rows):
+        data, names = cli._read_dataset(str(path))
+        want = np.array([[float(v) for v in row] for row in rows])
+        assert names == header[2 : len(header) - (header[-1] == "w")]
+        assert np.array_equal(data.a, want[:, 0])
+        assert np.array_equal(data.y, want[:, 1])
+        k = len(names)
+        assert np.array_equal(data.x, want[:, 2 : 2 + k])
+        if header[-1] == "w":
+            assert np.array_equal(data.weights, want[:, -1])
+        else:
+            assert data.weights is None
+
+    def test_crlf(self, tmp_path, block_rows):
+        rows = _rows(self.past_first_block(), weighted=True)
+        header = ["a", "y", "x1", "w"]
+        path = self.write(tmp_path, [",".join(header)] + [",".join(r) for r in rows], "\r\n")
+        self.loaded(path, header, rows)
+
+    def test_quoted_fields(self, tmp_path, block_rows):
+        rows = _rows(self.past_first_block())
+        lines = ["a,y,x1"] + [",".join(f'"{v}"' if i % 3 else v for v in r)
+                              for i, r in enumerate(rows)]
+        self.loaded(self.write(tmp_path, lines), ["a", "y", "x1"], rows)
+
+    def test_blank_and_whitespace_lines_are_skipped(self, tmp_path, block_rows):
+        rows = _rows(self.past_first_block())
+        lines = ["a,y,x1", ""]
+        for i, r in enumerate(rows):
+            lines.append(",".join(r))
+            if i % 997 == 5 or i == cli._BLOCK_ROWS - 1:
+                lines += ["", "   ", ",,", " , ,\t"]
+        self.loaded(self.write(tmp_path, lines), ["a", "y", "x1"], rows)
+
+    def test_float_syntax(self, tmp_path, block_rows):
+        rows = _rows(self.past_first_block())
+        rows[3] = ["1", "1_000", " 1.5 "]
+        rows[-2] = ["0", "-0.0", "+2E-3"]
+        lines = ["a, y ,x1"] + [",".join(r) for r in rows]
+        self.loaded(self.write(tmp_path, lines), ["a", "y", "x1"], rows)
+
+    def test_quoted_field_over_two_lines(self, tmp_path, block_rows):
+        rows = _rows(self.past_first_block())
+        lines = ["a,y,x1"] + [",".join(r) for r in rows]
+        k = cli._BLOCK_ROWS + 5
+        lines[k] = '1,"2.5\n",0.25'  # float() strips the newline
+        rows[k - 1] = ["1", "2.5\n", "0.25"]
+        self.loaded(self.write(tmp_path, lines), ["a", "y", "x1"], rows)
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            ("1,2.0", "expected 3 fields, got 2"),
+            ("1,2.0,0.5,7", "expected 3 fields, got 4"),
+            ("1,oops,0.5", "non-numeric value in ['1', 'oops', '0.5']"),
+            ("1,,0.5", "non-numeric value in ['1', '', '0.5']"),
+            ("2,1.0,0.5", "a must be 0 or 1, got 2"),
+            ("1,+inf,0.5", "y must be finite, got inf"),
+            ("0,1.0,nan", "x1 must be finite, got nan"),
+            ('1,"2\n.5",0.5', "non-numeric value in ['1', '2\\n.5', '0.5']"),
+        ],
+        ids=["short", "long", "word", "empty-field", "a-is-2", "plus-inf", "nan", "two-lines"],
+    )
+    def test_bad_row_past_first_block(self, tmp_path, capsys, block_rows, bad, message):
+        rows = _rows(self.past_first_block() + 40)
+        k = self.past_first_block()
+        lines = ["a,y,x1"] + [",".join(r) for r in rows[:k]] + [bad]
+        lines += [",".join(r) for r in rows[k:]]
+        line = k + 2 + bad.count("\n")  # the header is line 1; a record ends on its last line
+        path = self.write(tmp_path, lines)
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path} line {line}: {message}\n")
+
+    def test_zero_weight_past_first_block(self, tmp_path, capsys, block_rows):
+        rows = _rows(self.past_first_block() + 40, weighted=True)
+        rows[self.past_first_block()][-1] = "0"
+        path = self.write(tmp_path, ["a,y,x1,w"] + [",".join(r) for r in rows])
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        line = self.past_first_block() + 2
+        assert (rc, out, err) == (
+            2, "", f"error: {path} line {line}: weight must be positive, got 0\n"
+        )
+
+    def test_row_error_wins_over_earlier_value_error(self, tmp_path, capsys, block_rows):
+        rows = _rows(self.past_first_block() + 40)
+        rows[3][0] = "2"
+        rows[self.past_first_block()] = ["1", "2.0"]
+        path = self.write(tmp_path, ["a,y,x1"] + [",".join(r) for r in rows])
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        line = self.past_first_block() + 2
+        assert (rc, out, err) == (2, "", f"error: {path} line {line}: expected 3 fields, got 2\n")
+
+    def test_non_utf8_byte_past_first_block(self, tmp_path, capsys, block_rows):
+        rows = _rows(self.past_first_block() + 40)
+        k = self.past_first_block()
+        head = "\n".join(["a,y,x1"] + [",".join(r) for r in rows[:k]]) + "\n"
+        tail = "\n".join(",".join(r) for r in rows[k:]) + "\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(head.encode() + b"1,2.0,0.5\xfe\n" + tail.encode())
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (
+            2, "", f"error: {path} line {k + 2}: not UTF-8 text (byte 0xfe)\n"
+        )
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; every call parses into a fresh namespace."""
+
+    def test_argparse_error_then_valid_command(self, data_csv, capsys):
+        argv = ["estimate", "--data", str(data_csv), "--model", "anhecova", "--format", "json"]
+        cli._build_parser.cache_clear()
+        first = run(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", str(data_csv), "--model", "anova", "--family", "x"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'x'" in capsys.readouterr().err
+        assert run(argv, capsys) == first
+
+    @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
+    def test_help_twice(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("usage: linadjust")
+
+    def test_no_option_leaks_into_the_next_call(self, data_csv, capsys):
+        argv = ["estimate", "--data", str(data_csv), "--model", "anhecova", "--format", "json"]
+        spec = named_spec("ANHECOVA", 1).with_centering(Empirical())
+        data = Dataset(np.array(A, float), np.array(X), np.array(Y))
+        rc, out, _ = run(argv + ["--hc1", "--pi", "0.5"], capsys)
+        assert rc == 0
+        assert json.loads(out)["ate_se"] == fit_ols(spec, data, hc1=True).ate_se
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["ate_se"] == fit_ols(spec, data).ate_se
+        assert payload["ate_se"] != fit_ols(spec, data, hc1=True).ate_se
+        assert payload["pi"] is None
+
+
 class TestCheck:
     def test_dominates_text(self, capsys):
         rc, out, _ = run(
@@ -533,6 +715,17 @@ class TestCompare:
         assert (rc, out) == (2, "")
         assert err == f"error: {path}: sigma must be square, got shape (1, 2)\n"
 
+    def test_sigma_not_positive_definite_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "pop.json"
+        record = {"pi": 0.3, "sigma": [[1.0, 3.0], [3.0, 2.0]], "omega1": [1.0, 0.0],
+                  "omega0": [0.5, 0.0], "mu1": 1.0, "mu0": 0.0, "q1": 3.0, "q0": 2.0}
+        path.write_text(json.dumps(record))
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert (rc, out, err) == (2, "", f"error: {path}: sigma must be positive definite\n")
+
     def test_non_utf8_byte_cites_file_and_line(self, pop_file, capsys):
         pop_file.write_bytes(pop_file.read_bytes().replace(b"{", b"{\n\xff", 1))
         rc, out, err = run(
@@ -630,6 +823,13 @@ class TestSimulate:
         rc, out, err = run(["simulate", "--scenario", "1", "--reps", "4", "--pis="], capsys)
         assert (rc, out) == (2, "")
         assert err == "error: assignment probabilities must lie in (0, 1), got ''\n"
+
+    def test_pis_with_empty_item_is_rejected(self, capsys):
+        rc, out, err = run(
+            ["simulate", "--scenario", "1", "--reps", "4", "--pis", "0.5,,"], capsys
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: --pis must be comma-separated numbers, got '0.5,,'\n"
 
     def test_bad_pi_values(self, capsys):
         rc, _, err = run(
