@@ -125,11 +125,25 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
-def _open_csv(path: str):
+def _open_csv(path: str, errors: str = "strict"):
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8", errors=errors)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _utf8_rows(reader, path: str):
+    """The rows of a reader over a file opened with ``errors="surrogateescape"``.
+
+    A row holding a byte that is not UTF-8 (escaped to a lone surrogate)
+    raises the file's not-UTF-8 error there, so it is reported in row order.
+    """
+    for row in reader:
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError:
+            raise _not_utf8(path) from None
+        yield row
 
 
 def _header(reader, path: str) -> list[str]:
@@ -180,7 +194,7 @@ def _block_floats(block: list[list[str]], width: int) -> np.ndarray | None:
 def _read_blocks(path: str) -> tuple[list[str], np.ndarray | None]:
     """The header and the data rows, ``_BLOCK_ROWS`` at a time; None for a bad row."""
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         names = _header(reader, path)
         blocks = [np.empty((0, len(names)))]
         while block := list(islice(reader, _BLOCK_ROWS)):
@@ -196,13 +210,17 @@ def _reject(path: str) -> NoReturn:
 
     Re-reads the file one row at a time; line numbers are those of
     ``csv.reader``, counting physical lines from the header as line 1.
+    Malformed CSV (an unclosed quote, a field over ``csv.field_size_limit()``)
+    is reported at the first line of its row, and a byte that is not UTF-8
+    at its own line, in row order with the other rules.
     """
-    try:
-        with _open_csv(path) as fh:
-            reader = csv.reader(fh)
-            names = _header(reader, path)
-            rows, lines = [], []
-            for row in reader:
+    with _open_csv(path, errors="surrogateescape") as fh:
+        reader = csv.reader(fh, strict=True)
+        rows, lines, line = [], [], 0
+        try:
+            names = _header(_utf8_rows(reader, path), path)
+            line = reader.line_num
+            for row in _utf8_rows(reader, path):
                 line = reader.line_num
                 if not row or all(v.strip() == "" for v in row):
                     continue
@@ -214,8 +232,8 @@ def _reject(path: str) -> NoReturn:
                 except ValueError:
                     raise ValueError(f"{path} line {line}: non-numeric value in {row!r}") from None
                 lines.append(line)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        except csv.Error as exc:  # cite the first line of the row it broke off
+            raise ValueError(f"{path} line {line + 1}: {exc}") from None
     has_w = names[-1] == "w"
     arr = np.asarray(rows).reshape(-1, len(names))
     bad = _bad_cells(arr, names)

@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ColumnMap, Dataset, Empirical, ModelSpec, build_design, named_spec
-from .model import _center, _design
+from .model import Centering, ColumnMap, Dataset, Empirical, KnownMean, ModelSpec, build_design
+from .model import _center, _design, named_spec
 
 __all__ = [
     "EstimationError",
@@ -124,9 +124,10 @@ class _Stack:
     """R samples of n rows and p covariates each, stacked on a leading axis.
 
     ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, n) or
-    None. What every spec fitted to the stack shares (the covariates'
-    covariance and the full model's interaction estimate for the
-    centering penalty) is computed once.
+    None. What every spec fitted to the stack shares is computed once:
+    the covariates under each centering, the empty-arm errors, and for
+    the centering penalty the covariates' covariance and the full
+    model's interaction estimate.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -138,30 +139,49 @@ class _Stack:
         self.y = stack([d.y for d in datasets])
         weighted = datasets[0].weights is not None
         self.w = stack([d.weights for d in datasets]) if weighted else None
+        self._centered: dict[bytes | None, np.ndarray] = {}
 
     @classmethod
-    def empty(cls, reps: int, n: int, p: int, weighted: bool) -> _Stack:
-        """An unfilled stack of ``reps`` samples, to be written in place."""
+    def of(cls, a: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> _Stack:
+        """A stack of already stacked arrays."""
         st = cls.__new__(cls)
-        st.a, st.x, st.y = np.empty((reps, n)), np.empty((reps, n, p)), np.empty((reps, n))
-        st.w = np.empty((reps, n)) if weighted else None
+        st.a, st.x, st.y, st.w, st._centered = a, x, y, w, {}
         return st
 
     @property
     def n(self) -> int:
         return self.y.shape[1]
 
+    def centered(self, centering: Centering) -> np.ndarray:
+        """The covariates centered at the known mean or each sample's mean, (R, n, p)."""
+        key = np.asarray(centering.mu).tobytes() if isinstance(centering, KnownMean) else None
+        if key not in self._centered:
+            self._centered[key] = _center(centering, self.x)
+        return self._centered[key]
+
+    @cached_property
+    def empty_arms(self) -> dict[int, EstimationError]:
+        """Keyed by row, the error of each sample with an empty treatment arm."""
+        n1 = self.a.sum(axis=1)
+        return {
+            int(r): EstimationError(
+                f"both treatment arms must be nonempty (treated count {int(n1[r])} of {self.n})",
+                "empty arm",
+            )
+            for r in np.flatnonzero((n1 == 0) | (n1 == self.n))
+        }
+
     @cached_property
     def sigma(self) -> np.ndarray:
         """Sample covariance (ddof 0) of the covariates, (R, p, p)."""
-        xc = _center(Empirical(), self.x)
+        xc = self.centered(Empirical())
         return (xc.swapaxes(-1, -2) @ xc) * (1.0 / self.n)
 
     @cached_property
     def full_delta(self) -> tuple[np.ndarray, dict[int, EstimationError]]:
         """Interaction estimates (R, p) of the empirically centered full model, and its errors."""
         p = self.x.shape[2]
-        z, _, cmap = _design(named_spec("ANHECOVA", p), self.a, _center(Empirical(), self.x))
+        z, _, cmap = _design(named_spec("ANHECOVA", p), self.a, self.centered(Empirical()))
         coef, _, _, errors = _solve(z, self.y, cmap.labels, self.w)
         return coef[:, -p:], errors
 
@@ -276,17 +296,6 @@ def _penalized(var, sigma, delta_s, delta_f, scale):
     return np.where(clamped, 0.0, total), clamped
 
 
-def _empty_arms(st: _Stack) -> dict[int, EstimationError]:
-    n1 = st.a.sum(axis=1)
-    return {
-        int(r): EstimationError(
-            f"both treatment arms must be nonempty (treated count {int(n1[r])} of {st.n})",
-            "empty arm",
-        )
-        for r in np.flatnonzero((n1 == 0) | (n1 == st.n))
-    }
-
-
 def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = False) -> _Fits:
     """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson"."""
     if st.x.shape[2] != spec.p:
@@ -294,7 +303,7 @@ def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = Fals
         raise ValueError(msg)
     fits = _fit_poisson(spec, st) if family == "poisson" else _fit_linear(spec, st, hc1)
     # an empty arm is also a singular design, but it is reported as what it is
-    fits.errors.update(_empty_arms(st))
+    fits.errors.update(st.empty_arms)
     failed = list(fits.errors)
     fits.coef[failed] = np.nan
     fits.ate_se[failed] = np.nan
@@ -304,7 +313,7 @@ def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = Fals
 
 def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
     """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
-    z, offset, cmap = _design(spec, st.a, _center(spec.centering, st.x))
+    z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     yadj = st.y - offset
     coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.w)
     vcov = _sandwich(z, yadj - (z @ coef[..., None])[..., 0], bread, st.w, hc1)
@@ -337,7 +346,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
     if (y < 0).any() or not np.allclose(y, np.round(y)):
         msg = "Poisson outcomes must be nonnegative integers"
         raise ValueError(msg)
-    z, offset, cmap = _design(spec, st.a, _center(spec.centering, st.x))
+    z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     coef, bread, s, errors = _solve(z, np.log(y + 0.5) - offset, cmap.labels)
     converged = np.zeros(len(y), dtype=bool)
     iterations = np.zeros(len(y), dtype=int)
@@ -347,19 +356,20 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        zi, oi = z[idx], offset[idx]
-        eta = (zi @ coef[idx, :, None])[..., 0] + oi
+        rows = slice(None) if idx.size == len(y) else idx  # no gather while all are active
+        zi, oi = z[rows], offset[rows]
+        eta = (zi @ coef[rows, :, None])[..., 0] + oi
         out = ~np.isfinite(eta).all(axis=1) | (np.abs(eta).max(axis=1) > 700.0)
         mu = np.exp(np.where(out[:, None], 0.0, eta))
-        work = (eta - oi) + (y[idx] - mu) / mu
-        new, bread[idx], s[idx], collapsed = _solve(zi, work, cmap.labels, mu)
+        work = (eta - oi) + (y[rows] - mu) / mu
+        new, bread[rows], s[rows], collapsed = _solve(zi, work, cmap.labels, mu)
         # z itself has full rank, so a rank failure here means the IRLS weights
         # collapsed: a fitted mean went to 0
         out[list(collapsed)] = True
         for r in idx[out]:
             errors[int(r)] = EstimationError(_DIVERGED, "Poisson divergence")
-        step = np.abs(new - coef[idx]).max(axis=1)
-        coef[idx] = new
+        step = np.abs(new - coef[rows]).max(axis=1)
+        coef[rows] = new
         iterations[idx] = it
         done = ~out & (step < IRLS_TOL)
         converged[idx[done]] = True

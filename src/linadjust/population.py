@@ -124,9 +124,23 @@ class GaussianArmSampler:
 
     def potential(self, n: int, rng: np.random.Generator):
         """Draw covariates and both potential outcomes."""
-        x = rng.standard_normal((n, self.p)) @ self._chol.T
-        y1 = self.b1 + x @ self.l1 + self.s1 * rng.standard_normal(n)
-        y0 = self.b0 + x @ self.l0 + self.s0 * rng.standard_normal(n)
+        x, y1, y0 = self.potentials(n, [rng])
+        return x[0], y1[0], y0[0]
+
+    def potentials(self, n: int, rngs: list[np.random.Generator]):
+        """One draw of ``potential`` per generator, stacked: x (R, n, p), y1 and y0 (R, n).
+
+        Each generator fills its row of standard normals in one call, in
+        stream order: the n x p covariate draws, then the treated and the
+        control noise. The transforms then run once on the whole stack.
+        """
+        r, m = len(rngs), n * self.p
+        normals = np.empty((r, m + 2 * n))
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=normals[k])
+        x = normals[:, :m].reshape(r, n, self.p) @ self._chol.T
+        y1 = self.b1 + x @ self.l1 + self.s1 * normals[:, m : m + n]
+        y0 = self.b0 + x @ self.l0 + self.s0 * normals[:, m + n :]
         return x, y1, y0
 
 

@@ -83,11 +83,6 @@ class _Law:
     propensity: Callable[[np.ndarray], np.ndarray] | None = None
     weight: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def outcome(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.family == "poisson":
-            return rng.poisson(mean).astype(float)
-        return mean + rng.standard_normal(len(mean))
-
 
 def _linear_means(x):
     return 5.0 + 2.5 * x, 3.0 + x
@@ -218,32 +213,87 @@ def _assignment_pi(scn: Scenario, pi: float | None) -> float | None:
     return p
 
 
-def _draw_one(scn: Scenario, rng: np.random.Generator, p: float | None):
-    """One replication's (a, x, y, weights, y1, y0, x_raw, pi_x), in its law's draw order.
+def _observe(u: np.ndarray, p, y1, y0) -> tuple[np.ndarray, np.ndarray]:
+    """Treatment a = 1{u < p} and the observed outcome a*Y(1) + (1-a)*Y(0)."""
+    a = (u < p).astype(float)
+    return a, a * y1 + (1.0 - a) * y0
 
-    A standard scenario draws X, then the assignment, then the noise of
-    Y(1) and of Y(0); a custom sampler draws its potential outcomes
-    before the assignment, and its x is also x_raw.
+
+def _sampler_potentials(sampler, n: int, rngs: list, u: np.ndarray, p: float):
+    """Stacked potential outcomes of a sampler that has only ``potential(n, rng)``.
+
+    Generator k draws replication k's potential outcomes, then its
+    assignment uniforms ``u[k]``, as a lone draw does. The first
+    replication, and any whose shapes differ from it, is checked by
+    Dataset's rules as ``draw`` checks it, after the replications before
+    it are validated, so the first invalid replication raises what
+    ``draw`` raises for it. Returns x (R, n, p), y1 and y0 (R, n), and x
+    stacked in the shape the sampler returns it.
     """
-    n, law = scn.n, scn.law
+    for k, rng in enumerate(rngs):
+        x, y1, y0 = sampler.potential(n, rng)
+        rng.random(out=u[k])
+        if not k or np.shape(x) != xs.shape[1:] or not np.shape(y1) == np.shape(y0) == (n,):
+            if k:  # an earlier replication's error comes first
+                a, y = _observe(u[:k], p, ys1[:k], ys0[:k])
+                _check_samples(a, xs[:k].reshape(k, n, -1), y)
+            a, y = _observe(u[k], p, y1, y0)  # may raise the replication's own broadcast error
+            Dataset(a, x, y)  # or its shape error
+            if not k:
+                xs = np.empty((len(rngs), *np.shape(x)))
+                ys1, ys0 = np.empty((len(rngs), n)), np.empty((len(rngs), n))
+            x = np.reshape(x, xs.shape[1:])
+        xs[k], ys1[k], ys0[k] = x, y1, y0
+    return xs.reshape(len(rngs), n, -1), ys1, ys0, xs
+
+
+def _draw_chunk(scn: Scenario, p: float | None, rngs: list[np.random.Generator]):
+    """One replication per generator: (a, x, y, weights, y1, y0, x_raw, pi_x), stacked.
+
+    Two steps. Each generator first fills its raw variates into stacked
+    buffers in its stream's order: a standard scenario's X, assignment
+    uniforms, then the noise of Y(1) and of Y(0) in one call (a Poisson
+    scenario draws its counts in a second pass, once the means are
+    known); a custom sampler's potential outcomes, then the uniforms.
+    Every transform then runs once on the whole chunk. x is (R, n, p);
+    a custom sampler's x is also its x_raw. Values are not validated.
+    """
+    n, law, reps = scn.n, scn.law, len(rngs)
+    u = np.empty((reps, n))
     pi_x = weights = None
     if law is None:
-        x, y1, y0 = scn.sampler.potential(n, rng)
-        x_raw = x
-        a = (rng.random(n) < p).astype(float)
+        if hasattr(scn.sampler, "potentials"):
+            x, y1, y0 = scn.sampler.potentials(n, rngs)
+            x_raw = x
+            for k, rng in enumerate(rngs):
+                rng.random(out=u[k])
+        else:
+            x, y1, y0, x_raw = _sampler_potentials(scn.sampler, n, rngs, u, p)
+        a, y = _observe(u, p, y1, y0)
+        return a, x, y, weights, y1, y0, x_raw, pi_x
+    gaussian = law.family == "gaussian"
+    x_raw = np.empty((reps, n))
+    noise = np.empty((reps, 2 * n)) if gaussian else None  # that of Y(1), then of Y(0)
+    for k, rng in enumerate(rngs):
+        x_raw[k] = rng.normal(2.0, 1.0, n)
+        rng.random(out=u[k])
+        if gaussian:
+            rng.standard_normal(out=noise[k])
+    x = x_raw - 2.0
+    if law.propensity is not None:
+        pi_x = law.propensity(x)
+    mean1, mean0 = law.means(x)
+    if gaussian:
+        y1, y0 = mean1 + noise[:, :n], mean0 + noise[:, n:]
     else:
-        x_raw = rng.normal(2.0, 1.0, n)
-        x = x_raw - 2.0
-        if law.propensity is not None:
-            pi_x = law.propensity(x)
-        a = (rng.random(n) < (p if pi_x is None else pi_x)).astype(float)
-        mean1, mean0 = law.means(x)
-        y1 = law.outcome(mean1, rng)
-        y0 = law.outcome(mean0, rng)
-        if law.weight is not None:
-            weights = law.weight(pi_x)
-    y = a * y1 + (1.0 - a) * y0
-    return a, x, y, weights, y1, y0, x_raw, pi_x
+        y1, y0 = np.empty((reps, n)), np.empty((reps, n))
+        for k, rng in enumerate(rngs):
+            y1[k] = rng.poisson(mean1[k])
+            y0[k] = rng.poisson(mean0[k])
+    a, y = _observe(u, p if pi_x is None else pi_x, y1, y0)
+    if law.weight is not None:
+        weights = law.weight(pi_x)
+    return a, x[..., None], y, weights, y1, y0, x_raw, pi_x
 
 
 def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
@@ -253,40 +303,25 @@ def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
     is ignored under covariate-dependent assignment.
     """
     p = _assignment_pi(scn, pi)
-    a, x, y, weights, y1, y0, x_raw, pi_x = _draw_one(scn, np.random.default_rng(seed), p)
-    # a copy: the dataset may share a custom sampler's x
-    return DrawResult(Dataset(a, x, y, weights), y1, y0, np.array(x_raw), pi_x)
+    rows = _draw_chunk(scn, p, [np.random.default_rng(seed)])
+    a, x, y, w, y1, y0, x_raw, pi_x = (None if v is None else v[0] for v in rows)
+    # a copy: a custom sampler's x_raw is also the dataset's x
+    return DrawResult(Dataset(a, x, y, w), y1, y0, np.array(x_raw), pi_x)
 
 
 def _draw_stack(scn: Scenario, p: float | None, states: np.ndarray) -> _Stack:
     """Draw one chunk of replications straight into a stack.
 
-    Replication k is drawn by ``_draw_one`` from a PCG64 generator seeded
-    with the state words ``states[k]``, so its data are those of
-    ``draw`` with the seed that gave those words. The chunk is validated
-    once, by Dataset's rules: the first invalid replication raises what
-    ``draw`` raises for it.
+    Replication k is drawn from a PCG64 generator seeded with the state
+    words ``states[k]``, so its data are those of ``draw`` with the seed
+    that gave those words. The chunk is validated once, by Dataset's
+    rules: the first invalid replication raises what ``draw`` raises
+    for it.
     """
-    st = None
-    for k, state in enumerate(states):
-        rng = np.random.Generator(np.random.PCG64(_Derived(state)))
-        a, x, y, w, *_ = _draw_one(scn, rng, p)
-        if st is None or np.shape(x) != shape or y.shape != st.y.shape[1:]:
-            if st is not None:  # an earlier replication's error comes first
-                _check_samples(st.a[:k], st.x[:k], st.y[:k], None if w is None else st.w[:k])
-            data = Dataset(a, x, y, w)  # raises a replication's own shape error
-            if st is None:
-                shape = np.shape(x)
-                st = _Stack.empty(len(states), data.n, data.p, w is not None)
-                rows = st.x[..., 0] if len(shape) == 1 else st.x  # shaped like the draws' x
-            st.x[k] = data.x
-        else:
-            rows[k] = x
-        st.a[k], st.y[k] = a, y
-        if w is not None:
-            st.w[k] = w
-    _check_samples(st.a, st.x, st.y, st.w)
-    return st
+    rngs = [np.random.Generator(np.random.PCG64(_Derived(state))) for state in states]
+    a, x, y, w, *_ = _draw_chunk(scn, p, rngs)
+    _check_samples(a, x, y, w)
+    return _Stack.of(a, x, y, w)
 
 
 @dataclass
@@ -438,11 +473,12 @@ def run_grid(
     so results are reproducible bit for bit and independent of
     execution order. Every model is fitted on the replication's one
     dataset, so the cells of one pi are paired. Replications are drawn
-    in chunks of about CHUNK_ROWS rows, each chunk in one pass (its
-    seeds derived together, its draws written into the stacked arrays
-    and validated once), and each model is fitted to a whole chunk in
-    one stacked call; the numbers are those of drawing and fitting each
-    replication alone.
+    in chunks of about CHUNK_ROWS rows, each chunk at once (its seeds
+    derived together, each transform of its law run once on the stacked
+    raw variates, and the chunk validated once), and each model is
+    fitted to a whole chunk in one stacked call that shares the chunk's
+    centered covariates with the other models; the numbers are those of
+    drawing and fitting each replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
     Failed fits are excluded and counted per cell, by cause, in
     ``MonteCarloCell.failures``; a cell whose failure rate exceeds 1%

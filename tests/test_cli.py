@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -557,6 +558,41 @@ class TestCsvReader:
         assert (rc, out, err) == (
             2, "", f"error: {path} line {k + 2}: not UTF-8 text (byte 0xfe)\n"
         )
+
+    def test_field_over_the_size_limit(self, tmp_path, capsys, block_rows):
+        k = self.past_first_block()
+        rows = _rows(k + 40)
+        limit = csv.field_size_limit()
+        rows[k][2] = "1" * (limit + 10)
+        path = self.write(tmp_path, ["a,y,x1"] + [",".join(r) for r in rows])
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (
+            2, "", f"error: {path} line {k + 2}: field larger than field limit ({limit})\n"
+        )
+
+    @pytest.mark.parametrize("at", [3, "past-first-block"])
+    def test_row_error_before_a_non_utf8_byte_wins(self, tmp_path, capsys, block_rows, at):
+        k = self.past_first_block() if at == "past-first-block" else at
+        rows = [",".join(r) for r in _rows(k + 40)]
+        head = "\n".join(["a,y,x1"] + rows[:k] + ["1,2.0,0.5,7"]) + "\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(head.encode() + b"1,\xff,0.5\n" + "\n".join(rows[k:]).encode() + b"\n")
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path} line {k + 2}: expected 3 fields, got 4\n")
+
+    @pytest.mark.parametrize("where", ["last-line", "no-final-newline", "mid-file"])
+    def test_unclosed_quote_cites_its_line(self, tmp_path, capsys, block_rows, where):
+        rows = [",".join(r) for r in _rows(self.past_first_block())]
+        if where == "mid-file":  # the quoted field runs to the end, within the size limit
+            rows, k = rows[:25], 5
+        else:
+            k = len(rows)
+        lines = ["a,y,x1"] + rows[:k] + ['1,2,"4'] + rows[k:]
+        path = self.write(tmp_path, lines, "" if where == "no-final-newline" else "\n")
+        if where == "no-final-newline":
+            path.write_bytes("\n".join(lines).encode())
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path} line {k + 2}: unexpected end of data\n")
 
 
 class TestParserReuse:

@@ -392,3 +392,150 @@ class TestChunkSeeds:
             sim._rep_states(-1, sim._digest("k"), 0, 3)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             run_grid(scenario(1, n=40), [ANCOVA1], [0.5], 3, seed=-1)
+
+
+def _gaussian_sampler(p, seed=1):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(p, p))
+    return GaussianArmSampler(
+        sigma=m @ m.T + np.eye(p), b0=0.5, b1=1.5,
+        l0=rng.normal(size=p), l1=rng.normal(size=p), s0=0.7, s1=1.3,
+    )
+
+
+class _PotentialOnly:
+    """A sampler with only ``potential``; ``flat`` returns x as a 1-D array."""
+
+    p = 1
+
+    def __init__(self, flat=False):
+        self.flat = flat
+
+    def potential(self, n, rng):
+        x = 1.0 + 2.0 * rng.standard_normal((n, 1))
+        y1 = 1.0 + x[:, 0] + rng.standard_normal(n)
+        y0 = rng.exponential(size=n)
+        return (x[:, 0] if self.flat else x), y1, y0
+
+
+class _BadShapes:
+    """Invalid draws: NaN outcomes in about one in seven (``nan_first``), a bad shape in one in ten."""
+
+    p = 1
+
+    def __init__(self, fault, nan_first=False):
+        self.fault, self.nan_first = fault, nan_first
+
+    def potential(self, n, rng):
+        x = rng.standard_normal((n, 1))
+        y1, y0 = x[:, 0] + rng.standard_normal(n), rng.standard_normal(n)
+        u = rng.random()
+        if self.nan_first and u < 0.15:
+            y0[1] = np.nan
+        elif 0.15 <= u < 0.25:
+            if self.fault == "3-d-x":
+                x = x[None]
+            elif self.fault == "short-x":
+                x = x[1:]
+            else:
+                y1 = y1[1:]
+        return x, y1, y0
+
+
+CHUNK_CASES = {
+    "s1": (scenario(1, n=30), 0.3),
+    "s2-poisson": (scenario(2, n=30), 0.6),
+    "s3": (scenario(3, n=30), None),
+    "s4": (scenario(4, n=30), None),
+    **{f"gaussian-p{p}": (custom_scenario(_gaussian_sampler(p), pi=0.4, n=30), 0.4)
+       for p in (1, 2, 3)},
+    "potential-only": (custom_scenario(_PotentialOnly(), pi=0.5, beta_ate=0.0, n=30), 0.5),
+    "potential-only-1d-x": (
+        custom_scenario(_PotentialOnly(flat=True), pi=0.5, beta_ate=0.0, n=30), 0.5
+    ),
+}
+
+
+class TestChunkDraw:
+    """A chunk is drawn in two steps, raw variates per generator and then each
+    transform once on the stack; its rows are the replications drawn alone."""
+
+    @pytest.mark.parametrize("reps", [1, 9], ids=["chunk-of-one", "chunk-of-nine"])
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_rows_equal_lone_draws(self, case, reps):
+        scn, pi = CHUNK_CASES[case]
+        p = sim._assignment_pi(scn, pi)
+        seeds = [rep_seed(5, case, r) for r in range(reps)]
+        chunk = sim._draw_chunk(scn, p, [np.random.default_rng(s) for s in seeds])
+        stack = sim._draw_stack(scn, p, sim._rep_states(5, sim._digest(case), 0, reps))
+        a, x, y, w, y1, y0, x_raw, pi_x = chunk
+        for k, seed in enumerate(seeds):
+            d = draw(scn, seed, pi=pi)
+            fields = [(a, d.data.a), (x, d.data.x), (y, d.data.y), (w, d.data.weights),
+                      (y1, d.y1), (y0, d.y0), (x_raw, d.x_raw), (pi_x, d.pi_x)]
+            for got, want in fields:
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got[k], want)
+            assert np.array_equal(stack.a[k], d.data.a)
+            assert np.array_equal(stack.x[k], d.data.x)
+            assert np.array_equal(stack.y[k], d.data.y)
+            assert (stack.w is None) == (d.data.weights is None)
+            if stack.w is not None:
+                assert np.array_equal(stack.w[k], d.data.weights)
+
+    @pytest.mark.parametrize("sid", [1, 2])
+    def test_standard_stream_order(self, sid):
+        """X, the assignment uniforms, then the noise of Y(1) and of Y(0); Poisson
+        counts are drawn after the means."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(2.0, 1.0, 25) - 2.0
+        a = (rng.random(25) < 0.4).astype(float)
+        if sid == 1:
+            y1 = 5.0 + 2.5 * x + rng.standard_normal(25)
+            y0 = 3.0 + x + rng.standard_normal(25)
+        else:
+            y1 = rng.poisson(np.exp(3.0 + 0.6 * x)).astype(float)
+            y0 = rng.poisson(np.exp(1.0 + 0.6 * x)).astype(float)
+        d = draw(scenario(sid, n=25), 7, pi=0.4)
+        assert np.array_equal(d.data.x[:, 0], x)
+        assert np.array_equal(d.data.a, a)
+        assert np.array_equal(d.y1, y1)
+        assert np.array_equal(d.y0, y0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_potential_is_row_zero_of_potentials(self, p):
+        sampler = _gaussian_sampler(p, seed=p)
+        one = sampler.potential(40, np.random.default_rng(3))
+        stacked = sampler.potentials(40, [np.random.default_rng(3), np.random.default_rng(4)])
+        for got, want in zip(one, stacked):
+            assert np.array_equal(got, want[0])
+        # the per-draw formulas, one replication at a time
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, p)) @ np.linalg.cholesky(sampler.sigma).T
+        y1 = sampler.b1 + x @ sampler.l1 + sampler.s1 * rng.standard_normal(40)
+        y0 = sampler.b0 + x @ sampler.l0 + sampler.s0 * rng.standard_normal(40)
+        for got, want in zip(stacked, (x, y1, y0)):
+            assert np.array_equal(got[1], want)
+
+    @pytest.mark.parametrize("nan_first", [False, True], ids=["shape", "nan-before-shape"])
+    @pytest.mark.parametrize("fault", ["3-d-x", "short-x", "short-y"])
+    def test_bad_shape_raises_what_draw_raises(self, fault, nan_first):
+        scn = custom_scenario(_BadShapes(fault, nan_first), pi=0.5, beta_ate=0.0, n=12)
+        nan = "covariates and outcomes must be finite"
+        reps = 60
+        for key in map(str, range(20)):  # a stream whose first error is of the wanted kind
+            errors = []
+            for r in range(reps):
+                try:
+                    draw(scn, rep_seed(2, key, r))
+                except ValueError as exc:
+                    errors.append((r, str(exc)))
+            kinds = [msg == nan for _, msg in errors]
+            if errors[0][0] > 0 and kinds[0] == nan_first and not all(kinds):
+                break
+        else:
+            pytest.fail("no stream has the wanted error order")
+        with pytest.raises(ValueError) as got:
+            sim._draw_stack(scn, 0.5, sim._rep_states(2, sim._digest(key), 0, reps))
+        assert str(got.value) == errors[0][1]
