@@ -14,7 +14,8 @@ trailing ``w`` column holding positive replication weights; UTF-8,
 ``.`` as the decimal separator. Each field is read as Python's
 ``float`` reads it; quoted fields and CRLF line endings are accepted and
 blank lines are skipped. Validation errors cite the offending physical
-line, counting the header as line 1.
+line, counting the header as line 1. The file is read once, a block of
+rows at a time; only a block that breaks a rule is checked row by row.
 
 ``main`` may be called any number of times in one process.
 """
@@ -28,8 +29,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict, replace
-from itertools import chain, compress, islice
-from typing import NoReturn
+from itertools import accumulate, chain, compress, islice
 
 import numpy as np
 
@@ -125,32 +125,23 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
-def _open_csv(path: str, errors: str = "strict"):
+def _check_utf8(row: list[str], path: str) -> None:
+    """Raise the file's not-UTF-8 error if a field holds an escaped byte (a lone surrogate)."""
     try:
-        return open(path, newline="", encoding="utf-8", errors=errors)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-
-
-def _utf8_rows(reader, path: str):
-    """The rows of a reader over a file opened with ``errors="surrogateescape"``.
-
-    A row holding a byte that is not UTF-8 (escaped to a lone surrogate)
-    raises the file's not-UTF-8 error there, so it is reported in row order.
-    """
-    for row in reader:
-        try:
-            "".join(row).encode("utf-8")
-        except UnicodeEncodeError:
-            raise _not_utf8(path) from None
-        yield row
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        raise _not_utf8(path) from None
 
 
 def _header(reader, path: str) -> list[str]:
     """The checked header names: ``a``, ``y``, at least one covariate, optional ``w``."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path} line 1: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty file")
+    _check_utf8(header, path)
     names = [h.strip() for h in header]
     if len(names) < 3 or names[0] != "a" or names[1] != "y":
         got = ",".join(names)
@@ -191,85 +182,82 @@ def _block_floats(block: list[list[str]], width: int) -> np.ndarray | None:
         return None
 
 
-def _read_blocks(path: str) -> tuple[list[str], np.ndarray | None]:
-    """The header and the data rows, ``_BLOCK_ROWS`` at a time; None for a bad row."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh, strict=True)
-        names = _header(reader, path)
-        blocks = [np.empty((0, len(names)))]
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            values = _block_floats(block, len(names))
-            if values is None:
-                return names, None
-            blocks.append(values)
-    return names, np.concatenate(blocks)
+def _row_ends(block: list[list[str]], line: int) -> list[int]:
+    """``line``, the last line before a block, then the line each row ends on, as
+    ``csv.reader.line_num`` counts them: each break in a quoted field adds one."""
+    spans = (1 + t.count("\n") + t.count("\r") - t.count("\r\n") for t in map(",".join, block))
+    return list(accumulate(spans, initial=line))
 
 
-def _reject(path: str) -> NoReturn:
-    """Raise the error of a file that broke a rule: its first bad line, then column.
-
-    Re-reads the file one row at a time; line numbers are those of
-    ``csv.reader``, counting physical lines from the header as line 1.
-    Malformed CSV (an unclosed quote, a field over ``csv.field_size_limit()``)
-    is reported at the first line of its row, and a byte that is not UTF-8
-    at its own line, in row order with the other rules.
-    """
-    with _open_csv(path, errors="surrogateescape") as fh:
-        reader = csv.reader(fh, strict=True)
-        rows, lines, line = [], [], 0
+def _walk(block: list[list[str]], names: list[str], line: int, path: str):
+    """A block checked row by row: its floats, blank rows dropped, and the error of its
+    first value fault (first line, then column) or None. Raises its first row fault:
+    a byte that is not UTF-8, a wrong number of fields or a value ``float`` rejects."""
+    rows, lines, width = [], [], len(names)
+    for row, end in zip(block, _row_ends(block, line)[1:]):
+        _check_utf8(row, path)
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path} line {end}: expected {width} fields, got {len(row)}")
         try:
-            names = _header(_utf8_rows(reader, path), path)
-            line = reader.line_num
-            for row in _utf8_rows(reader, path):
-                line = reader.line_num
-                if not row or all(v.strip() == "" for v in row):
-                    continue
-                if len(row) != len(names):
-                    msg = f"{path} line {line}: expected {len(names)} fields, got {len(row)}"
-                    raise ValueError(msg)
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise ValueError(f"{path} line {line}: non-numeric value in {row!r}") from None
-                lines.append(line)
-        except csv.Error as exc:  # cite the first line of the row it broke off
-            raise ValueError(f"{path} line {line + 1}: {exc}") from None
-    has_w = names[-1] == "w"
-    arr = np.asarray(rows).reshape(-1, len(names))
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ValueError(f"{path} line {end}: non-numeric value in {row!r}") from None
+        lines.append(end)
+    arr = np.array(rows).reshape(-1, width)
     bad = _bad_cells(arr, names)
-    if bad.any():
-        # the first bad line wins, then its first bad column in header order
-        i, j = divmod(int(bad.argmax()), arr.shape[1])
-        rule = "a must be 0 or 1" if j == 0 else f"{names[j]} must be finite"
-        if has_w and j == len(names) - 1 and np.isfinite(arr[i, j]):
-            rule = "weight must be positive"
-        raise ValueError(f"{path} line {lines[i]}: {rule}, got {arr[i, j]:.15g}")
-    raise ValueError(f"{path}: changed while it was read")
+    if not bad.any():
+        return arr, None
+    i, j = divmod(int(bad.argmax()), width)
+    rule = "a must be 0 or 1" if j == 0 else f"{names[j]} must be finite"
+    if names[-1] == "w" and j == width - 1 and np.isfinite(arr[i, j]):
+        rule = "weight must be positive"
+    return arr, ValueError(f"{path} line {lines[i]}: {rule}, got {arr[i, j]:.15g}")
 
 
 def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
-    """Read the input CSV; returns the dataset and covariate names.
+    """Read the input CSV in one pass; returns the dataset and covariate names.
 
-    Rows are tokenised by ``csv.reader`` and converted to floats a block
-    at a time. A file that breaks a rule is handed to ``_reject``.
+    Rows are tokenised by ``csv.reader`` and converted to floats
+    ``_BLOCK_ROWS`` at a time. Only a block that breaks a rule is walked
+    row by row, for its first fault and that fault's line. A row fault
+    is raised there; the first value fault is raised at the end of the
+    file, so that a later row fault wins over it.
     """
     try:
-        names, arr = _read_blocks(path)
-    except (UnicodeDecodeError, csv.Error):
-        arr = None
-    if arr is None or _bad_cells(arr, names).any():
-        _reject(path)
+        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh, strict=True)
+        names = _header(reader, path)
+        blocks, error = [np.empty((0, len(names)))], None
+        while True:
+            line, block = reader.line_num, []
+            try:
+                block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows before a csv.Error
+            except csv.Error as exc:  # unless an earlier row is at fault, cite the broken row
+                _walk(block, names, line, path)
+                raise ValueError(f"{path} line {_row_ends(block, line)[-1] + 1}: {exc}") from None
+            if not block:
+                break
+            values = _block_floats(block, len(names))
+            if values is None or (error is None and _bad_cells(values, names).any()):
+                values, fault = _walk(block, names, line, path)
+                error = error or fault
+            blocks.append(values)
+    if error is not None:
+        raise error
+    arr = np.concatenate(blocks)
     if not len(arr):
         raise ValueError(f"{path}: no data rows")
-    has_w = names[-1] == "w"
-    a, y = arr[:, 0], arr[:, 1]
-    x = arr[:, 2 : len(names) - 1] if has_w else arr[:, 2:]
-    w = arr[:, -1] if has_w else None
+    k = len(names) - (names[-1] == "w")  # the covariates are columns 2 to k - 1
     try:
-        data = Dataset(a, x, y, w)
+        data = Dataset(arr[:, 0], arr[:, 2:k], arr[:, 1], arr[:, k] if k < len(names) else None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return data, names[2 : len(names) - 1 if has_w else len(names)]
+    return data, names[2:k]
 
 
 def _fit_report(fit: FitResult, payload: dict, cov_names: list[str], fmt: str) -> str:

@@ -125,9 +125,9 @@ class _Stack:
 
     ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, n) or
     None. What every spec fitted to the stack shares is computed once:
-    the covariates under each centering, the empty-arm errors, and for
-    the centering penalty the covariates' covariance and the full
-    model's interaction estimate.
+    the covariates under each centering, the empty-arm errors, whether
+    the outcomes are counts, and for the centering penalty the
+    covariates' covariance and the full model's interaction estimate.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -170,6 +170,11 @@ class _Stack:
             )
             for r in np.flatnonzero((n1 == 0) | (n1 == self.n))
         }
+
+    @cached_property
+    def counts(self) -> bool:
+        """Whether every outcome is exactly a nonnegative integer, as a Poisson fit needs."""
+        return bool(((self.y >= 0.0) & (self.y == np.round(self.y))).all())
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -343,7 +348,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
     |eta| <= 700 or whose IRLS weights collapse diverges alone.
     """
     y = st.y
-    if (y < 0).any() or not np.allclose(y, np.round(y)):
+    if not st.counts:
         msg = "Poisson outcomes must be nonnegative integers"
         raise ValueError(msg)
     z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))

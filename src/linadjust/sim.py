@@ -223,27 +223,19 @@ def _sampler_potentials(sampler, n: int, rngs: list, u: np.ndarray, p: float):
     """Stacked potential outcomes of a sampler that has only ``potential(n, rng)``.
 
     Generator k draws replication k's potential outcomes, then its
-    assignment uniforms ``u[k]``, as a lone draw does. The first
-    replication, and any whose shapes differ from it, is checked by
-    Dataset's rules as ``draw`` checks it, after the replications before
-    it are validated, so the first invalid replication raises what
-    ``draw`` raises for it. Returns x (R, n, p), y1 and y0 (R, n), and x
-    stacked in the shape the sampler returns it.
+    assignment uniforms ``u[k]``, and the replication is checked by
+    Dataset's rules, all as a lone ``draw`` does, so the first invalid
+    replication raises what ``draw`` raises for it. Returns x (R, n, p),
+    y1 and y0 (R, n), and x stacked in the shape of the first replication's.
     """
+    draws = []
     for k, rng in enumerate(rngs):
         x, y1, y0 = sampler.potential(n, rng)
         rng.random(out=u[k])
-        if not k or np.shape(x) != xs.shape[1:] or not np.shape(y1) == np.shape(y0) == (n,):
-            if k:  # an earlier replication's error comes first
-                a, y = _observe(u[:k], p, ys1[:k], ys0[:k])
-                _check_samples(a, xs[:k].reshape(k, n, -1), y)
-            a, y = _observe(u[k], p, y1, y0)  # may raise the replication's own broadcast error
-            Dataset(a, x, y)  # or its shape error
-            if not k:
-                xs = np.empty((len(rngs), *np.shape(x)))
-                ys1, ys0 = np.empty((len(rngs), n)), np.empty((len(rngs), n))
-            x = np.reshape(x, xs.shape[1:])
-        xs[k], ys1[k], ys0[k] = x, y1, y0
+        a, y = _observe(u[k], p, y1, y0)  # may raise the replication's broadcast error
+        Dataset(a, x, y)  # or its shape or value error
+        draws.append((np.reshape(x, np.shape(draws[0][0] if draws else x)), y1, y0))
+    xs, ys1, ys0 = (np.array(v, dtype=float) for v in zip(*draws))
     return xs.reshape(len(rngs), n, -1), ys1, ys0, xs
 
 

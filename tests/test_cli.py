@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import os
@@ -6,9 +7,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linadjust import (
     Dataset,
@@ -384,9 +388,13 @@ class TestCsvValidation:
             ("a,y,x1,w\n1,2,0.1,1\n0,1,0.2,nan\n1,3,0.3,1\n", "line 3: w must be finite, got nan"),
             ("a,y,x1,w\n1,2,0.1,inf\n0,1,0.2,1\n1,3,0.3,1\n", "line 2: w must be finite, got inf"),
             ("a,y,x1\n1,2,nan\n2,3,0.3\n", "line 2: x1 must be finite, got nan"),
+            ('a,y,x1\n1,"2\n",0.1\n0,1.0,nan\n', "line 4: x1 must be finite, got nan"),
+            ('a,y,x1\n1,"2\r\n",0.1\n2,1.0,0.2\n', "line 4: a must be 0 or 1, got 2"),
+            ('a,y,x1\n1,2,"\r0.1"\n0,inf,0.2\n', "line 4: y must be finite, got inf"),
         ],
         ids=[
-            "covariate", "outcome-after-blank-line", "nan-weight", "inf-weight", "first-bad-line"
+            "covariate", "outcome-after-blank-line", "nan-weight", "inf-weight", "first-bad-line",
+            "after-quoted-lf", "after-quoted-crlf", "after-quoted-cr",
         ],
     )
     def test_non_finite_cites_line_and_column(self, tmp_path, capsys, text, message):
@@ -593,6 +601,150 @@ class TestCsvReader:
             path.write_bytes("\n".join(lines).encode())
         rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
         assert (rc, out, err) == (2, "", f"error: {path} line {k + 2}: unexpected end of data\n")
+
+
+def _reference_read(path):
+    """Read a CSV one row at a time by the documented rules; the error message,
+    or the dataset and covariate names.
+
+    Each row's line is ``csv.reader.line_num``. The header rules apply
+    first; then the row rules in row order (malformed CSV, a byte that is
+    not UTF-8, the field count, ``float`` syntax); then the value rules
+    at the first bad line's first bad column; then Dataset's rules.
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+        not_utf8 = None
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        not_utf8 = f"{path} line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})"
+    names, rows, lines, line = None, [], [], 0
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh, strict=True)
+        try:
+            for row in reader:
+                if any("\udc80" <= ch <= "\udcff" for ch in "".join(row)):
+                    return not_utf8
+                line = reader.line_num
+                if names is None:
+                    names = [h.strip() for h in row]
+                    if len(names) < 3 or names[:2] != ["a", "y"]:
+                        got = ",".join(names)
+                        return f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'"
+                    if names[2:] == ["w"]:
+                        return f"{path}: need at least one covariate column"
+                elif any(v.strip() for v in row):
+                    if len(row) != len(names):
+                        return f"{path} line {line}: expected {len(names)} fields, got {len(row)}"
+                    try:
+                        rows.append([float(v) for v in row])
+                    except ValueError:
+                        return f"{path} line {line}: non-numeric value in {row!r}"
+                    lines.append(line)
+        except csv.Error as exc:
+            return f"{path} line {line + 1}: {exc}"
+    if names is None:
+        return f"{path}: empty file"
+    k = len(names) - (names[-1] == "w")
+    for values, line in zip(rows, lines):
+        for j, v in enumerate(values):
+            if j == 0 and v not in (0.0, 1.0):
+                rule = "a must be 0 or 1"
+            elif not np.isfinite(v):
+                rule = f"{names[j]} must be finite"
+            elif j == k:
+                rule = "weight must be positive" if v <= 0.0 else None
+            else:
+                rule = None
+            if rule:
+                return f"{path} line {line}: {rule}, got {v:.15g}"
+    if not rows:
+        return f"{path}: no data rows"
+    arr = np.array(rows)
+    try:
+        data = Dataset(arr[:, 0], arr[:, 2:k], arr[:, 1], arr[:, k] if k < len(names) else None)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+    return _fingerprint(data, names[2:k])
+
+
+def _fingerprint(data, names):
+    arrays = (data.a, data.x, data.y, data.weights)
+    return [None if v is None else (v.shape, v.tobytes()) for v in arrays], names
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV files of the kinds the reader meets, as bytes; "§" stands for the byte 0xff.
+
+    A clean file has full-width rows of valid values, some quoted over
+    two lines, and blank lines; any other file mixes in bad values, ragged
+    rows, bytes that are not UTF-8 and malformed quoting.
+    """
+    header = draw(st.one_of(
+        st.sampled_from(["a,y,x1", "a,y,x1,w", " a , y ,x1,x2", '"a",y,x1']),
+        st.sampled_from(["a,y,x1", "a,y,x1,w", "a,y,w", "t,y,x1", 'a,y,"x1', "a,y,x§"]),
+    ))
+    width = header.count(",") + 1
+    arm = st.sampled_from(["0", "1", " 1", "0.0"])
+    good = st.sampled_from(["2.5", "1e3", " 0.5 ", "1_0", "3", "7.25"])
+    clean = draw(st.booleans())
+    bad = st.nothing() if clean else st.sampled_from(
+        ["2", "-1", "-0.0", "nan", "-inf", "", " ", "oops", "§", '"2"x', '"4', '"5""']
+    )
+    quoted = st.tuples(st.one_of(arm, good), st.sampled_from(["\n", "\r\n", "\r", ""]),
+                       st.booleans())
+    quoted = quoted.map(lambda t: f'"{t[1]}{t[0]}"' if t[2] else f'"{t[0]}{t[1]}"')
+    value = st.one_of(good, good, quoted, bad)
+    full = st.tuples(st.one_of(arm, arm, bad), *[value] * (width - 1)).map(",".join)
+    ragged = st.lists(value, min_size=1, max_size=width + 1).map(",".join)
+    blank = st.sampled_from(["", "  ", ",,", " , ,\t"])
+    row = st.one_of(full, full, full, blank, blank if clean else ragged)
+    rows = draw(st.lists(row, min_size=2, max_size=14))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join([header] + rows) + draw(st.sampled_from([eol, ""]))
+    return text.encode().replace("§".encode(), b"\xff")
+
+
+@settings(max_examples=300)
+@given(text=_csv_files())
+def test_block_reader_equals_a_row_at_a_time_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text)
+    want = _reference_read(path)
+    for block_rows in (3, cli._BLOCK_ROWS):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            try:
+                got = _fingerprint(*cli._read_dataset(str(path)))
+            except ValueError as exc:
+                got = str(exc)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    ("text", "rc", "opens"),
+    [
+        (b"a,y,x1\n1,2,0.1\n0,1,0.2\n1,3,0.3\n0,4,0.4\n", 0, 1),
+        (b"a,y,x1\n1,2,0.1\n0,1,0.2\n2,3,0.3\n0,4,0.4\n", 2, 1),
+        (b"a,y,x1\n1,2,0.1\n0,1\n1,3,0.3\n0,4,0.4\n", 2, 1),
+        (b"a,y,x1\n1,2,0.1\n0,1,0.2\xff\n1,3,0.3\n0,4,0.4\n", 2, 2),  # and the byte scan
+    ],
+    ids=["valid", "bad-value", "bad-row", "not-utf8"],
+)
+def test_the_csv_is_opened_once(tmp_path, capsys, monkeypatch, text, rc, opens):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    calls = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        calls.extend([file] if str(file) == str(path) else [])
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    got, _, _ = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+    assert (got, len(calls)) == (rc, opens)
 
 
 class TestParserReuse:

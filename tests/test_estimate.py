@@ -274,8 +274,10 @@ class TestPoisson:
         assert fit.ate_hat == pytest.approx(0.0, abs=1e-9)
         assert fit.alpha == pytest.approx(np.log(7.0), abs=1e-9)
 
-    def test_rejects_negative_counts(self):
-        data = Dataset([1, 0, 1, 0], [0.0] * 4, [1.0, -1.0, 2.0, 0.0])
+    # 1000.004 is within np.allclose's relative tolerance of 1000, but not a count
+    @pytest.mark.parametrize("y1", [-1.0, 1000.004], ids=["negative", "near-integer"])
+    def test_rejects_negative_counts(self, y1):
+        data = Dataset([1, 0, 1, 0], [0.0] * 4, [1.0, y1, 2.0, 0.0])
         with pytest.raises(ValueError, match="nonnegative"):
             fit_poisson_glm(ANOVA1, data)
 

@@ -442,6 +442,17 @@ class _BadShapes:
         return x, y1, y0
 
 
+class _MixedX:
+    """A sampler whose x is (n, 1) in most draws and (n,) in about three in ten."""
+
+    p = 1
+
+    def potential(self, n, rng):
+        x = rng.standard_normal((n, 1))
+        y1, y0 = x[:, 0] + rng.standard_normal(n), rng.standard_normal(n)
+        return (x[:, 0] if rng.random() < 0.3 else x), y1, y0
+
+
 CHUNK_CASES = {
     "s1": (scenario(1, n=30), 0.3),
     "s2-poisson": (scenario(2, n=30), 0.6),
@@ -539,3 +550,16 @@ class TestChunkDraw:
         with pytest.raises(ValueError) as got:
             sim._draw_stack(scn, 0.5, sim._rep_states(2, sim._digest(key), 0, reps))
         assert str(got.value) == errors[0][1]
+
+    def test_x_may_drop_its_covariate_axis_in_some_draws(self):
+        scn = custom_scenario(_MixedX(), pi=0.5, beta_ate=0.0, n=20)
+        seeds = [rep_seed(6, "mixed", r) for r in range(12)]
+        a, x, y, *_ = sim._draw_chunk(scn, 0.5, [np.random.default_rng(s) for s in seeds])
+        flat = 0
+        for k, seed in enumerate(seeds):
+            d = draw(scn, seed)
+            flat += d.x_raw.ndim == 1
+            assert np.array_equal(a[k], d.data.a)
+            assert np.array_equal(x[k], d.data.x)
+            assert np.array_equal(y[k], d.data.y)
+        assert 0 < flat < len(seeds)
