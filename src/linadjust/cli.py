@@ -15,7 +15,12 @@ trailing ``w`` column holding positive replication weights; UTF-8,
 ``float`` reads it; quoted fields and CRLF line endings are accepted and
 blank lines are skipped. Validation errors cite the offending physical
 line, counting the header as line 1. The file is read once, a block of
-rows at a time; only a block that breaks a rule is checked row by row.
+lines at a time. A block of plain numbers (ASCII digits, ``.``, ``e``,
+``E``, ``+``, ``-``, commas and line breaks, each line within
+``csv.field_size_limit()``) is converted by numpy's C reader, which
+reads each value as ``float`` does; any other block, and any block
+numpy rejects, goes through ``csv.reader`` with the same values and
+messages. Only a block that breaks a rule is checked row by row.
 
 ``main`` may be called any number of times in one process.
 """
@@ -33,7 +38,7 @@ from itertools import accumulate, chain, compress, islice
 
 import numpy as np
 
-from .dominance import check_centered, check_known_mean, corollaries, table1
+from .dominance import check_centered, check_known_mean, condition_centered, corollaries, table1
 from .estimate import (
     EstimationError,
     FitResult,
@@ -54,18 +59,19 @@ from .model import (
     parse_formula,
 )
 from .population import (
-    asymptotic_variance_centered,
-    asymptotic_variance_known_mean,
+    _centered_variance,
+    _known_mean_variance,
+    _theorem2_gap,
     population_from_dict,
     solve_population,
-    variance_gap_theorem2,
 )
 from .sim import REPORT_FIELDS, run_grid, scenario
 
 __all__ = ["main"]
 
 _NAMED = frozenset(name.lower() for name in NAMED_SPECS)
-_BLOCK_ROWS = 4096  # CSV rows converted to floats per pass
+_BLOCK_ROWS = 4096  # CSV lines read and converted to floats per pass
+_PLAIN = b"0123456789.eE+-,\r\n"  # the bytes of a block numpy's C reader may convert
 
 
 def _positive_int(text: str) -> int:
@@ -182,6 +188,26 @@ def _block_floats(block: list[list[str]], width: int) -> np.ndarray | None:
         return None
 
 
+def _plain_floats(lines: list[str], width: int) -> np.ndarray | None:
+    """A block of plain numeric lines as floats by numpy's C reader, blank lines
+    dropped; None unless the block holds only ``_PLAIN`` characters and some
+    data, no line is over the CSV field limit and every row has ``width`` values.
+
+    numpy parses each field with ``PyOS_string_to_double``, as ``float`` does,
+    and every field it accepts here is one ``float`` accepts, with the same bits.
+    """
+    text = "".join(lines)
+    if not text.isascii() or text.encode().translate(None, _PLAIN) or not text.strip("\r\n"):
+        return None  # an all-blank block would make numpy warn of no data
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == width else None
+
+
 def _row_ends(block: list[list[str]], line: int) -> list[int]:
     """``line``, the last line before a block, then the line each row ends on, as
     ``csv.reader.line_num`` counts them: each break in a quoted field adds one."""
@@ -219,11 +245,15 @@ def _walk(block: list[list[str]], names: list[str], line: int, path: str):
 def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
     """Read the input CSV in one pass; returns the dataset and covariate names.
 
-    Rows are tokenised by ``csv.reader`` and converted to floats
-    ``_BLOCK_ROWS`` at a time. Only a block that breaks a rule is walked
-    row by row, for its first fault and that fault's line. A row fault
-    is raised there; the first value fault is raised at the end of the
-    file, so that a later row fault wins over it.
+    The file is read ``_BLOCK_ROWS`` lines at a time. A block of plain
+    numbers with no value fault is converted by numpy's C reader
+    (``_plain_floats``). Any other block is tokenised by ``csv.reader``,
+    reading on into the rest of the file if a quoted field crosses the
+    block's end, and its rows are converted by ``float``; only a block
+    that breaks a rule is walked row by row, for its first fault and
+    that fault's line. A row fault is raised there; the first value
+    fault is raised at the end of the file, so that a later row fault
+    wins over it.
     """
     try:
         fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
@@ -232,29 +262,34 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
     with fh:
         reader = csv.reader(fh, strict=True)
         names = _header(reader, path)
-        blocks, error = [np.empty((0, len(names)))], None
-        while True:
-            line, block = reader.line_num, []
+        width, line = len(names), reader.line_num
+        blocks, error = [np.empty((0, width))], None
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            values = _plain_floats(lines, width)
+            if values is not None and (error is not None or not _bad_cells(values, names).any()):
+                blocks.append(values)
+                line += len(lines)
+                continue
+            reader, block = csv.reader(chain(lines, fh), strict=True), []
             try:
                 block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows before a csv.Error
             except csv.Error as exc:  # unless an earlier row is at fault, cite the broken row
                 _walk(block, names, line, path)
                 raise ValueError(f"{path} line {_row_ends(block, line)[-1] + 1}: {exc}") from None
-            if not block:
-                break
-            values = _block_floats(block, len(names))
+            values = _block_floats(block, width)
             if values is None or (error is None and _bad_cells(values, names).any()):
                 values, fault = _walk(block, names, line, path)
                 error = error or fault
             blocks.append(values)
+            line += reader.line_num
     if error is not None:
         raise error
     arr = np.concatenate(blocks)
     if not len(arr):
         raise ValueError(f"{path}: no data rows")
-    k = len(names) - (names[-1] == "w")  # the covariates are columns 2 to k - 1
+    k = width - (names[-1] == "w")  # the covariates are columns 2 to k - 1
     try:
-        data = Dataset(arr[:, 0], arr[:, 2:k], arr[:, 1], arr[:, k] if k < len(names) else None)
+        data = Dataset(arr[:, 0], arr[:, 2:k], arr[:, 1], arr[:, k] if k < width else None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return data, names[2:k]
@@ -394,15 +429,12 @@ def cmd_compare(args: argparse.Namespace) -> str:
     spec1 = _parse_model(args.model, names)
     spec2 = _parse_model(args.model2, names)
 
-    sol1 = solve_population(spec1, pop)
-    v1 = asymptotic_variance_known_mean(spec1, pop)
-    v2 = asymptotic_variance_known_mean(spec2, pop)
-    vc1 = asymptotic_variance_centered(spec1, pop)
-    vc2 = asymptotic_variance_centered(spec2, pop)
-    try:
-        gap = variance_gap_theorem2(spec1, spec2, pop)
-    except ValueError:
-        gap = None
+    # each model is solved once; the formulas are those of the public variance functions
+    full_spec = named_spec("ANHECOVA", pop.p)
+    sol1, sol2, full = (solve_population(s, pop) for s in (spec1, spec2, full_spec))
+    v1, v2 = (_known_mean_variance(pop.moments, s, pop.pi) for s in (sol1, sol2))
+    vc1, vc2 = (_centered_variance(pop, s, full) for s in (sol1, sol2))
+    gap = _theorem2_gap(pop, sol1, sol2) if condition_centered(spec1, spec2) else None
     verdict_km = check_known_mean(spec1, spec2, pop.pi)
     verdict_c = check_centered(spec1, spec2, pop.pi)
 

@@ -255,17 +255,31 @@ def asymptotic_variance_known_mean(spec: ModelSpec, pop: PopulationSpec) -> floa
     return _known_mean_variance(pop.moments, solve_population(spec, pop), pop.pi)
 
 
+def _centered_variance(
+    pop: PopulationSpec, sol: PopulationSolution, full: PopulationSolution
+) -> float:
+    """The known-mean variance at ``sol`` plus the centering penalty, with ``full``
+    the all-free model's solution."""
+    penalty = _centering_penalty(pop.moments.sigma, sol.delta, full.delta)
+    return _known_mean_variance(pop.moments, sol, pop.pi) + penalty
+
+
 def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec) -> float:
     """n * avar of the empirically centered estimate.
 
     Adds the interaction penalty delta_s' Sigma (2 delta_f - delta_s)
     to the known-mean variance, with delta_f from the all-free model.
     """
-    sol = solve_population(spec, pop)
     full = solve_population(named_spec("ANHECOVA", spec.p), pop)
-    return _known_mean_variance(pop.moments, sol, pop.pi) + _centering_penalty(
-        pop.moments.sigma, sol.delta, full.delta
-    )
+    return _centered_variance(pop, solve_population(spec, pop), full)
+
+
+def _theorem2_gap(
+    pop: PopulationSpec, sol1: PopulationSolution, sol2: PopulationSolution
+) -> float:
+    """The closed-form centered gap V2_tilde - V1_tilde from the two solutions."""
+    v = sol1.gamma - sol2.gamma + (1.0 - pop.pi) * (sol1.delta - sol2.delta)
+    return float(v @ pop.moments.sigma @ v) / (pop.pi * (1.0 - pop.pi))
 
 
 def variance_gap_theorem2(spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpec) -> float:
@@ -282,12 +296,7 @@ def variance_gap_theorem2(spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpe
             "and equal free main-effect/interaction sets for the first spec"
         )
         raise ValueError(msg)
-    sol1 = solve_population(spec1, pop)
-    sol2 = solve_population(spec2, pop)
-    d_gamma = sol1.gamma - sol2.gamma
-    d_delta = sol1.delta - sol2.delta
-    v = d_gamma + (1.0 - pop.pi) * d_delta
-    return float(v @ pop.moments.sigma @ v) / (pop.pi * (1.0 - pop.pi))
+    return _theorem2_gap(pop, solve_population(spec1, pop), solve_population(spec2, pop))
 
 
 def ancova_anova_gap(pop: PopulationSpec) -> float:

@@ -18,13 +18,17 @@ from linadjust import (
     Dataset,
     Empirical,
     KnownMean,
+    asymptotic_variance_centered,
+    asymptotic_variance_known_mean,
     fit_ols,
     fit_poisson_glm,
     fit_weighted,
     named_spec,
     population_to_dict,
+    random_moment_population,
     run_grid,
     scenario,
+    variance_gap_theorem2,
 )
 from linadjust import cli
 from linadjust.cli import main
@@ -501,8 +505,20 @@ class TestCsvReader:
         rows = _rows(self.past_first_block())
         rows[3] = ["1", "1_000", " 1.5 "]
         rows[-2] = ["0", "-0.0", "+2E-3"]
+        rows[-5] = ["1", "\u0661\u0662", "0.5"]  # Arabic-Indic digits, which float() reads
         lines = ["a, y ,x1"] + [",".join(r) for r in rows]
         self.loaded(self.write(tmp_path, lines), ["a", "y", "x1"], rows)
+
+    def test_a_block_of_blank_lines_warns_nothing(self, tmp_path, capsys, block_rows):
+        rows = _rows(40)
+        lines = ["a,y,x1"] + [",".join(r) for r in rows[:5]] + [""] * (2 * cli._BLOCK_ROWS + 1)
+        lines += [",".join(r) for r in rows[5:]]
+        path = self.write(tmp_path, lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.loaded(path, ["a", "y", "x1"], rows)
+            rc, _, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, err, [str(w.message) for w in caught]) == (0, "", [])
 
     def test_quoted_field_over_two_lines(self, tmp_path, block_rows):
         rows = _rows(self.past_first_block())
@@ -523,8 +539,15 @@ class TestCsvReader:
             ("1,+inf,0.5", "y must be finite, got inf"),
             ("0,1.0,nan", "x1 must be finite, got nan"),
             ('1,"2\n.5",0.5', "non-numeric value in ['1', '2\\n.5', '0.5']"),
+            # where numpy's reader and float() or csv could disagree
+            ("1,\x1c1,0.5", "non-numeric value in ['1', '\\x1c1', '0.5']"),
+            ("1,2.5,1\x1f", "non-numeric value in ['1', '2.5', '1\\x1f']"),
+            ("1,#1,0.5", "non-numeric value in ['1', '#1', '0.5']"),
+            ("1,2," + "0" * (csv.field_size_limit() + 10),
+             f"field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["short", "long", "word", "empty-field", "a-is-2", "plus-inf", "nan", "two-lines"],
+        ids=["short", "long", "word", "empty-field", "a-is-2", "plus-inf", "nan", "two-lines",
+             "file-separator", "unit-separator", "hash", "over-limit-zeros"],
     )
     def test_bad_row_past_first_block(self, tmp_path, capsys, block_rows, bad, message):
         rows = _rows(self.past_first_block() + 40)
@@ -680,7 +703,8 @@ def _csv_files(draw):
 
     A clean file has full-width rows of valid values, some quoted over
     two lines, and blank lines; any other file mixes in bad values, ragged
-    rows, bytes that are not UTF-8 and malformed quoting.
+    rows, bytes that are not UTF-8 and malformed quoting. Some values are
+    ones numpy's reader and ``float`` or ``csv`` could read differently.
     """
     header = draw(st.one_of(
         st.sampled_from(["a,y,x1", "a,y,x1,w", " a , y ,x1,x2", '"a",y,x1']),
@@ -688,10 +712,11 @@ def _csv_files(draw):
     ))
     width = header.count(",") + 1
     arm = st.sampled_from(["0", "1", " 1", "0.0"])
-    good = st.sampled_from(["2.5", "1e3", " 0.5 ", "1_0", "3", "7.25"])
+    good = st.sampled_from(["2.5", "1e3", " 0.5 ", "1_0", "3", "7.25", "\u0661"])
     clean = draw(st.booleans())
     bad = st.nothing() if clean else st.sampled_from(
-        ["2", "-1", "-0.0", "nan", "-inf", "", " ", "oops", "§", '"2"x', '"4', '"5""']
+        ["2", "-1", "-0.0", "nan", "-inf", "", " ", "oops", "§", '"2"x', '"4', '"5""',
+         "\x1c1", "1\x1f", "#1", "0" * (csv.field_size_limit() + 10)]
     )
     quoted = st.tuples(st.one_of(arm, good), st.sampled_from(["\n", "\r\n", "\r", ""]),
                        st.booleans())
@@ -714,12 +739,29 @@ def test_block_reader_equals_a_row_at_a_time_reader(tmp_path_factory, text):
     path.write_bytes(text)
     want = _reference_read(path)
     for block_rows in (3, cli._BLOCK_ROWS):
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows), warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy may not warn, of an all-blank block say
             try:
                 got = _fingerprint(*cli._read_dataset(str(path)))
             except ValueError as exc:
                 got = str(exc)
         assert got == want
+
+
+def test_plain_numbers_take_the_fast_path(tmp_path):
+    """A file like the benchmark's (``%.17g`` values, a weight column) is read
+    by numpy's reader alone, bit for bit as the row-at-a-time reference reads it."""
+    rng = np.random.default_rng(11)
+    n = 20_000
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    cols = [rng.random(n) < 0.4, rng.standard_normal(n), *x.T, rng.uniform(0.5, 2.0, n)]
+    path = tmp_path / "plain.csv"
+    np.savetxt(path, np.column_stack(cols), fmt=["%d"] + ["%.17g"] * 5, delimiter=",",
+               header="a,y,X1,X2,X3,w", comments="")
+    with mock.patch.object(cli, "_walk", side_effect=AssertionError("walked row by row")), \
+            mock.patch.object(cli, "_block_floats", side_effect=AssertionError("read by csv")):
+        got = _fingerprint(*cli._read_dataset(str(path)))
+    assert got == _reference_read(path)
 
 
 @pytest.mark.parametrize(
@@ -871,6 +913,32 @@ class TestCompare:
         )
         assert rc == 0
         assert "n/a (condition fails)" in out
+
+    @pytest.mark.parametrize(
+        "pair",
+        [("anhecova", "anova"), ("anhecova", "1 + A + A:X1 + A:X2"), ("ancova", "anova"),
+         ("1 + A + X1@0.5 + X2 + A:X2", "anhecova"), ("anova", "ancova")],
+    )
+    def test_each_model_is_solved_once(self, tmp_path, capsys, pair):
+        pop = random_moment_population(np.random.default_rng(4), p=2)
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(population_to_dict(pop)))
+        argv = ["compare", "--population", str(path), "--model", pair[0], "--model2", pair[1],
+                "--format", "json"]
+        with mock.patch.object(cli, "solve_population", wraps=cli.solve_population) as solve:
+            rc, out, _ = run(argv, capsys)
+        assert (rc, solve.call_count) == (0, 3)
+        payload = json.loads(out)
+        spec1, spec2 = (cli._parse_model(m, ["X1", "X2"]) for m in pair)
+        try:
+            gap = variance_gap_theorem2(spec1, spec2, pop)
+        except ValueError:
+            gap = None
+        v1, v2 = (asymptotic_variance_known_mean(s, pop) for s in (spec1, spec2))
+        vc1, vc2 = (asymptotic_variance_centered(s, pop) for s in (spec1, spec2))
+        assert payload["v_known_mean"] == {"model1": v1, "model2": v2, "gap": v2 - v1}
+        assert payload["v_centered"] == {"model1": vc1, "model2": vc2, "gap": vc2 - vc1}
+        assert payload["theorem2_gap"] == gap
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "pop.json"

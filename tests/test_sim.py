@@ -453,6 +453,17 @@ class _MixedX:
         return (x[:, 0] if rng.random() < 0.3 else x), y1, y0
 
 
+class _GainsACovariate:
+    """A sampler whose x is (n, 1) in most draws and (n, 2) in about one in ten."""
+
+    p = 1
+
+    def potential(self, n, rng):
+        x = rng.standard_normal((n, 2 if rng.random() < 0.1 else 1))
+        y1, y0 = x[:, 0] + rng.standard_normal(n), rng.standard_normal(n)
+        return x, y1, y0
+
+
 CHUNK_CASES = {
     "s1": (scenario(1, n=30), 0.3),
     "s2-poisson": (scenario(2, n=30), 0.6),
@@ -563,3 +574,30 @@ class TestChunkDraw:
             assert np.array_equal(x[k], d.data.x)
             assert np.array_equal(y[k], d.data.y)
         assert 0 < flat < len(seeds)
+
+    def test_x_with_and_without_its_covariate_axis_runs_a_grid(self):
+        scn = custom_scenario(_MixedX(), pi=0.5, beta_ate=0.0, n=20)
+        report = run_grid(scn, [named_spec("ANCOVA", 1)], [0.5], reps=30, seed=6)
+        assert report.cells[0].fail_rate == 0.0
+
+    @pytest.mark.parametrize(
+        ("n", "later_chunk"), [(20, False), (2048, True)], ids=["one-chunk", "chunks-of-four"]
+    )
+    def test_a_covariate_gained_in_a_later_draw_is_named(self, n, later_chunk):
+        """The replication is compared with the first of its chunk, as drawn alone."""
+        scn = custom_scenario(_GainsACovariate(), pi=0.5, beta_ate=0.0, n=n)
+        key, reps, chunk = f"scenario=custom|pi=0.5|n={n}", 40, sim.CHUNK_ROWS // n
+        for seed in range(40):  # one whose first replication has one covariate
+            p = [draw(scn, rep_seed(seed, key, r)).data.p for r in range(reps)]
+            bad = [r for r in range(reps) if p[r] != p[r - r % chunk]]
+            if bad and (bad[0] >= chunk) == later_chunk and p[0] == 1:
+                break
+        else:
+            pytest.fail("no seed gives the wanted draws")
+        r = bad[0]
+        lo = r - r % chunk
+        with pytest.raises(ValueError) as got:
+            run_grid(scn, [named_spec("ANOVA", 1)], [0.5], reps, seed=seed)
+        assert str(got.value) == (
+            f"replication {r} draws {p[r]} covariates but replication {lo} draws {p[lo]}"
+        )
