@@ -15,12 +15,12 @@ trailing ``w`` column holding positive replication weights; UTF-8,
 ``float`` reads it; quoted fields and CRLF line endings are accepted and
 blank lines are skipped. Validation errors cite the offending physical
 line, counting the header as line 1. The file is read once, a block of
-lines at a time. A block of plain numbers (ASCII digits, ``.``, ``e``,
-``E``, ``+``, ``-``, commas and line breaks, each line within
-``csv.field_size_limit()``) is converted by numpy's C reader, which
-reads each value as ``float`` does; any other block, and any block
-numpy rejects, goes through ``csv.reader`` with the same values and
-messages. Only a block that breaks a rule is checked row by row.
+lines at a time, by one of two routes. A block of plain numbers (ASCII
+digits, ``.``, ``e``, ``E``, ``+``, ``-``, commas and line breaks, each
+line within ``csv.field_size_limit()``) is converted by numpy's C
+reader, which reads each value as ``float`` does; any other block, and
+any block numpy rejects, goes through ``csv.reader`` and is checked row
+by row, with the same values and messages.
 
 ``main`` may be called any number of times in one process.
 """
@@ -34,7 +34,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict, replace
-from itertools import accumulate, chain, compress, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -126,7 +126,8 @@ def _not_utf8(path: str) -> ValueError:
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        head = raw[: exc.start]  # lines end as csv.reader counts them: \n, \r or \r\n
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return ValueError(f"{path} line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})")
     return ValueError(f"{path}: not UTF-8 text")
 
@@ -166,28 +167,6 @@ def _bad_cells(arr: np.ndarray, names: list[str]) -> np.ndarray:
     return bad
 
 
-def _floats(rows: list[list[str]], width: int) -> np.ndarray:
-    """Rows of equal width as a float array, each field read by ``float``."""
-    values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * width)
-    return values.reshape(-1, width)
-
-
-def _block_floats(block: list[list[str]], width: int) -> np.ndarray | None:
-    """A block of CSV rows as floats, blank rows dropped; None for a bad row."""
-    if set(map(len, block)) == {width}:
-        try:
-            return _floats(block, width)
-        except ValueError:
-            pass  # a non-numeric value, or a full-width row of blank fields
-    block = list(compress(block, map(str.strip, map("".join, block))))
-    if any(len(row) != width for row in block):
-        return None
-    try:
-        return _floats(block, width)
-    except ValueError:
-        return None
-
-
 def _plain_floats(lines: list[str], width: int) -> np.ndarray | None:
     """A block of plain numeric lines as floats by numpy's C reader, blank lines
     dropped; None unless the block holds only ``_PLAIN`` characters and some
@@ -208,26 +187,20 @@ def _plain_floats(lines: list[str], width: int) -> np.ndarray | None:
     return values if values.shape[1] == width else None
 
 
-def _row_ends(block: list[list[str]], line: int) -> list[int]:
-    """``line``, the last line before a block, then the line each row ends on, as
-    ``csv.reader.line_num`` counts them: each break in a quoted field adds one."""
-    spans = (1 + t.count("\n") + t.count("\r") - t.count("\r\n") for t in map(",".join, block))
-    return list(accumulate(spans, initial=line))
-
-
-def _walk(block: list[list[str]], names: list[str], line: int, path: str):
-    """A block checked row by row: its floats, blank rows dropped, and the error of its
-    first value fault (first line, then column) or None. Raises its first row fault:
-    a byte that is not UTF-8, a wrong number of fields or a value ``float`` rejects."""
+def _walk(block: list[tuple[list[str], int]], names: list[str], path: str):
+    """A block of (row, line it ends on) pairs checked row by row: its floats, blank
+    rows dropped, and the error of its first value fault (first line, then column)
+    or None. Raises its first row fault: a byte that is not UTF-8, a wrong number
+    of fields or a value ``float`` rejects."""
     rows, lines, width = [], [], len(names)
-    for row, end in zip(block, _row_ends(block, line)[1:]):
+    for row, end in block:
         _check_utf8(row, path)
         if not "".join(row).strip():
             continue
         if len(row) != width:
             raise ValueError(f"{path} line {end}: expected {width} fields, got {len(row)}")
         try:
-            rows.append([float(v) for v in row])
+            rows.extend(map(float, row))
         except ValueError:
             raise ValueError(f"{path} line {end}: non-numeric value in {row!r}") from None
         lines.append(end)
@@ -245,15 +218,14 @@ def _walk(block: list[list[str]], names: list[str], line: int, path: str):
 def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
     """Read the input CSV in one pass; returns the dataset and covariate names.
 
-    The file is read ``_BLOCK_ROWS`` lines at a time. A block of plain
-    numbers with no value fault is converted by numpy's C reader
-    (``_plain_floats``). Any other block is tokenised by ``csv.reader``,
-    reading on into the rest of the file if a quoted field crosses the
-    block's end, and its rows are converted by ``float``; only a block
-    that breaks a rule is walked row by row, for its first fault and
-    that fault's line. A row fault is raised there; the first value
-    fault is raised at the end of the file, so that a later row fault
-    wins over it.
+    The file is read ``_BLOCK_ROWS`` lines at a time, and each block takes
+    one of two routes. A block of plain numbers with no value fault is
+    converted by numpy's C reader (``_plain_floats``). Any other block is
+    tokenised by ``csv.reader``, reading on into the rest of the file if a
+    quoted field crosses the block's end, and walked row by row
+    (``_walk``), each row with the line ``csv.reader`` ends it on. A row
+    fault is raised there; the first value fault is raised at the end of
+    the file, so that a later row fault wins over it.
     """
     try:
         fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
@@ -271,16 +243,15 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
                 line += len(lines)
                 continue
             reader, block = csv.reader(chain(lines, fh), strict=True), []
-            try:
-                block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows before a csv.Error
+            try:  # extend keeps the rows before a csv.Error
+                block.extend((row, line + reader.line_num) for row in islice(reader, _BLOCK_ROWS))
             except csv.Error as exc:  # unless an earlier row is at fault, cite the broken row
-                _walk(block, names, line, path)
-                raise ValueError(f"{path} line {_row_ends(block, line)[-1] + 1}: {exc}") from None
-            values = _block_floats(block, width)
-            if values is None or (error is None and _bad_cells(values, names).any()):
-                values, fault = _walk(block, names, line, path)
-                error = error or fault
+                _walk(block, names, path)
+                end = block[-1][1] if block else line
+                raise ValueError(f"{path} line {end + 1}: {exc}") from None
+            values, fault = _walk(block, names, path)
             blocks.append(values)
+            error = error or fault
             line += reader.line_num
     if error is not None:
         raise error

@@ -219,15 +219,18 @@ def _observe(u: np.ndarray, p, y1, y0) -> tuple[np.ndarray, np.ndarray]:
     return a, a * y1 + (1.0 - a) * y0
 
 
-def _sampler_potentials(sampler, n: int, rngs: list, u: np.ndarray, p: float, lo: int):
+def _sampler_potentials(
+    sampler, n: int, rngs: list, u: np.ndarray, p: float, lo: int, first: int | None
+):
     """Stacked potential outcomes of a sampler that has only ``potential(n, rng)``.
 
     Generator k draws replication lo + k's potential outcomes, then its
     assignment uniforms ``u[k]``, and the replication is checked by
     Dataset's rules, all as a lone ``draw`` does, so the first invalid
     replication raises what ``draw`` raises for it. A replication whose
-    number of covariates differs from replication lo's raises too. Returns
-    x (R, n, p), y1 and y0 (R, n), and x stacked in the shape of the first
+    number of covariates differs from replication 0's (``first``, or None
+    in the chunk that draws replication 0) raises too. Returns x (R, n, p),
+    y1 and y0 (R, n), and x stacked in the shape of the first
     replication's, so x may be (n,) in some draws and (n, 1) in others.
     """
     draws = []
@@ -236,17 +239,22 @@ def _sampler_potentials(sampler, n: int, rngs: list, u: np.ndarray, p: float, lo
         rng.random(out=u[k])
         a, y = _observe(u[k], p, y1, y0)  # may raise the replication's broadcast error
         cols = Dataset(a, x, y).p  # or its shape or value error
-        if not draws:
-            first, shape = cols, np.shape(x)
+        if first is None:
+            first = cols
         elif cols != first:
-            msg = f"replication {lo + k} draws {cols} covariates but replication {lo} draws {first}"
+            msg = f"replication {lo + k} draws {cols} covariates but replication 0 draws {first}"
             raise ValueError(msg)
+        if not draws:
+            shape = np.shape(x)
         draws.append((np.reshape(x, shape), y1, y0))
     xs, ys1, ys0 = (np.array(v, dtype=float) for v in zip(*draws))
     return xs.reshape(len(rngs), n, -1), ys1, ys0, xs
 
 
-def _draw_chunk(scn: Scenario, p: float | None, rngs: list[np.random.Generator], lo: int = 0):
+def _draw_chunk(
+    scn: Scenario, p: float | None, rngs: list[np.random.Generator], lo: int = 0,
+    cols: int | None = None,
+):
     """One replication per generator: (a, x, y, weights, y1, y0, x_raw, pi_x), stacked.
 
     Two steps. Each generator first fills its raw variates into stacked
@@ -256,7 +264,9 @@ def _draw_chunk(scn: Scenario, p: float | None, rngs: list[np.random.Generator],
     known); a custom sampler's potential outcomes, then the uniforms.
     Every transform then runs once on the whole chunk. x is (R, n, p);
     a custom sampler's x is also its x_raw. Values are not validated.
-    The first generator draws replication ``lo``, which errors name.
+    The first generator draws replication ``lo``, which errors name; a
+    custom sampler's replications must draw ``cols`` covariates, replication
+    0's, when it is known.
     """
     n, law, reps = scn.n, scn.law, len(rngs)
     u = np.empty((reps, n))
@@ -268,7 +278,7 @@ def _draw_chunk(scn: Scenario, p: float | None, rngs: list[np.random.Generator],
             for k, rng in enumerate(rngs):
                 rng.random(out=u[k])
         else:
-            x, y1, y0, x_raw = _sampler_potentials(scn.sampler, n, rngs, u, p, lo)
+            x, y1, y0, x_raw = _sampler_potentials(scn.sampler, n, rngs, u, p, lo, cols)
         a, y = _observe(u, p, y1, y0)
         return a, x, y, weights, y1, y0, x_raw, pi_x
     gaussian = law.family == "gaussian"
@@ -309,7 +319,9 @@ def draw(scn: Scenario, seed, pi: float | None = None) -> DrawResult:
     return DrawResult(Dataset(a, x, y, w), y1, y0, np.array(x_raw), pi_x)
 
 
-def _draw_stack(scn: Scenario, p: float | None, states: np.ndarray, lo: int = 0) -> _Stack:
+def _draw_stack(
+    scn: Scenario, p: float | None, states: np.ndarray, lo: int = 0, cols: int | None = None
+) -> _Stack:
     """Draw one chunk of replications straight into a stack.
 
     Replication lo + k is drawn from a PCG64 generator seeded with the
@@ -319,7 +331,7 @@ def _draw_stack(scn: Scenario, p: float | None, states: np.ndarray, lo: int = 0)
     for it.
     """
     rngs = [np.random.Generator(np.random.PCG64(_Derived(state))) for state in states]
-    a, x, y, w, *_ = _draw_chunk(scn, p, rngs, lo)
+    a, x, y, w, *_ = _draw_chunk(scn, p, rngs, lo, cols)
     _check_samples(a, x, y, w)
     return _Stack.of(a, x, y, w)
 
@@ -516,9 +528,11 @@ def run_grid(
     for i, pi in enumerate(pi_list):
         key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
         digest, p = _digest(key), _assignment_pi(scn, pi)
+        cols = None  # replication 0's covariate count, which a custom sampler must keep
         for lo in range(0, reps, chunk):
             hi = min(lo + chunk, reps)
-            stack = _draw_stack(scn, p, _rep_states(int(seed), digest, lo, hi), lo)
+            stack = _draw_stack(scn, p, _rep_states(int(seed), digest, lo, hi), lo, cols)
+            cols = stack.x.shape[-1]
             for m, spec in enumerate(models):
                 res = _fit(spec, stack, family)
                 fits[m, i, lo:hi, 0] = res.ate_hat

@@ -581,23 +581,24 @@ class TestChunkDraw:
         assert report.cells[0].fail_rate == 0.0
 
     @pytest.mark.parametrize(
-        ("n", "later_chunk"), [(20, False), (2048, True)], ids=["one-chunk", "chunks-of-four"]
+        ("n", "later_chunk"),
+        [(20, False), (2048, True), (8192, True)],
+        ids=["one-chunk", "chunks-of-four", "one-per-chunk"],
     )
     def test_a_covariate_gained_in_a_later_draw_is_named(self, n, later_chunk):
-        """The replication is compared with the first of its chunk, as drawn alone."""
+        """The replication is compared with the first of its cell, as drawn alone."""
         scn = custom_scenario(_GainsACovariate(), pi=0.5, beta_ate=0.0, n=n)
-        key, reps, chunk = f"scenario=custom|pi=0.5|n={n}", 40, sim.CHUNK_ROWS // n
+        key, reps, chunk = f"scenario=custom|pi=0.5|n={n}", 40, max(1, sim.CHUNK_ROWS // n)
         for seed in range(40):  # one whose first replication has one covariate
             p = [draw(scn, rep_seed(seed, key, r)).data.p for r in range(reps)]
-            bad = [r for r in range(reps) if p[r] != p[r - r % chunk]]
+            bad = [r for r in range(reps) if p[r] != p[0]]
             if bad and (bad[0] >= chunk) == later_chunk and p[0] == 1:
                 break
         else:
             pytest.fail("no seed gives the wanted draws")
         r = bad[0]
-        lo = r - r % chunk
         with pytest.raises(ValueError) as got:
             run_grid(scn, [named_spec("ANOVA", 1)], [0.5], reps, seed=seed)
         assert str(got.value) == (
-            f"replication {r} draws {p[r]} covariates but replication {lo} draws {p[lo]}"
+            f"replication {r} draws {p[r]} covariates but replication 0 draws 1"
         )
