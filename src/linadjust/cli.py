@@ -132,10 +132,10 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
-def _check_utf8(row: list[str], path: str) -> None:
-    """Raise the file's not-UTF-8 error if a field holds an escaped byte (a lone surrogate)."""
+def _check_utf8(text: str, path: str) -> None:
+    """Raise the file's not-UTF-8 error if ``text`` holds an escaped byte (a lone surrogate)."""
     try:
-        "".join(row).encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError:
         raise _not_utf8(path) from None
 
@@ -148,7 +148,7 @@ def _header(reader, path: str) -> list[str]:
         raise ValueError(f"{path} line 1: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty file")
-    _check_utf8(header, path)
+    _check_utf8("".join(header), path)
     names = [h.strip() for h in header]
     if len(names) < 3 or names[0] != "a" or names[1] != "y":
         got = ",".join(names)
@@ -194,8 +194,9 @@ def _walk(block: list[tuple[list[str], int]], names: list[str], path: str):
     of fields or a value ``float`` rejects."""
     rows, lines, width = [], [], len(names)
     for row, end in block:
-        _check_utf8(row, path)
-        if not "".join(row).strip():
+        text = "".join(row)
+        _check_utf8(text, path)
+        if not text.strip():
             continue
         if len(row) != width:
             raise ValueError(f"{path} line {end}: expected {width} fields, got {len(row)}")

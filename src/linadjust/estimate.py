@@ -5,13 +5,22 @@ columns after the fixed-coefficient offset is moved to the response
 (linear models) or into the linear predictor (Poisson). One stacked
 kernel serves them all: ``_Stack`` holds R samples of equal shape and
 ``_fit`` fits one spec to every sample at once. Inside it, ``_solve`` is
-the (weighted) SVD solve with one rank rule, used by OLS, WLS, every
-IRLS step and the full-model refit for the centering penalty;
-``_sandwich`` is the HC0/HC1 covariance; and ``_penalized`` adds the
-empirical-centering penalty and clamps. A sample that cannot be fitted
-is NaN in the stack and keeps the error a fit of it alone raises. The
-public ``fit_*`` functions fit a stack of one; ``sim.run_grid`` fits a
-stack per chunk of replications.
+the (weighted) least-squares solve used by OLS, WLS, every IRLS step and
+the full-model refit for the centering penalty. It solves a sample from
+its Gram matrix ZᵀWZ (one eigendecomposition, the coefficients refined
+once) when the Gram is finite and its eigenvalue ratio exceeds
+GRAM_RTOL = 1e-2, that is when s_max/s_min < 10. The Gram route's
+distance from the SVD grows as the condition number squared; the bound
+keeps it near 5e-13, inside the 1e-12 to which every estimate must
+agree with the SVD. Every other sample goes to the batched SVD of
+``_svd_solve``, which holds the one rank rule and is the reference the
+tests compare with. ``_sandwich`` is the HC0/HC1 covariance, and
+``_penalized`` adds the empirical-centering penalty and clamps.
+Weighted fits use each sample's weights times an even power of two
+(``_Stack.scaled_w``), which changes no result but keeps w² and ZᵀWZ
+in range. A sample that cannot be fitted is NaN in the stack and keeps
+the error a fit of it alone raises. The public ``fit_*`` functions fit
+a stack of one; ``sim.run_grid`` fits a stack per chunk of replications.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ __all__ = [
 ]
 
 SVD_RTOL = 1e-10
+# λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route (κ = s_max/s_min < 10):
+# its moves against the SVD reached 4.8e-12 at κ <= 31.6 (scenario 4) and scale as κ²
+GRAM_RTOL = 1e-2
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
 _DIVERGED = "Poisson fit diverged (separation or unbounded coefficients)"
@@ -160,6 +172,20 @@ class _Stack:
         return self._centered[key]
 
     @cached_property
+    def scaled_w(self) -> np.ndarray | None:
+        """The weights the fits use: each sample's times the even power of two 4⁻ᵏ
+        that puts their maximum in [0.5, 2).
+
+        The scaling is exact and leaves every estimate and standard error
+        as it is (the bread scales by 4ᵏ, the meat by 4⁻²ᵏ), but w² in the
+        meat cannot underflow or overflow, nor can ZᵀWZ overflow.
+        """
+        if self.w is None:
+            return None
+        _, e = np.frexp(self.w.max(axis=1))
+        return np.ldexp(self.w, -2 * (e // 2)[:, None])
+
+    @cached_property
     def empty_arms(self) -> dict[int, EstimationError]:
         """Keyed by row, the error of each sample with an empty treatment arm."""
         n1 = self.a.sum(axis=1)
@@ -187,7 +213,7 @@ class _Stack:
         """Interaction estimates (R, p) of the empirically centered full model, and its errors."""
         p = self.x.shape[2]
         z, _, cmap = _design(named_spec("ANHECOVA", p), self.a, self.centered(Empirical()))
-        coef, _, _, errors = _solve(z, self.y, cmap.labels, self.w)
+        coef, _, _, errors = _solve(z, self.y, cmap.labels, self.scaled_w)
         return coef[:, -p:], errors
 
 
@@ -238,14 +264,56 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
 
     Returns the coefficients (R, q), the breads (ZᵀWZ)⁻¹ (R, q, q), the
     singular values (R, q) of W^½Z and, keyed by row, a
-    SingularDesignError for each sample that fails the one rank rule
-    s < SVD_RTOL·s[0]; it names the columns that load on the weak
-    directions. Those rows are NaN.
+    SingularDesignError for each sample that fails the rank rule of
+    ``_svd_solve``. Those rows are NaN.
+
+    A sample whose Gram matrix G = ZᵀWZ is finite and has eigenvalues
+    λ_min > GRAM_RTOL·λ_max is solved from G: one eigendecomposition
+    gives the bread V·diag(1/λ)·Vᵀ and the singular values √λ, and the
+    normal-equation coefficients are refined once against the residual.
+    Every other sample is gathered into a sub-stack (the whole stack
+    when none is left) and solved by ``_svd_solve``, which alone applies
+    the rank rule. A sample's route
+    and numbers depend on its own data only.
     """
     if w is not None:
         sw = np.sqrt(w)
         z = z * sw[..., None]
         y = y * sw
+    zt = z.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = zt @ z
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    gram[~finite] = np.eye(z.shape[2])  # eigh does not converge on inf or NaN
+    lam, v = np.linalg.eigh(gram)
+    svd = ~(finite & (lam[:, 0] > GRAM_RTOL * lam[:, -1]))
+    if svd.all():
+        return _svd_solve(z, y, labels)
+    # rows that go to the SVD may overflow, divide by zero or hold NaN here;
+    # their results are replaced below
+    with np.errstate(all="ignore"):
+        bread = (v / lam[:, None, :]) @ v.swapaxes(-1, -2)
+        coef = (bread @ (zt @ y[..., None]))[..., 0]
+        resid = y - (z @ coef[..., None])[..., 0]
+        coef += (bread @ (zt @ resid[..., None]))[..., 0]
+        s = np.sqrt(lam[:, ::-1])
+    errors = {}
+    if svd.any():
+        rows = np.flatnonzero(svd)
+        coef[rows], bread[rows], s[rows], sub = _svd_solve(z[rows], y[rows], labels)
+        errors = {int(rows[r]): e for r, e in sub.items()}
+    return coef, bread, s, errors
+
+
+def _svd_solve(z, y, labels: tuple[str, ...]):
+    """Unweighted least squares of y (R, n) on z (R, n, q) by one batched SVD.
+
+    Returns what ``_solve`` returns. A sample fails the one rank rule
+    s < SVD_RTOL·s[0] with a SingularDesignError that names the columns
+    loading on its weak directions; its row is NaN. This is ``_solve``'s
+    route for the samples the Gram matrix cannot decide, and the
+    reference the tests hold ``_solve`` to.
+    """
     u, s, vt = np.linalg.svd(z, full_matrices=False)
     tol = SVD_RTOL * s[:, 0]
     bad = (s[:, -1] < tol) | (s[:, 0] == 0.0)
@@ -320,8 +388,8 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
     """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
     z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     yadj = st.y - offset
-    coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.w)
-    vcov = _sandwich(z, yadj - (z @ coef[..., None])[..., 0], bread, st.w, hc1)
+    coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
+    vcov = _sandwich(z, yadj - (z @ coef[..., None])[..., 0], bread, st.scaled_w, hc1)
     del z, offset, yadj  # so the full-model refit below does not raise peak memory
     var = vcov[:, 1, 1]
     ate_se = np.sqrt(np.maximum(var, 0.0))
@@ -456,7 +524,7 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) 
         msg = f"expected {z.shape[1]} free coefficients, got shape {coef.shape}"
         raise ValueError(msg)
     z, yadj = z[None], (data.y - offset)[None]
-    w = None if data.weights is None else data.weights[None]
+    w = _Stack([data]).scaled_w
     _, bread, _, errors = _solve(z, yadj, cmap.labels, w)
     if errors:
         raise errors[0]

@@ -274,6 +274,10 @@ def _draw_chunk(
     if law is None:
         if hasattr(scn.sampler, "potentials"):
             x, y1, y0 = scn.sampler.potentials(n, rngs)
+            if cols is not None and np.ndim(x) == 3 and x.shape[2] != cols:
+                got = x.shape[2]
+                msg = f"replication {lo} draws {got} covariates but replication 0 draws {cols}"
+                raise ValueError(msg)
             x_raw = x
             for k, rng in enumerate(rngs):
                 rng.random(out=u[k])

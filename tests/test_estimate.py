@@ -199,7 +199,7 @@ class TestWeighted:
         with pytest.raises(ValueError, match="weight"):
             fit_ols(ANHECOVA1, w)
 
-    @pytest.mark.parametrize("scale", [1e-24, 1e24])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-24, 1e24, 1e300])
     def test_weight_scale_leaves_estimate_and_se_alone(self, scale):
         rng = np.random.default_rng(37)
         n = 50

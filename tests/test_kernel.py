@@ -27,7 +27,8 @@ from linadjust import (
     run_grid,
     scenario,
 )
-from linadjust.estimate import _fit, _Stack
+from linadjust.estimate import GRAM_RTOL, _fit, _solve, _Stack, _svd_solve
+from linadjust.model import build_design
 from linadjust.sim import _did_ldv_sampler, _digest, _draw_stack, _rep_states
 
 IO1 = parse_formula("1 + A + A:X1", ["X1"])
@@ -306,3 +307,96 @@ def test_errors_name_their_cause():
     ds, specs, _, family = _stack_p1(np.random.default_rng(5))
     causes = {r: e.cause for r, e in _fit(named_spec("ANCOVA", 1), _Stack(ds), family).errors.items()}
     assert causes == {4: "empty arm", 5: "singular design"}
+
+
+def _random_stack(rng, weighted):
+    """Eight samples whose designs have condition numbers 1 to 1e8, about one in
+    seven singular, each scaled by 10^-150 to 10^150, with positive weights
+    over four decades when ``weighted``."""
+    r, q = 8, int(rng.integers(1, 6))
+    n = int(rng.integers(q + 2, 40))
+    z = np.empty((r, n, q))
+    for k in range(r):
+        u = np.linalg.qr(rng.normal(size=(n, q)))[0]
+        v = np.linalg.qr(rng.normal(size=(q, q)))[0]
+        s = np.logspace(0.0, -rng.uniform(0.0, 8.0), q)
+        if rng.random() < 0.15:
+            s[-1] = 0.0
+        z[k] = (u * s) @ v.T
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, (r, 1))
+    z *= scale[..., None]
+    y = (z @ rng.normal(size=(r, q, 1)))[..., 0] + 0.1 * scale * rng.normal(size=(r, n))
+    w = 10.0 ** rng.uniform(-2.0, 2.0, (r, n)) if weighted else None
+    return z, y, w, tuple(f"c{j}" for j in range(q))
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# a bread past 1e308 (s_min near 1e-158) overflows in the SVD route, as it always has
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_gram_route_matches_the_svd_reference(weighted):
+    """_solve equals its SVD reference within 1e-12 relative on well-conditioned
+    samples, bit for bit on every other one, fails exactly where it fails, and
+    gives each sample what it gives that sample alone."""
+    rng = np.random.default_rng(17 + weighted)
+    routes = set()
+    for _ in range(150):
+        z, y, w, labels = _random_stack(rng, weighted)
+        got = _solve(z, y, labels, w)
+        zw, yw = (z, y) if w is None else (z * np.sqrt(w)[..., None], y * np.sqrt(w))
+        want = _svd_solve(zw, yw, labels)
+        assert got[3].keys() == want[3].keys()
+        for r, e in want[3].items():
+            assert (type(got[3][r]), str(got[3][r])) == (type(e), str(e))
+            assert got[3][r].columns == e.columns
+        for k in range(len(z)):
+            alone = _solve(z[k : k + 1], y[k : k + 1], labels, None if w is None else w[k : k + 1])
+            for a, b in zip(alone[:3], got[:3]):
+                assert np.array_equal(a[0], b[k], equal_nan=True)
+            lam = np.linalg.eigvalsh(zw[k].T @ zw[k])
+            coef, bread, s = (v[k] for v in got[:3])
+            ref_coef, ref_bread, ref_s = (v[k] for v in want[:3])
+            if lam[0] > 1.01 * GRAM_RTOL * lam[-1]:
+                routes.add("gram")
+                assert _rel(coef, ref_coef) < 1e-12
+                assert _rel(bread, ref_bread) < 1e-12
+                assert s[0] / s[-1] == pytest.approx(ref_s[0] / ref_s[-1], rel=1e-12)
+            elif lam[0] < 0.99 * GRAM_RTOL * lam[-1]:
+                routes.add("failed" if k in want[3] else "svd")
+                for a, b in ((coef, ref_coef), (bread, ref_bread), (s, ref_s)):
+                    assert np.array_equal(a, b, equal_nan=True)
+    assert routes == {"gram", "svd", "failed"}
+
+
+# the covariance for the centering penalty overflows too, before the fit is dropped
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_overflowing_gram_takes_the_svd_route():
+    """With covariates near 1e160 ZᵀZ overflows (and eigh would not converge on
+    it); that sample is solved by the SVD bit for bit and fails as its rank
+    rule says, while its neighbour in the stack keeps the Gram route."""
+    rng = np.random.default_rng(37)
+    a = (rng.random(50) < 0.5).astype(float)
+    x = rng.normal(size=(50, 2))
+    y = a + x @ [1.0, -0.5] + a * x[:, 0] + rng.normal(size=50)
+    spec = parse_formula("1 + A + X1 + A:X1", ["X1", "X2"])
+    big = Dataset(a, 1e160 * x, y)
+    with pytest.raises(SingularDesignError) as got:
+        fit_ols(spec, big)
+    assert got.value.columns == ("A", "1")
+    designs = [build_design(spec, d) for d in (Dataset(a, x, y), big)]
+    z = np.stack([d[0] for d in designs])
+    yadj = np.stack([y - d[1] for d in designs])
+    labels = designs[0][2].labels
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(z[1].T @ z[1]).all()
+    stacked = _solve(z, yadj, labels)
+    want = _svd_solve(z[1:], yadj[1:], labels)
+    for got_v, want_v in zip(stacked[:3], want[:3]):
+        assert np.array_equal(got_v[1], want_v[0], equal_nan=True)
+    assert list(stacked[3]) == [1] and str(stacked[3][1]) == str(want[3][0])
+    alone = _solve(z[:1], yadj[:1], labels)
+    for got_v, alone_v in zip(stacked[:3], alone[:3]):
+        assert np.array_equal(got_v[0], alone_v[0])

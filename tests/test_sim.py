@@ -464,6 +464,16 @@ class _GainsACovariate:
         return x, y1, y0
 
 
+class _GainsACovariateStacked(_GainsACovariate):
+    """The same draws through ``potentials``: a chunk draws its first replication's count."""
+
+    def potentials(self, n, rngs):
+        wide = [rng.random() < 0.1 for rng in rngs]
+        x = np.stack([rng.standard_normal((n, 2 if wide[0] else 1)) for rng in rngs])
+        noise = np.stack([rng.standard_normal((2, n)) for rng in rngs])
+        return x, x[..., 0] + noise[:, 0], noise[:, 1]
+
+
 CHUNK_CASES = {
     "s1": (scenario(1, n=30), 0.3),
     "s2-poisson": (scenario(2, n=30), 0.6),
@@ -581,17 +591,26 @@ class TestChunkDraw:
         assert report.cells[0].fail_rate == 0.0
 
     @pytest.mark.parametrize(
-        ("n", "later_chunk"),
-        [(20, False), (2048, True), (8192, True)],
-        ids=["one-chunk", "chunks-of-four", "one-per-chunk"],
+        ("sampler", "n", "later_chunk"),
+        [
+            (_GainsACovariate, 20, False),
+            (_GainsACovariate, 2048, True),
+            (_GainsACovariate, 8192, True),
+            (_GainsACovariateStacked, 2048, True),
+            (_GainsACovariateStacked, 8192, True),
+        ],
+        ids=["one-chunk", "chunks-of-four", "one-per-chunk", "potentials-chunks-of-four",
+             "potentials-one-per-chunk"],
     )
-    def test_a_covariate_gained_in_a_later_draw_is_named(self, n, later_chunk):
-        """The replication is compared with the first of its cell, as drawn alone."""
-        scn = custom_scenario(_GainsACovariate(), pi=0.5, beta_ate=0.0, n=n)
+    def test_a_covariate_gained_in_a_later_draw_is_named(self, sampler, n, later_chunk):
+        """The replication is compared with the first of its cell, as drawn alone; a
+        ``potentials`` sampler's chunk is named by its first replication."""
+        scn = custom_scenario(sampler(), pi=0.5, beta_ate=0.0, n=n)
         key, reps, chunk = f"scenario=custom|pi=0.5|n={n}", 40, max(1, sim.CHUNK_ROWS // n)
+        step = chunk if sampler is _GainsACovariateStacked else 1
         for seed in range(40):  # one whose first replication has one covariate
             p = [draw(scn, rep_seed(seed, key, r)).data.p for r in range(reps)]
-            bad = [r for r in range(reps) if p[r] != p[0]]
+            bad = [r for r in range(0, reps, step) if p[r] != p[0]]
             if bad and (bad[0] >= chunk) == later_chunk and p[0] == 1:
                 break
         else:
