@@ -397,12 +397,13 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
     if isinstance(spec.centering, Empirical):
         delta = _with_fixed(spec.delta, cmap.delta_cols, coef)
         need = np.any(delta != 0.0, axis=1)
+        need[list(errors)] = False  # a failed sample's NaN delta needs no penalty
         if need.any():
             delta_f, full_errors = (delta, {}) if _is_full(spec) else st.full_delta
             total, over = _penalized(var, st.sigma, delta, delta_f, st.n)
             clamped = need & over
             ate_se = np.where(need, np.sqrt(total), ate_se)
-            errors.update((r, e) for r, e in full_errors.items() if need[r] and r not in errors)
+            errors.update((r, e) for r, e in full_errors.items() if need[r])
     r = len(var)
     return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors, clamped,
                  np.ones(r, dtype=bool), np.ones(r, dtype=int))

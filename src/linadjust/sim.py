@@ -10,12 +10,14 @@ Scenario 1: Y(1) = 5 + 2.5X + e1, Y(0) = 3 + X + e0, Bernoulli(pi)
 assignment; effect 2. Scenario 2: Poisson outcomes with log means
 3 + 0.6X and 1 + 0.6X; effect e^3.18 - e^1.18, since
 E exp(c + 0.6X) = exp(c + 0.18). Scenario 3: Y(1) = 7 + X + e1,
-Y(0) = 2 - X + X^2 + e0 with assignment probability expit(4 - 2X);
-effect 7 - (2 + E X^2) = 4. Scenario 4 adds the weights
-1 / (pi(X)(1 - pi(X))) to Scenario 3. Treated potential outcomes are
-read with A = 1 substituted into their formulas. These effects are
-exact. A custom scenario takes its effect from ``beta_ate``, or else
-as mu1 - mu0 from its sampler's closed-form ``moments()``.
+Y(0) = 2 - X + X^2 + e0, assigned by the logit z = 4 - 2X, so with
+probability pi(X) = 1 / (1 + e^-z); effect 7 - (2 + E X^2) = 4.
+Scenario 4 adds the weights 1 / (pi(X)(1 - pi(X))) to Scenario 3,
+computed in the cancellation-free form e^z + 2 + e^-z. Treated
+potential outcomes are read with A = 1 substituted into their
+formulas. These effects are exact. A custom scenario takes its effect
+from ``beta_ate``, or else as mu1 - mu0 from its sampler's closed-form
+``moments()``.
 
 Seeds: replication r of a cell is ``draw(scn, rep_seed(root, key, r),
 pi)``, whose numpy ``SeedSequence`` hashes (root, cell key digest, r).
@@ -71,17 +73,17 @@ class _Law:
     means (mean_1(X), mean_0(X)); Y(a) is mean_a(X) plus standard normal
     noise for the "gaussian" family, or Poisson with mean mean_a(X) for
     the "poisson" family, which is also fit by the Poisson GLM.
-    Treatment is Bernoulli(propensity(X)), or Bernoulli(pi) with pi set
-    per run when there is no propensity. ``weight`` maps pi(X) to the
-    unit weights of a weighted fit. ``truth`` is the exact
-    E[Y(1) - Y(0)].
+    Treatment is Bernoulli(1 / (1 + e^-z)) with z = ``logit``(X), or
+    Bernoulli(pi) with pi set per run when there is no logit. A
+    ``weighted`` law gives each unit the weight 1 / (pi(X)(1 - pi(X))).
+    ``truth`` is the exact E[Y(1) - Y(0)].
     """
 
     means: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     truth: float
     family: str = "gaussian"
-    propensity: Callable[[np.ndarray], np.ndarray] | None = None
-    weight: Callable[[np.ndarray], np.ndarray] | None = None
+    logit: Callable[[np.ndarray], np.ndarray] | None = None
+    weighted: bool = False
 
 
 def _linear_means(x):
@@ -96,24 +98,17 @@ def _quadratic_means(x):
     return 7.0 + x, 2.0 - x + x * x
 
 
-def _expit_propensity(x):
-    # imported here so that only scenario 3/4 draws pay scipy's import time
-    from scipy.special import expit
-
-    return expit(4.0 - 2.0 * x)
+def _linear_logit(x):
+    return 4.0 - 2.0 * x
 
 
-def _inverse_variance_weight(p):
-    return 1.0 / (p * (1.0 - p))
-
-
-_SCENARIO3 = _Law(_quadratic_means, truth=4.0, propensity=_expit_propensity)
+_SCENARIO3 = _Law(_quadratic_means, truth=4.0, logit=_linear_logit)
 
 _LAWS = {
     1: _Law(_linear_means, truth=2.0),
     2: _Law(_log_linear_means, truth=float(np.exp(3.18) - np.exp(1.18)), family="poisson"),
     3: _SCENARIO3,
-    4: replace(_SCENARIO3, weight=_inverse_variance_weight),
+    4: replace(_SCENARIO3, weighted=True),
 }
 
 
@@ -155,11 +150,11 @@ class Scenario:
 
     @property
     def weighted(self) -> bool:
-        return self.law is not None and self.law.weight is not None
+        return self.law is not None and self.law.weighted
 
     @property
     def covariate_assignment(self) -> bool:
-        return self.law is not None and self.law.propensity is not None
+        return self.law is not None and self.law.logit is not None
 
 
 def scenario(id: int, n: int = 1000, pi: float | None = None) -> Scenario:
@@ -294,8 +289,13 @@ def _draw_chunk(
         if gaussian:
             rng.standard_normal(out=noise[k])
     x = x_raw - 2.0
-    if law.propensity is not None:
-        pi_x = law.propensity(x)
+    if law.logit is not None:
+        z = law.logit(x)
+        e_neg = np.exp(-z)
+        pi_x = 1.0 / (1.0 + e_neg)
+        if law.weighted:
+            # 1 / (pi(1 - pi)) without forming 1 - pi, which cancels for the heaviest units
+            weights = np.exp(z) + 2.0 + e_neg
     mean1, mean0 = law.means(x)
     if gaussian:
         y1, y0 = mean1 + noise[:, :n], mean0 + noise[:, n:]
@@ -305,8 +305,6 @@ def _draw_chunk(
             y1[k] = rng.poisson(mean1[k])
             y0[k] = rng.poisson(mean0[k])
     a, y = _observe(u, p if pi_x is None else pi_x, y1, y0)
-    if law.weight is not None:
-        weights = law.weight(pi_x)
     return a, x[..., None], y, weights, y1, y0, x_raw, pi_x
 
 

@@ -2,6 +2,7 @@ import builtins
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1146,17 +1147,44 @@ def test_out_file_equals_stdout(command, data_csv, s1_population, tmp_path, caps
     assert target.read_text(encoding="utf-8") == printed
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is imported only when a replication of scenario 3 or 4 is drawn."""
+def test_cli_import_loads_no_scipy(data_csv, s1_population, tmp_path):
+    """Every command imports no third-party module but the declared dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = sorted(re.match(r"[\w.-]+", dep)[0] for dep in deps)
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps(population_to_dict(s1_population)))
+    commands = [
+        ["estimate", "--data", str(data_csv), "--model", "anhecova"],
+        ["check", "--model", "ancova", "--model2", "anova", "--pi", "0.3"],
+        ["compare", "--population", str(pop), "--model", "anhecova", "--model2", "anova"],
+        ["table1"],
+    ]
+    commands += [
+        ["simulate", "--scenario", str(k), "--reps", "4", "--n", "200", "--pis", "0.5"]
+        for k in (1, 2, 3, 4)
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from linadjust.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        # Cython's runtime registers file-less modules (cython_runtime, _cython_3_*)
+        "new = [m for m in set(sys.modules) - before if getattr(sys.modules[m], '__file__', None)]\n"
+        "tops = {m.split('.')[0] for m in new}\n"
+        "print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {'linadjust'})]))"
+    )
     path = [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    probe = (
-        "import sys, linadjust.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)], capture_output=True, text=True, env=env
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    codes, third_party = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    assert third_party == declared
 
 
 def test_console_script(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -47,6 +49,7 @@ def test_anhecova_matches_pseudoinverse_oracle(hand_data):
     z = np.column_stack([np.ones(6), a, x, a * x])
     alpha, beta, gamma, delta = np.linalg.pinv(z) @ y
     fit = fit_ols(ANHECOVA1, hand_data)
+    assert fit.labels == ("1", "A", "X1", "A:X1")
     assert fit.alpha == pytest.approx(alpha, abs=1e-12)
     assert fit.beta == pytest.approx(beta, abs=1e-12)
     assert fit.gamma[0] == pytest.approx(gamma, abs=1e-12)
@@ -137,10 +140,13 @@ def test_shift_invariance_of_centered_estimate(shift):
     a = np.array([0, 1] * 25, dtype=float)
     x = rng.normal(size=n)
     y = 2 * a + x + a * x + rng.normal(size=n)
-    base = fit_ols(ANHECOVA1, Dataset(a, x, y))
-    moved = fit_ols(ANHECOVA1, Dataset(a, x + shift, y))
-    assert moved.ate_hat == pytest.approx(base.ate_hat, abs=1e-8)
-    assert moved.ate_se == pytest.approx(base.ate_se, rel=1e-6)
+    # scenario 4's weights 1/(pi(1 - pi)) run from 4 up; 1e6 is its weight at X = -5
+    w = rng.permutation(np.geomspace(4.0, 1e6, n))
+    for fit, weights in ((fit_ols, None), (fit_weighted, w)):
+        base = fit(ANHECOVA1, Dataset(a, x, y, weights))
+        moved = fit(ANHECOVA1, Dataset(a, x + shift, y, weights))
+        assert moved.ate_hat == pytest.approx(base.ate_hat, abs=1e-8)
+        assert moved.ate_se == pytest.approx(base.ate_se, rel=1e-6)
 
 
 def test_no_interactions_empirical_equals_known_sample_mean():
@@ -340,6 +346,18 @@ class TestErrors:
         with pytest.raises(SingularDesignError) as exc:
             fit_weighted(named_spec("ANCOVA", 3), data)
         assert exc.value.columns == ("X1", "X2")
+
+    @pytest.mark.parametrize("formula", ["1 + A + X1 + A:X1", "1 + A + A:X1"])
+    def test_a_failed_fit_raises_without_a_warning(self, formula):
+        """Covariates near 1e160 fail the rank rule; no centering penalty is
+        computed from the failed fit's NaN coefficients, so nothing overflows."""
+        rng = np.random.default_rng(37)
+        a = (rng.random(50) < 0.5).astype(float)
+        data = Dataset(a, 1e160 * rng.normal(size=(50, 2)), a + rng.normal(size=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDesignError):
+                fit_ols(parse_formula(formula, ["X1", "X2"]), data)
 
     def test_empty_arm(self):
         data = Dataset([1, 1, 1, 1], np.arange(4.0), np.arange(4.0))

@@ -174,6 +174,9 @@ class TestDataset:
         d = Dataset([0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], [0.0] * 4)
         assert d.x.shape == (4, 1)
         assert d.p == 1
+        assert repr(d) == "Dataset(n=4, p=1, weights=none)"
+        weighted = Dataset([0, 1, 0, 1], [[1.0, 0.0]] * 4, [0.0] * 4, [1.0] * 4)
+        assert repr(weighted) == "Dataset(n=4, p=2, weights=present)"
 
     def test_bad_treatment_reports_row(self):
         with pytest.raises(ValueError, match="row 2"):

@@ -161,7 +161,8 @@ class TestDraw:
         drw = draw(scenario(3, n=400), 2)
         assert drw.pi_x is not None
         assert np.all((drw.pi_x > 0) & (drw.pi_x < 1))
-        assert np.array_equal(drw.pi_x, expit(4.0 - 2.0 * drw.data.x[:, 0]))
+        want = expit(4.0 - 2.0 * drw.data.x[:, 0])
+        assert np.all(np.abs(drw.pi_x - want) <= 2 * np.spacing(want))
 
     def test_treated_fraction_matches_integral(self):
         """Independent oracle: E[expit(4 - 2X)] with X standard normal."""
@@ -173,6 +174,17 @@ class TestDraw:
         drw = draw(scenario(4, n=200), 9)
         assert drw.data.weights is not None
         assert np.allclose(drw.data.weights, 1.0 / (drw.pi_x * (1.0 - drw.pi_x)))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+    )
+    def test_inverse_variance_weights_are_exact_to_two_ulp(self):
+        """Against 1/(pi(1 - pi)) = e^z + 2 + e^-z, z = 4 - 2X, in long double:
+        forming 1 - pi would cancel for the heaviest units."""
+        drw = draw(scenario(4, n=20_000), 9)
+        z = (4.0 - 2.0 * drw.data.x[:, 0]).astype(np.longdouble)
+        w = drw.data.weights
+        assert np.all(np.abs(w - (np.exp(z) + 2 + np.exp(-z))) <= 2 * np.spacing(w))
 
 
 class TestRunGrid:
