@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 SVD_RTOL = 1e-10
+SVD_ROWS = 8192  # rows per batched SVD call
 # λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route (κ = s_max/s_min < 10):
 # its moves against the SVD reached 4.8e-12 at κ <= 31.6 (scenario 4) and scale as κ²
 GRAM_RTOL = 1e-2
@@ -138,8 +139,8 @@ class _Stack:
     ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, n) or
     None. What every spec fitted to the stack shares is computed once:
     the covariates under each centering, the empty-arm errors, whether
-    the outcomes are counts, and for the centering penalty the
-    covariates' covariance and the full model's interaction estimate.
+    the outcomes are counts, and for the centering penalty the full
+    model's interaction estimate.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -202,10 +203,13 @@ class _Stack:
         """Whether every outcome is exactly a nonnegative integer, as a Poisson fit needs."""
         return bool(((self.y >= 0.0) & (self.y == np.round(self.y))).all())
 
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        """Sample covariance (ddof 0) of the covariates, (R, p, p)."""
-        xc = self.centered(Empirical())
+    def sigma(self, rows=slice(None)) -> np.ndarray:
+        """Sample covariance (ddof 0) of the covariates of the samples ``rows``, (R', p, p).
+
+        Only the samples that need it are multiplied: a failed sample's
+        covariates may overflow the product.
+        """
+        xc = self.centered(Empirical())[rows]
         return (xc.swapaxes(-1, -2) @ xc) * (1.0 / self.n)
 
     @cached_property
@@ -278,8 +282,8 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     """
     if w is not None:
         sw = np.sqrt(w)
-        z = z * sw[..., None]
-        y = y * sw
+        z, y = z * sw[..., None], y * sw
+        del sw  # freed before the solve allocates: the caller's z is live too
     zt = z.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = zt @ z
@@ -294,7 +298,8 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     with np.errstate(all="ignore"):
         bread = (v / lam[:, None, :]) @ v.swapaxes(-1, -2)
         coef = (bread @ (zt @ y[..., None]))[..., 0]
-        resid = y - (z @ coef[..., None])[..., 0]
+        resid = (z @ coef[..., None])[..., 0]
+        resid = np.subtract(y, resid, out=resid)
         coef += (bread @ (zt @ resid[..., None]))[..., 0]
         s = np.sqrt(lam[:, ::-1])
     errors = {}
@@ -306,15 +311,24 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
 
 
 def _svd_solve(z, y, labels: tuple[str, ...]):
-    """Unweighted least squares of y (R, n) on z (R, n, q) by one batched SVD.
+    """Unweighted least squares of y (R, n) on z (R, n, q) by batched SVDs.
 
+    Each SVD call takes the samples of at most SVD_ROWS rows (one sample
+    at least), so its U, the largest array of the solve, stays that
+    small; each sample's numbers are those of its SVD alone.
     Returns what ``_solve`` returns. A sample fails the one rank rule
     s < SVD_RTOL·s[0] with a SingularDesignError that names the columns
     loading on its weak directions; its row is NaN. This is ``_solve``'s
     route for the samples the Gram matrix cannot decide, and the
     reference the tests hold ``_solve`` to.
     """
-    u, s, vt = np.linalg.svd(z, full_matrices=False)
+    step = max(1, SVD_ROWS // z.shape[1])
+    parts = []
+    for lo in range(0, len(z), step):
+        u, s, vt = np.linalg.svd(z[lo : lo + step], full_matrices=False)
+        parts.append(((y[lo : lo + step, None, :] @ u)[:, 0], s, vt))
+        del u  # before the next call allocates its own
+    uty, s, vt = (np.concatenate(v) for v in zip(*parts))
     tol = SVD_RTOL * s[:, 0]
     bad = (s[:, -1] < tol) | (s[:, 0] == 0.0)
     errors = {}
@@ -327,7 +341,7 @@ def _svd_solve(z, y, labels: tuple[str, ...]):
         )
     s = np.where(bad[:, None], np.nan, s)
     v = vt.swapaxes(-1, -2)
-    coef = (v @ ((y[:, None, :] @ u)[:, 0] / s)[..., None])[..., 0]
+    coef = (v @ (uty / s)[..., None])[..., 0]
     return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
 
 
@@ -335,9 +349,11 @@ def _sandwich(z, resid, bread, w=None, hc1=False):
     """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample."""
     if w is None:
         score = z * resid[..., None]
-    else:
+    else:  # (z·√w)·ε̂·√w in place: numpy makes a new array for each broadcast product
         sw = np.sqrt(w)[..., None]
-        score = z * sw * resid[..., None] * sw
+        score = z * sw
+        score *= resid[..., None]
+        score *= sw
     vcov = bread @ (score.swapaxes(-1, -2) @ score) @ bread
     if hc1:
         n, q = z.shape[-2:]
@@ -388,9 +404,11 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
     """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
     z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     yadj = st.y - offset
+    del offset  # dead arrays are freed at once, to keep a chunk's peak memory down
     coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
-    vcov = _sandwich(z, yadj - (z @ coef[..., None])[..., 0], bread, st.scaled_w, hc1)
-    del z, offset, yadj  # so the full-model refit below does not raise peak memory
+    yadj -= (z @ coef[..., None])[..., 0]  # now the residual
+    vcov = _sandwich(z, yadj, bread, st.scaled_w, hc1)
+    del z, yadj  # so the full-model refit below does not raise peak memory
     var = vcov[:, 1, 1]
     ate_se = np.sqrt(np.maximum(var, 0.0))
     clamped = np.zeros(len(var), dtype=bool)
@@ -399,10 +417,11 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
         need = np.any(delta != 0.0, axis=1)
         need[list(errors)] = False  # a failed sample's NaN delta needs no penalty
         if need.any():
+            rows = slice(None) if need.all() else np.flatnonzero(need)
             delta_f, full_errors = (delta, {}) if _is_full(spec) else st.full_delta
-            total, over = _penalized(var, st.sigma, delta, delta_f, st.n)
-            clamped = need & over
-            ate_se = np.where(need, np.sqrt(total), ate_se)
+            total, over = _penalized(var[rows], st.sigma(rows), delta[rows], delta_f[rows], st.n)
+            clamped[rows] = over
+            ate_se[rows] = np.sqrt(total)
             errors.update((r, e) for r, e in full_errors.items() if need[r])
     r = len(var)
     return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors, clamped,
@@ -436,6 +455,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         out = ~np.isfinite(eta).all(axis=1) | (np.abs(eta).max(axis=1) > 700.0)
         mu = np.exp(np.where(out[:, None], 0.0, eta))
         work = (eta - oi) + (y[rows] - mu) / mu
+        del eta
         new, bread[rows], s[rows], collapsed = _solve(zi, work, cmap.labels, mu)
         # z itself has full rank, so a rank failure here means the IRLS weights
         # collapsed: a fitted mean went to 0
@@ -549,7 +569,7 @@ def estimate_ate_variance_centered(
         msg = "dimension mismatch between spec and fits"
         raise ValueError(msg)
     var = data.n * fit_sub.vcov[1, 1]
-    total, clamped = _penalized(var, _Stack([data]).sigma[0], fit_sub.delta, fit_full.delta, 1)
+    total, clamped = _penalized(var, _Stack([data]).sigma()[0], fit_sub.delta, fit_full.delta, 1)
     if clamped:
         warnings.warn(_CLAMPED.format("estimate"), RuntimeWarning, stacklevel=2)
     return float(total)

@@ -60,9 +60,22 @@ __all__ = [
 
 REPORT_FIELDS = ("scenario", "model", "pi", "n", "reps", "bias", "sd", "mc_se", "fail_rate")
 FAIL_RATE_LIMIT = 0.01
-# Replications are drawn and fitted in chunks of about this many rows, so
-# the stacked arrays stay a few hundred kB whatever n and reps are.
+# Replications are drawn and fitted in chunks of about CHUNK_ROWS rows, which
+# keeps the stacked arrays of small n in cache. At larger n a chunk still holds
+# CHUNK_MIN_REPS replications, up to 4·CHUNK_ROWS rows (256 kB per stacked
+# column), because each chunk pays a fixed set-up of a few replications' worth.
 CHUNK_ROWS = 8192
+CHUNK_MIN_REPS = 16
+
+
+def _chunk_reps(n: int) -> int:
+    """Replications per ``run_grid`` chunk at n rows each.
+
+    CHUNK_ROWS // n, raised to CHUNK_MIN_REPS as long as those fit in
+    4·CHUNK_ROWS rows, and at least one: 40 at n = 200, 16 at n = 1000,
+    6 at n = 5000 and 1 above 32,768 rows.
+    """
+    return max(CHUNK_ROWS // n, min(CHUNK_MIN_REPS, 4 * CHUNK_ROWS // n), 1)
 
 
 @dataclass(frozen=True)
@@ -288,22 +301,28 @@ def _draw_chunk(
         rng.random(out=u[k])
         if gaussian:
             rng.standard_normal(out=noise[k])
+    # temporaries are updated in place or deleted once dead, which keeps the
+    # chunk's peak memory down and changes no bit
     x = x_raw - 2.0
     if law.logit is not None:
         z = law.logit(x)
         e_neg = np.exp(-z)
-        pi_x = 1.0 / (1.0 + e_neg)
         if law.weighted:
             # 1 / (pi(1 - pi)) without forming 1 - pi, which cancels for the heaviest units
             weights = np.exp(z) + 2.0 + e_neg
+        e_neg += 1.0
+        pi_x = np.divide(1.0, e_neg, out=e_neg)
     mean1, mean0 = law.means(x)
     if gaussian:
-        y1, y0 = mean1 + noise[:, :n], mean0 + noise[:, n:]
+        y1, y0 = noise[:, :n], noise[:, n:]
+        y1 += mean1
+        y0 += mean0
     else:
         y1, y0 = np.empty((reps, n)), np.empty((reps, n))
         for k, rng in enumerate(rngs):
             y1[k] = rng.poisson(mean1[k])
             y0[k] = rng.poisson(mean0[k])
+    del mean1, mean0
     a, y = _observe(u, p if pi_x is None else pi_x, y1, y0)
     return a, x[..., None], y, weights, y1, y0, x_raw, pi_x
 
@@ -487,7 +506,9 @@ def run_grid(
     so results are reproducible bit for bit and independent of
     execution order. Every model is fitted on the replication's one
     dataset, so the cells of one pi are paired. Replications are drawn
-    in chunks of about CHUNK_ROWS rows, each chunk at once (its seeds
+    in chunks of about CHUNK_ROWS rows, but of at least CHUNK_MIN_REPS
+    replications while they fit in 4·CHUNK_ROWS rows (``_chunk_reps``).
+    Each chunk is drawn at once (its seeds
     derived together, each transform of its law run once on the stacked
     raw variates, and the chunk validated once), and each model is
     fitted to a whole chunk in one stacked call that shares the chunk's
@@ -523,7 +544,7 @@ def run_grid(
             raise ValueError(msg)
 
     family = scn.law.family if scn.law is not None else "gaussian"
-    chunk = max(1, CHUNK_ROWS // scn.n)
+    chunk = _chunk_reps(scn.n)
     fits = np.full((len(models), len(pi_list), reps, 2), np.nan)  # NaN: the fit failed
     clamped = np.zeros((len(models), len(pi_list)), dtype=int)
     failures = [[Counter() for _ in pi_list] for _ in models]

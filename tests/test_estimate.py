@@ -149,6 +149,21 @@ def test_shift_invariance_of_centered_estimate(shift):
         assert moved.ate_se == pytest.approx(base.ate_se, rel=1e-6)
 
 
+@given(st.floats(-100, 100, allow_nan=False))
+def test_shift_invariance_of_centered_poisson_fit(shift):
+    """Under empirical centering the Poisson GLM's treatment coefficient and its
+    standard error do not move when the covariates shift."""
+    rng = np.random.default_rng(8)
+    n = 60
+    a = np.array([0, 1] * 30, dtype=float)
+    x = rng.normal(size=n)
+    y = rng.poisson(np.exp(1.0 + 0.5 * a + 0.3 * x + 0.2 * a * x)).astype(float)
+    base = fit_poisson_glm(ANHECOVA1, Dataset(a, x, y))
+    moved = fit_poisson_glm(ANHECOVA1, Dataset(a, x + shift, y))
+    assert moved.ate_hat == pytest.approx(base.ate_hat, abs=1e-8)
+    assert moved.ate_se == pytest.approx(base.ate_se, rel=1e-6)
+
+
 def test_no_interactions_empirical_equals_known_sample_mean():
     rng = np.random.default_rng(13)
     n = 30

@@ -6,6 +6,7 @@ mixed stack must get the estimate, standard error, clamp flag and
 error that the public function gives it alone.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from linadjust import (
 )
 from linadjust.estimate import GRAM_RTOL, _fit, _solve, _Stack, _svd_solve
 from linadjust.model import build_design
-from linadjust.sim import _did_ldv_sampler, _digest, _draw_stack, _rep_states
+from linadjust.sim import _chunk_reps, _did_ldv_sampler, _digest, _draw_stack, _rep_states
 
 IO1 = parse_formula("1 + A + A:X1", ["X1"])
 SPECS1 = [
@@ -206,21 +207,83 @@ def test_run_grid_matches_a_scalar_reference_loop():
         assert cell.mean_se == pytest.approx(ses.mean(), rel=1e-12)
 
 
-@pytest.mark.parametrize("sid", [1, 2, 4])
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
 def test_chunk_size_does_not_change_a_grid(sid, monkeypatch):
-    """A replication's numbers do not depend on which chunk it is stacked in."""
+    """A replication's numbers do not depend on which chunk it is stacked in:
+    chunks of one replication, of 4 and 12 (where the floor on replications,
+    not the row budget of 1 and 3, sets the size) and one chunk of all 25."""
     scn = scenario(sid, n=100)
     models = SPECS1[:3] + SPECS1[5:6]
     pis = [0.4] if sid in (1, 2) else None
     reports = []
-    for rows in (100, 300, 8192):
+    for rows, chunk in ((20, 1), (100, 4), (300, 12), (8192, 81)):
         monkeypatch.setattr("linadjust.sim.CHUNK_ROWS", rows)
+        assert _chunk_reps(scn.n) == chunk
         reports.append(run_grid(scn, models, pis, 25, seed=1, keep_estimates=True))
     for other in reports[1:]:
         assert other.to_csv() == reports[0].to_csv()
         for c0, c1 in zip(reports[0].cells, other.cells):
             assert np.array_equal(c0.estimates, c1.estimates)
             assert c0.mean_se == c1.mean_se
+
+
+@pytest.mark.parametrize(
+    ("n", "chunk"), [(200, 40), (1000, 16), (5000, 6), (16384, 2), (32769, 1)]
+)
+def test_chunk_floor(n, chunk):
+    """A chunk holds CHUNK_ROWS rows at small n, but at least 16 replications
+    while they fit in four times that, and never fewer than one."""
+    assert _chunk_reps(n) == chunk
+
+
+class _OneHuge:
+    """Chunks whose second replication has covariates near 1e160."""
+
+    p = 1
+
+    def potentials(self, n, rngs):
+        x = np.stack([rng.standard_normal((n, 1)) for rng in rngs])
+        x[1] *= 1e160
+        noise = np.stack([rng.standard_normal((2, n)) for rng in rngs])
+        return x, 1.0 + noise[:, 0], noise[:, 1]
+
+
+def test_an_overflowing_sample_leaves_its_neighbours_without_a_warning():
+    """A sample whose covariates near 1e160 fail the rank rule is kept out of
+    the covariance that the other samples' centering penalty needs, so its
+    neighbours get the bits of their fits alone and nothing overflows."""
+    rng = np.random.default_rng(37)
+    a = (rng.random(50) < 0.5).astype(float)
+    x = rng.normal(size=(50, 1))
+    plain = Dataset(a, x, a + x[:, 0] + a * x[:, 0] + rng.normal(size=50))
+    spec = parse_formula("1 + A + X1 + A:X1", ["X1"])
+    scn = custom_scenario(_OneHuge(), pi=0.5, beta_ate=1.0, n=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = _fit(spec, _Stack([plain, Dataset(a, 1e160 * x, plain.y)]))
+        alone = fit_ols(spec, plain)
+        report = run_grid(scn, [spec], None, 100, seed=1)
+    assert list(fits.errors) == [1] and isinstance(fits.errors[1], SingularDesignError)
+    assert (fits.ate_hat[0], fits.ate_se[0]) == (alone.ate_hat, alone.ate_se)
+    assert report.cells[0].failures == {"singular design": 1}
+
+
+# one run_grid chunk (16 replications of n = 1000) peaked at 138 B per row in
+# scenario 2 and 145 B in scenario 4 under tracemalloc; the bounds add about 9%
+@pytest.mark.parametrize(("sid", "bound"), [(2, 150), (4, 158)])
+def test_a_chunk_stays_within_its_memory(sid, bound):
+    scn = scenario(sid, n=1000)
+    models = [named_spec(m, 1) for m in ("ANOVA", "ANCOVA", "ANHECOVA")]
+    pis = [0.3] if sid == 2 else None
+    reps = _chunk_reps(scn.n)
+    run_grid(scn, models, pis, reps, seed=0)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        run_grid(scn, models, pis, reps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (reps * scn.n) < bound
 
 
 GRID_CASES = {

@@ -603,22 +603,27 @@ class TestChunkDraw:
         assert report.cells[0].fail_rate == 0.0
 
     @pytest.mark.parametrize(
-        ("sampler", "n", "later_chunk"),
+        ("sampler", "n", "chunk"),
         [
-            (_GainsACovariate, 20, False),
-            (_GainsACovariate, 2048, True),
-            (_GainsACovariate, 8192, True),
-            (_GainsACovariateStacked, 2048, True),
-            (_GainsACovariateStacked, 8192, True),
+            (_GainsACovariate, 20, 102),
+            (_GainsACovariate, 2048, 4),
+            (_GainsACovariate, 8192, 1),
+            (_GainsACovariateStacked, 2048, 4),
+            (_GainsACovariateStacked, 8192, 1),
         ],
         ids=["one-chunk", "chunks-of-four", "one-per-chunk", "potentials-chunks-of-four",
              "potentials-one-per-chunk"],
     )
-    def test_a_covariate_gained_in_a_later_draw_is_named(self, sampler, n, later_chunk):
+    def test_a_covariate_gained_in_a_later_draw_is_named(self, sampler, n, chunk, monkeypatch):
         """The replication is compared with the first of its cell, as drawn alone; a
-        ``potentials`` sampler's chunk is named by its first replication."""
+        ``potentials`` sampler's chunk is named by its first replication. A row
+        budget of 2048 makes one chunk of all 40 replications at n = 20, chunks of
+        four at n = 2048 and of one at n = 8192."""
+        monkeypatch.setattr("linadjust.sim.CHUNK_ROWS", 2048)
         scn = custom_scenario(sampler(), pi=0.5, beta_ate=0.0, n=n)
-        key, reps, chunk = f"scenario=custom|pi=0.5|n={n}", 40, max(1, sim.CHUNK_ROWS // n)
+        key, reps = f"scenario=custom|pi=0.5|n={n}", 40
+        assert sim._chunk_reps(n) == chunk
+        later_chunk = chunk < reps
         step = chunk if sampler is _GainsACovariateStacked else 1
         for seed in range(40):  # one whose first replication has one covariate
             p = [draw(scn, rep_seed(seed, key, r)).data.p for r in range(reps)]
