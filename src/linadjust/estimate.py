@@ -4,7 +4,12 @@ Every fit reduces to unconstrained least squares on the free design
 columns after the fixed-coefficient offset is moved to the response
 (linear models) or into the linear predictor (Poisson). One stacked
 kernel serves them all: ``_Stack`` holds R samples of equal shape and
-``_fit`` fits one spec to every sample at once. Inside it, ``_solve`` is
+``_fit`` fits one spec to every sample at once. The kernel holds every
+stacked design column-major, as one (R, q, n) block (sample, column,
+row; ``model._design``), so each per-row product (the weighting by √w,
+the fitted values, the sandwich's score) runs along contiguous rows of
+length n, and the Gram ZᵀWZ and the meat are each a block times its
+transpose. Inside ``_fit``, ``_solve`` is
 the (weighted) least-squares solve used by OLS, WLS, every IRLS step and
 the full-model refit for the centering penalty. It solves a sample from
 its Gram matrix ZᵀWZ (one eigendecomposition, the coefficients refined
@@ -137,7 +142,8 @@ class _Stack:
     """R samples of n rows and p covariates each, stacked on a leading axis.
 
     ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, n) or
-    None. What every spec fitted to the stack shares is computed once:
+    None; the designs built from them are column-major, (R, q, n). What
+    every spec fitted to the stack shares is computed once:
     the covariates under each centering, the empty-arm errors, whether
     the outcomes are counts, and for the centering penalty the full
     model's interaction estimate.
@@ -264,7 +270,8 @@ class _Fits:
 
 
 def _solve(z, y, labels: tuple[str, ...], w=None):
-    """Least squares of y (R, n) on z (R, n, q), per sample, weighted by w when given.
+    """Least squares of y (R, n) on the column-major designs z (R, q, n), per
+    sample, weighted by w when given.
 
     Returns the coefficients (R, q), the breads (ZᵀWZ)⁻¹ (R, q, q), the
     singular values (R, q) of W^½Z and, keyed by row, a
@@ -282,13 +289,12 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     """
     if w is not None:
         sw = np.sqrt(w)
-        z, y = z * sw[..., None], y * sw
+        z, y = z * sw[:, None, :], y * sw
         del sw  # freed before the solve allocates: the caller's z is live too
-    zt = z.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = zt @ z
+        gram = z @ z.swapaxes(-1, -2)
     finite = np.isfinite(gram).all(axis=(1, 2))
-    gram[~finite] = np.eye(z.shape[2])  # eigh does not converge on inf or NaN
+    gram[~finite] = np.eye(z.shape[1])  # eigh does not converge on inf or NaN
     lam, v = np.linalg.eigh(gram)
     svd = ~(finite & (lam[:, 0] > GRAM_RTOL * lam[:, -1]))
     if svd.all():
@@ -297,10 +303,10 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     # their results are replaced below
     with np.errstate(all="ignore"):
         bread = (v / lam[:, None, :]) @ v.swapaxes(-1, -2)
-        coef = (bread @ (zt @ y[..., None]))[..., 0]
-        resid = (z @ coef[..., None])[..., 0]
+        coef = (bread @ (z @ y[..., None]))[..., 0]
+        resid = (coef[:, None, :] @ z)[:, 0]
         resid = np.subtract(y, resid, out=resid)
-        coef += (bread @ (zt @ resid[..., None]))[..., 0]
+        coef += (bread @ (z @ resid[..., None]))[..., 0]
         s = np.sqrt(lam[:, ::-1])
     errors = {}
     if svd.any():
@@ -311,21 +317,24 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
 
 
 def _svd_solve(z, y, labels: tuple[str, ...]):
-    """Unweighted least squares of y (R, n) on z (R, n, q) by batched SVDs.
+    """Unweighted least squares of y (R, n) on the column-major designs z
+    (R, q, n) by batched SVDs.
 
     Each SVD call takes the samples of at most SVD_ROWS rows (one sample
     at least), so its U, the largest array of the solve, stays that
-    small; each sample's numbers are those of its SVD alone.
+    small; each sample's numbers are those of its SVD alone. The SVD
+    factors the (n, q) view of each sample, which is Fortran-ordered, so
+    LAPACK's copy of it is a plain one.
     Returns what ``_solve`` returns. A sample fails the one rank rule
     s < SVD_RTOL·s[0] with a SingularDesignError that names the columns
     loading on its weak directions; its row is NaN. This is ``_solve``'s
     route for the samples the Gram matrix cannot decide, and the
     reference the tests hold ``_solve`` to.
     """
-    step = max(1, SVD_ROWS // z.shape[1])
+    step = max(1, SVD_ROWS // z.shape[2])
     parts = []
     for lo in range(0, len(z), step):
-        u, s, vt = np.linalg.svd(z[lo : lo + step], full_matrices=False)
+        u, s, vt = np.linalg.svd(z[lo : lo + step].swapaxes(-1, -2), full_matrices=False)
         parts.append(((y[lo : lo + step, None, :] @ u)[:, 0], s, vt))
         del u  # before the next call allocates its own
     uty, s, vt = (np.concatenate(v) for v in zip(*parts))
@@ -346,17 +355,18 @@ def _svd_solve(z, y, labels: tuple[str, ...]):
 
 
 def _sandwich(z, resid, bread, w=None, hc1=False):
-    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample."""
+    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample,
+    of the column-major designs z (R, q, n) and residuals (R, n)."""
     if w is None:
-        score = z * resid[..., None]
+        score = z * resid[:, None, :]
     else:  # (z·√w)·ε̂·√w in place: numpy makes a new array for each broadcast product
-        sw = np.sqrt(w)[..., None]
+        sw = np.sqrt(w)[:, None, :]
         score = z * sw
-        score *= resid[..., None]
+        score *= resid[:, None, :]
         score *= sw
-    vcov = bread @ (score.swapaxes(-1, -2) @ score) @ bread
+    vcov = bread @ (score @ score.swapaxes(-1, -2)) @ bread
     if hc1:
-        n, q = z.shape[-2:]
+        q, n = z.shape[-2:]
         vcov *= n / max(n - q, 1)
     return 0.5 * (vcov + vcov.swapaxes(-1, -2))
 
@@ -406,7 +416,7 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
     yadj = st.y - offset
     del offset  # dead arrays are freed at once, to keep a chunk's peak memory down
     coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
-    yadj -= (z @ coef[..., None])[..., 0]  # now the residual
+    yadj -= (coef[:, None, :] @ z)[:, 0]  # now the residual
     vcov = _sandwich(z, yadj, bread, st.scaled_w, hc1)
     del z, yadj  # so the full-model refit below does not raise peak memory
     var = vcov[:, 1, 1]
@@ -451,7 +461,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
             break
         rows = slice(None) if idx.size == len(y) else idx  # no gather while all are active
         zi, oi = z[rows], offset[rows]
-        eta = (zi @ coef[rows, :, None])[..., 0] + oi
+        eta = (coef[rows, None, :] @ zi)[:, 0] + oi
         out = ~np.isfinite(eta).all(axis=1) | (np.abs(eta).max(axis=1) > 700.0)
         mu = np.exp(np.where(out[:, None], 0.0, eta))
         work = (eta - oi) + (y[rows] - mu) / mu
@@ -470,7 +480,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         active[idx[out | done]] = False
 
     coef[list(errors)] = np.nan
-    vcov = _sandwich(z, y - np.exp((z @ coef[..., None])[..., 0] + offset), bread)
+    vcov = _sandwich(z, y - np.exp((coef[:, None, :] @ z)[:, 0] + offset), bread)
     ate_se = np.sqrt(np.maximum(vcov[:, 1, 1], 0.0))
     return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors,
                  np.zeros(len(y), dtype=bool), converged, iterations)
@@ -544,12 +554,12 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) 
     if coef.shape != (z.shape[1],):
         msg = f"expected {z.shape[1]} free coefficients, got shape {coef.shape}"
         raise ValueError(msg)
-    z, yadj = z[None], (data.y - offset)[None]
+    z, yadj = z.T[None], (data.y - offset)[None]  # the column-major (1, q, n) view
     w = _Stack([data]).scaled_w
     _, bread, _, errors = _solve(z, yadj, cmap.labels, w)
     if errors:
         raise errors[0]
-    return _sandwich(z, yadj - z @ coef, bread, w, hc1)[0]
+    return _sandwich(z, yadj - coef @ z, bread, w, hc1)[0]
 
 
 def estimate_ate_variance_centered(

@@ -415,7 +415,8 @@ def build_design(spec: ModelSpec, data: Dataset):
     if data.p != spec.p:
         msg = f"dataset has p={data.p} covariates but spec expects {spec.p}"
         raise ValueError(msg)
-    return _design(spec, data.a, _center(spec.centering, data.x))
+    z, offset, cmap = _design(spec, data.a, _center(spec.centering, data.x))
+    return np.ascontiguousarray(z.T), offset, cmap
 
 
 def _center(centering: Centering, x: np.ndarray) -> np.ndarray:
@@ -428,22 +429,27 @@ def _center(centering: Centering, x: np.ndarray) -> np.ndarray:
 def _design(spec: ModelSpec, a: np.ndarray, xc: np.ndarray):
     """:func:`build_design` on centered covariates, for samples stacked on leading axes.
 
-    ``a`` is (..., n) and ``xc`` (..., n, p); returns Z (..., n, q),
-    the offset (..., n) and the ColumnMap.
+    ``a`` is (..., n) and ``xc`` (..., n, p). Returns Z column-major, one
+    C-contiguous block (..., q, n) in which each design column is a
+    contiguous row, with the offset (..., n) and the ColumnMap.
     """
-    cols = [np.ones_like(a), a]
+    q = 2 + sum(c.is_free for c in spec.gamma + spec.delta)
+    z = np.empty(a.shape[:-1] + (q, a.shape[-1]))
+    z[..., 0, :] = 1.0
+    z[..., 1, :] = a
     labels = ["1", "A"]
     offset = np.zeros_like(a)
     gamma_cols: dict[int, int] = {}
     delta_cols: dict[int, int] = {}
     for side, coefs, where in (("", spec.gamma, gamma_cols), ("A:", spec.delta, delta_cols)):
         for j, c in enumerate(coefs):
-            if c.is_free or c.value != 0.0:
-                term = a * xc[..., j] if side else xc[..., j]
-                if c.is_free:
-                    where[j] = len(cols)
-                    cols.append(term)
-                    labels.append(f"{side}X{j + 1}")
+            if c.is_free:
+                k = where[j] = len(labels)
+                labels.append(f"{side}X{j + 1}")
+                if side:
+                    np.multiply(a, xc[..., j], out=z[..., k, :])
                 else:
-                    offset += c.value * term
-    return np.stack(cols, axis=-1), offset, ColumnMap(tuple(labels), gamma_cols, delta_cols)
+                    z[..., k, :] = xc[..., j]
+            elif c.value != 0.0:
+                offset += c.value * (a * xc[..., j] if side else xc[..., j])
+    return z, offset, ColumnMap(tuple(labels), gamma_cols, delta_cols)

@@ -15,6 +15,7 @@ from linadjust import (
     named_spec,
     parse_formula,
 )
+from linadjust.model import _center, _design
 
 NAMES1 = ["X1"]
 NAMES2 = ["X1", "X2"]
@@ -253,6 +254,29 @@ class TestBuildDesign:
         data = Dataset([0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], np.zeros(4))
         with pytest.raises(ValueError, match="dataset has p=1 covariates but spec expects 2"):
             build_design(named_spec("ANCOVA", 2), data)
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["1 + A", "1 + A + X1 + X2", "1 + A + X1 + X2 + A:X1 + A:X2", "1 + A + X1@0.5 + A:X2",
+         "1 + A + X2 + A:X1@-2 + A:X2"],
+    )
+    @pytest.mark.parametrize("centering", [Empirical(), KnownMean((0.5, -1.0))])
+    def test_stacked_design_is_column_major(self, formula, centering):
+        """_design lays a stack out as one C-contiguous (R, q, n) block whose
+        samples are the transposes of build_design's (n, q) designs, bit for bit."""
+        rng = np.random.default_rng(11)
+        datasets = [Dataset(rng.integers(0, 2, 9), rng.normal(size=(9, 2)), rng.normal(size=9))
+                    for _ in range(3)]
+        spec = parse_formula(formula, NAMES2).with_centering(centering)
+        a = np.stack([d.a for d in datasets])
+        z, offset, cmap = _design(spec, a, _center(centering, np.stack([d.x for d in datasets])))
+        assert z.shape == (3, len(cmap.labels), 9) and z.flags.c_contiguous
+        for r, data in enumerate(datasets):
+            zr, offr, cmapr = build_design(spec, data)
+            assert zr.flags.c_contiguous and zr.shape == (9, len(cmap.labels))
+            assert np.array_equal(z[r].T, zr)
+            assert np.array_equal(offset[r], offr)
+            assert cmapr == cmap
 
 
 def test_spec_length_mismatch():
