@@ -14,13 +14,14 @@ trailing ``w`` column holding positive replication weights; UTF-8,
 ``.`` as the decimal separator. Each field is read as Python's
 ``float`` reads it; quoted fields and CRLF line endings are accepted and
 blank lines are skipped. Validation errors cite the offending physical
-line, counting the header as line 1. The file is read once, a block of
-lines at a time, by one of two routes. A block of plain numbers (ASCII
-digits, ``.``, ``e``, ``E``, ``+``, ``-``, commas and line breaks, each
-line within ``csv.field_size_limit()``) is converted by numpy's C
-reader, which reads each value as ``float`` does; any other block, and
-any block numpy rejects, goes through ``csv.reader`` and is checked row
-by row, with the same values and messages.
+line, counting the header as line 1; a quote never closed is "unexpected
+end of data" however far it runs. The file is opened once and read a
+block of lines at a time, by one of two routes. A block of plain numbers
+(ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-``, commas and line
+breaks, each line within ``csv.field_size_limit()``) is converted by
+numpy's C reader, which reads each value as ``float`` does; any other
+block, and any block numpy rejects, goes through ``csv.reader`` and is
+checked row by row, with the same values and messages.
 
 ``main`` may be called any number of times in one process.
 """
@@ -140,12 +141,26 @@ def _check_utf8(text: str, path: str) -> None:
         raise _not_utf8(path) from None
 
 
-def _header(reader, path: str) -> list[str]:
+def _csv_error(exc: csv.Error, fh, start: int) -> csv.Error:
+    """``exc`` of the row after line ``start``, or, past the field limit, a quote never closed."""
+    if str(exc).startswith("field larger"):
+        fh.seek(0)
+        limit = csv.field_size_limit(sys.maxsize)
+        try:
+            next(csv.reader(islice(fh, start, None), strict=True), None)
+        except csv.Error as again:
+            exc = again if str(again) == "unexpected end of data" else exc
+        finally:
+            csv.field_size_limit(limit)
+    return exc
+
+
+def _header(reader, fh, path: str) -> list[str]:
     """The checked header names: ``a``, ``y``, at least one covariate, optional ``w``."""
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise ValueError(f"{path} line 1: {exc}") from None
+        raise ValueError(f"{path} line 1: {_csv_error(exc, fh, 0)}") from None
     if header is None:
         raise ValueError(f"{path}: empty file")
     _check_utf8("".join(header), path)
@@ -234,7 +249,7 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh, strict=True)
-        names = _header(reader, path)
+        names = _header(reader, fh, path)
         width, line = len(names), reader.line_num
         blocks, error = [np.empty((0, width))], None
         while lines := list(islice(fh, _BLOCK_ROWS)):
@@ -249,7 +264,7 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
             except csv.Error as exc:  # unless an earlier row is at fault, cite the broken row
                 _walk(block, names, path)
                 end = block[-1][1] if block else line
-                raise ValueError(f"{path} line {end + 1}: {exc}") from None
+                raise ValueError(f"{path} line {end + 1}: {_csv_error(exc, fh, end)}") from None
             values, fault = _walk(block, names, path)
             blocks.append(values)
             error = error or fault

@@ -9,9 +9,9 @@ stacked design column-major, as one (R, q, n) block (sample, column,
 row; ``model._design``), so each per-row product (the weighting by √w,
 the fitted values, the sandwich's score) runs along contiguous rows of
 length n, and the Gram ZᵀWZ and the meat are each a block times its
-transpose. Inside ``_fit``, ``_solve`` is
-the (weighted) least-squares solve used by OLS, WLS, every IRLS step and
-the full-model refit for the centering penalty. It solves a sample from
+transpose. Inside ``_fit``, ``_solve`` is the (weighted) least-squares
+solve used by OLS, WLS, every IRLS step and the full-model refit for the
+centering penalty. It solves a sample from
 its Gram matrix ZᵀWZ (one eigendecomposition, the coefficients refined
 once) when the Gram is finite and its eigenvalue ratio exceeds
 GRAM_RTOL = 1e-2, that is when s_max/s_min < 10. The Gram route's
@@ -24,8 +24,8 @@ tests compare with. ``_sandwich`` is the HC0/HC1 covariance, and
 Weighted fits use each sample's weights times an even power of two
 (``_Stack.scaled_w``), which changes no result but keeps w² and ZᵀWZ
 in range. A sample that cannot be fitted is NaN in the stack and keeps
-the error a fit of it alone raises. The public ``fit_*`` functions fit
-a stack of one; ``sim.run_grid`` fits a stack per chunk of replications.
+the error a fit of it alone raises. ``sim.run_grid`` fits a stack per
+chunk; ``fit_*`` and ``sandwich_vcov`` fit a stack of one (``_Stack.one``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Centering, ColumnMap, Dataset, Empirical, KnownMean, ModelSpec, build_design
-from .model import _center, _design, named_spec
+from .model import Centering, ColumnMap, Dataset, Empirical, KnownMean, ModelSpec, format_formula
+from .model import _center, _check_covariates, _design, named_spec
 
 __all__ = [
     "EstimationError",
@@ -111,8 +111,6 @@ class FitResult:
 
     def to_dict(self, cov_names: list[str] | None = None) -> dict:
         """JSON-ready record; the spec names covariates ``cov_names`` (default X1..Xp)."""
-        from .model import format_formula
-
         names = cov_names or [f"X{j + 1}" for j in range(self.spec.p)]
         centering = (
             "empirical"
@@ -142,30 +140,22 @@ class _Stack:
     """R samples of n rows and p covariates each, stacked on a leading axis.
 
     ``a`` and ``y`` are (R, n), ``x`` is (R, n, p) and ``w`` (R, n) or
-    None; the designs built from them are column-major, (R, q, n). What
-    every spec fitted to the stack shares is computed once:
-    the covariates under each centering, the empty-arm errors, whether
-    the outcomes are counts, and for the centering penalty the full
-    model's interaction estimate.
+    None (``one`` stacks a lone dataset); the designs built from them are
+    column-major, (R, q, n). What every spec fitted to the stack shares is
+    computed once: the covariates under each centering, the empty-arm
+    errors, whether the outcomes are counts, and for the centering penalty
+    the full model's interaction estimate.
     """
 
-    def __init__(self, datasets: list[Dataset]) -> None:
-        def stack(arrays):  # a view for one sample, so a lone large fit copies nothing
-            return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-        self.a = stack([d.a for d in datasets])
-        self.x = stack([d.x for d in datasets])
-        self.y = stack([d.y for d in datasets])
-        weighted = datasets[0].weights is not None
-        self.w = stack([d.weights for d in datasets]) if weighted else None
+    def __init__(self, a: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> None:
+        self.a, self.x, self.y, self.w = a, x, y, w
         self._centered: dict[bytes | None, np.ndarray] = {}
 
     @classmethod
-    def of(cls, a: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> _Stack:
-        """A stack of already stacked arrays."""
-        st = cls.__new__(cls)
-        st.a, st.x, st.y, st.w, st._centered = a, x, y, w, {}
-        return st
+    def one(cls, data: Dataset) -> _Stack:
+        """A dataset as a stack of one, of views, so a lone large fit copies nothing."""
+        w = None if data.weights is None else data.weights[None]
+        return cls(data.a[None], data.x[None], data.y[None], w)
 
     @property
     def n(self) -> int:
@@ -397,9 +387,7 @@ def _penalized(var, sigma, delta_s, delta_f, scale):
 
 def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = False) -> _Fits:
     """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson"."""
-    if st.x.shape[2] != spec.p:
-        msg = f"dataset has p={st.x.shape[2]} covariates but spec expects {spec.p}"
-        raise ValueError(msg)
+    _check_covariates(spec, st.x.shape[2])
     fits = _fit_poisson(spec, st) if family == "poisson" else _fit_linear(spec, st, hc1)
     # an empty arm is also a singular design, but it is reported as what it is
     fits.errors.update(st.empty_arms)
@@ -488,7 +476,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
 
 def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:
     """Fit a stack of one; raise its error, or warn at the public function's caller on a clamp."""
-    fits = _fit(spec, _Stack([data]), family, hc1)
+    fits = _fit(spec, _Stack.one(data), family, hc1)
     if fits.errors:
         raise fits.errors[0]
     if fits.clamped[0]:
@@ -541,25 +529,26 @@ def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult
     return _fit_one(spec, data, "gaussian", hc1)
 
 
-def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat, hc1: bool = False) -> np.ndarray:
+def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat) -> np.ndarray:
     """Recompute the HC0 sandwich covariance at a given coefficient vector.
 
     ``theta_hat`` may be a FitResult or the free-coefficient vector in
     design-column order. Returns the q x q covariance of the free
     coefficients, already scaled for the estimates themselves (the
-    asymptotic matrix divided by n).
+    asymptotic matrix divided by n): at a fit's own coefficients, its ``vcov``.
     """
-    z, offset, cmap = build_design(spec, data)
+    _check_covariates(spec, data.p)
+    st = _Stack.one(data)
+    z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     coef = theta_hat.free_coefs if isinstance(theta_hat, FitResult) else np.asarray(theta_hat)
     if coef.shape != (z.shape[1],):
         msg = f"expected {z.shape[1]} free coefficients, got shape {coef.shape}"
         raise ValueError(msg)
-    z, yadj = z.T[None], (data.y - offset)[None]  # the column-major (1, q, n) view
-    w = _Stack([data]).scaled_w
-    _, bread, _, errors = _solve(z, yadj, cmap.labels, w)
+    yadj = st.y - offset
+    _, bread, _, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
     if errors:
         raise errors[0]
-    return _sandwich(z, yadj - coef @ z, bread, w, hc1)[0]
+    return _sandwich(z, yadj - (coef[None, None, :] @ z)[:, 0], bread, st.scaled_w)[0]
 
 
 def estimate_ate_variance_centered(
@@ -579,7 +568,7 @@ def estimate_ate_variance_centered(
         msg = "dimension mismatch between spec and fits"
         raise ValueError(msg)
     var = data.n * fit_sub.vcov[1, 1]
-    total, clamped = _penalized(var, _Stack([data]).sigma()[0], fit_sub.delta, fit_full.delta, 1)
+    total, clamped = _penalized(var, _Stack.one(data).sigma()[0], fit_sub.delta, fit_full.delta, 1)
     if clamped:
         warnings.warn(_CLAMPED.format("estimate"), RuntimeWarning, stacklevel=2)
     return float(total)

@@ -412,11 +412,16 @@ def build_design(spec: ModelSpec, data: Dataset):
         q = 2 + #free gamma + #free delta. The offset holds the fixed
         part gamma_fixed' Xc + A * delta_fixed' Xc of the fit.
     """
-    if data.p != spec.p:
-        msg = f"dataset has p={data.p} covariates but spec expects {spec.p}"
-        raise ValueError(msg)
+    _check_covariates(spec, data.p)
     z, offset, cmap = _design(spec, data.a, _center(spec.centering, data.x))
     return np.ascontiguousarray(z.T), offset, cmap
+
+
+def _check_covariates(spec: ModelSpec, p: int) -> None:
+    """Raise unless ``p`` covariates fit ``spec``: before centering, or a known mean broadcasts."""
+    if p != spec.p:
+        msg = f"dataset has p={p} covariates but spec expects {spec.p}"
+        raise ValueError(msg)
 
 
 def _center(centering: Centering, x: np.ndarray) -> np.ndarray:

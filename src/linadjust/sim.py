@@ -215,7 +215,7 @@ def _assignment_pi(scn: Scenario, pi: float | None) -> float | None:
         return None
     p = pi if pi is not None else scn.pi
     if p is None:
-        msg = f"scenario {scn.id} needs an assignment probability"
+        msg = f"scenario {scn.id} needs an explicit assignment probability"
         raise ValueError(msg)
     _check_pi(p)
     return p
@@ -281,12 +281,11 @@ def _draw_chunk(
     pi_x = weights = None
     if law is None:
         if hasattr(scn.sampler, "potentials"):
-            x, y1, y0 = scn.sampler.potentials(n, rngs)
-            if cols is not None and np.ndim(x) == 3 and x.shape[2] != cols:
-                got = x.shape[2]
+            x_raw, y1, y0 = scn.sampler.potentials(n, rngs)
+            x = x_raw[..., None] if np.ndim(x_raw) == 2 else x_raw  # (R, n): one covariate
+            if cols is not None and (got := x.shape[2]) != cols:
                 msg = f"replication {lo} draws {got} covariates but replication 0 draws {cols}"
                 raise ValueError(msg)
-            x_raw = x
             for k, rng in enumerate(rngs):
                 rng.random(out=u[k])
         else:
@@ -354,7 +353,7 @@ def _draw_stack(
     rngs = [np.random.Generator(np.random.PCG64(_Derived(state))) for state in states]
     a, x, y, w, *_ = _draw_chunk(scn, p, rngs, lo, cols)
     _check_samples(a, x, y, w)
-    return _Stack.of(a, x, y, w)
+    return _Stack(a, x, y, w)
 
 
 @dataclass
@@ -532,16 +531,7 @@ def run_grid(
     if not models:
         msg = "at least one model is required"
         raise ValueError(msg)
-    if scn.covariate_assignment:
-        pi_list: list[float | None] = [None]
-    else:
-        if pis:
-            pi_list = list(pis)
-        elif scn.pi is not None:
-            pi_list = [scn.pi]
-        else:
-            msg = "this scenario needs explicit assignment probabilities"
-            raise ValueError(msg)
+    pi_list = [None] if scn.covariate_assignment else list(pis or [scn.pi])
 
     family = scn.law.family if scn.law is not None else "gaussian"
     chunk = _chunk_reps(scn.n)

@@ -613,11 +613,14 @@ class TestCsvReader:
         rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
         assert (rc, out, err) == (2, "", f"error: {path} line {k + 2}: expected 3 fields, got 4\n")
 
-    @pytest.mark.parametrize("where", ["last-line", "no-final-newline", "mid-file"])
+    @pytest.mark.parametrize("where", ["last-line", "no-final-newline", "mid-file",
+                                       "past-the-limit"])
     def test_unclosed_quote_cites_its_line(self, tmp_path, capsys, block_rows, where):
         rows = [",".join(r) for r in _rows(self.past_first_block())]
         if where == "mid-file":  # the quoted field runs to the end, within the size limit
             rows, k = rows[:25], 5
+        elif where == "past-the-limit":  # and here past it, which csv reports first
+            rows, k = [",".join(r) for r in _rows(csv.field_size_limit() // 8)], 5
         else:
             k = len(rows)
         lines = ["a,y,x1"] + rows[:k] + ['1,2,"4'] + rows[k:]
@@ -627,6 +630,23 @@ class TestCsvReader:
         rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
         assert (rc, out, err) == (2, "", f"error: {path} line {k + 2}: unexpected end of data\n")
 
+    def test_unclosed_quote_in_the_header_past_the_limit(self, tmp_path, capsys):
+        rows = [",".join(r) for r in _rows(csv.field_size_limit() // 8)]
+        path = self.write(tmp_path, ['a,y,"x1'] + rows)
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path} line 1: unexpected end of data\n")
+
+    def test_quote_closed_past_the_limit(self, tmp_path, capsys, block_rows):
+        rows = [",".join(r) for r in _rows(csv.field_size_limit() // 8)]
+        rows[5] = '1,2,"4'
+        rows[-3] = '0,1",2'
+        path = self.write(tmp_path, ["a,y,x1"] + rows)
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        limit = csv.field_size_limit()
+        assert (rc, out, err) == (
+            2, "", f"error: {path} line 7: field larger than field limit ({limit})\n"
+        )
+
 
 def _reference_read(path):
     """Read a CSV one row at a time by the documented rules; the error message,
@@ -635,8 +655,26 @@ def _reference_read(path):
     Each row's line is ``csv.reader.line_num``. The header rules apply
     first; then the row rules in row order (malformed CSV, a byte that is
     not UTF-8, the field count, ``float`` syntax); then the value rules
-    at the first bad line's first bad column; then Dataset's rules.
+    at the first bad line's first bad column; then Dataset's rules. A
+    field over csv's field limit is an error, unless the whole file read
+    again with no limit ends inside that row's open quote: that is
+    "unexpected end of data", however large the file.
     """
+    got = _reference_rows(path)
+    limit = csv.field_size_limit()
+    if not (isinstance(got, str) and got.endswith(f": field larger than field limit ({limit})")):
+        return got
+    csv.field_size_limit(sys.maxsize)
+    try:
+        unlimited = _reference_rows(path)
+    finally:
+        csv.field_size_limit(limit)
+    unclosed = got.rsplit(": ", 1)[0] + ": unexpected end of data"
+    return unclosed if unlimited == unclosed else got
+
+
+def _reference_rows(path):
+    """``_reference_read`` but for the open quote over the field limit."""
     raw = path.read_bytes()
     try:
         raw.decode("utf-8")

@@ -11,6 +11,7 @@ from linadjust import (
     KnownMean,
     SingularDesignError,
     build_design,
+    draw,
     estimate_ate_variance_centered,
     fit_ols,
     fit_poisson_glm,
@@ -18,6 +19,7 @@ from linadjust import (
     named_spec,
     parse_formula,
     sandwich_vcov,
+    scenario,
 )
 
 ANOVA1 = named_spec("ANOVA", 1)
@@ -407,8 +409,21 @@ class TestErrors:
 def test_sandwich_vcov_matches_fit(hand_data):
     fit = fit_ols(ANHECOVA1, hand_data)
     v = sandwich_vcov(ANHECOVA1, hand_data, fit)
-    assert np.allclose(v, fit.vcov, atol=1e-15)
+    assert np.array_equal(v, fit.vcov)
     assert np.allclose(v, v.T, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["ANOVA", "ANCOVA", "ANHECOVA"])
+@pytest.mark.parametrize("sid", [1, 3, 4], ids=["ols-s1", "ols-s3", "wls-s4"])
+def test_sandwich_vcov_is_the_fits_vcov_bit_for_bit(sid, name):
+    """At a fit's own coefficients the recomputed sandwich is the fit's, because
+    both go through the kernel's design, residual and weights."""
+    spec = named_spec(name, 1)
+    fit_fn = fit_weighted if sid == 4 else fit_ols
+    for seed in range(4):
+        data = draw(scenario(sid, n=300), seed, pi=0.4).data
+        fit = fit_fn(spec, data)
+        assert np.array_equal(sandwich_vcov(spec, data, fit), fit.vcov)
 
 
 def test_hc1_inflates_variance(hand_data):

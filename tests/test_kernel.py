@@ -54,6 +54,13 @@ CLAMP_X = [-0.626, 1.107, 0.539, 0.829, -0.602, -0.557, -0.822, -0.541]
 CLAMP_Y = [-1.943, 0.429, -1.5, 0.079, -1.298, 0.117, -1.192, -0.02]
 
 
+def _stack_of(datasets):
+    """The kernel's stack of the datasets' arrays, one sample per dataset."""
+    weights = [d.weights for d in datasets]
+    w = None if weights[0] is None else np.stack(weights)
+    return _Stack(*(np.stack([getattr(d, f) for d in datasets]) for f in "axy"), w)
+
+
 def _alone(fit_fn, spec, data):
     """(ate_hat, ate_se, se_clamped, error) of the public fit of one sample."""
     with warnings.catch_warnings(record=True) as rec:
@@ -121,7 +128,7 @@ def test_mixed_stacks_match_fits_alone():
     seen = set()
     for make in (_stack_p1, _stack_weighted, _stack_p2, _stack_poisson):
         datasets, specs, fit_fn, family = make(rng)
-        stack = _Stack(datasets)
+        stack = _stack_of(datasets)
         for spec in specs:
             fits = _fit(spec, stack, family)
             for r, data in enumerate(datasets):
@@ -260,7 +267,7 @@ def test_an_overflowing_sample_leaves_its_neighbours_without_a_warning():
     scn = custom_scenario(_OneHuge(), pi=0.5, beta_ate=1.0, n=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fits = _fit(spec, _Stack([plain, Dataset(a, 1e160 * x, plain.y)]))
+        fits = _fit(spec, _stack_of([plain, Dataset(a, 1e160 * x, plain.y)]))
         alone = fit_ols(spec, plain)
         report = run_grid(scn, [spec], None, 100, seed=1)
     assert list(fits.errors) == [1] and isinstance(fits.errors[1], SingularDesignError)
@@ -365,10 +372,11 @@ def test_run_grid_raises_what_draw_raises(fault):
 
 def test_errors_name_their_cause():
     ds, specs, _, family = _stack_poisson(np.random.default_rng(5))
-    causes = {r: e.cause for r, e in _fit(specs[2], _Stack(ds), family).errors.items()}
+    causes = {r: e.cause for r, e in _fit(specs[2], _stack_of(ds), family).errors.items()}
     assert causes == {3: "Poisson divergence", 4: "Poisson divergence", 5: "empty arm"}
     ds, specs, _, family = _stack_p1(np.random.default_rng(5))
-    causes = {r: e.cause for r, e in _fit(named_spec("ANCOVA", 1), _Stack(ds), family).errors.items()}
+    fits = _fit(named_spec("ANCOVA", 1), _stack_of(ds), family)
+    causes = {r: e.cause for r, e in fits.errors.items()}
     assert causes == {4: "empty arm", 5: "singular design"}
 
 

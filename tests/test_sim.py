@@ -23,6 +23,7 @@ from linadjust import (
     did_vs_ldv_experiment,
     draw,
     figure1_data,
+    fit_ols,
     named_spec,
     rep_seed,
     run_grid,
@@ -486,6 +487,15 @@ class _GainsACovariateStacked(_GainsACovariate):
         return x, x[..., 0] + noise[:, 0], noise[:, 1]
 
 
+class _StackedFlatX:
+    """A ``potentials`` sampler whose x is (R, n), the stacked form of an (n,) x."""
+
+    def potentials(self, n, rngs):
+        x = np.stack([rng.standard_normal(n) for rng in rngs])
+        noise = np.stack([rng.standard_normal((2, n)) for rng in rngs])
+        return x, 1.0 + x + noise[:, 0], noise[:, 1]
+
+
 CHUNK_CASES = {
     "s1": (scenario(1, n=30), 0.3),
     "s2-poisson": (scenario(2, n=30), 0.6),
@@ -497,6 +507,7 @@ CHUNK_CASES = {
     "potential-only-1d-x": (
         custom_scenario(_PotentialOnly(flat=True), pi=0.5, beta_ate=0.0, n=30), 0.5
     ),
+    "potentials-1d-x": (custom_scenario(_StackedFlatX(), pi=0.5, beta_ate=1.0, n=30), 0.5),
 }
 
 
@@ -596,6 +607,17 @@ class TestChunkDraw:
             assert np.array_equal(x[k], d.data.x)
             assert np.array_equal(y[k], d.data.y)
         assert 0 < flat < len(seeds)
+
+    def test_a_stacked_1d_x_runs_a_grid(self):
+        """A ``potentials`` x of shape (R, n) is one covariate, as an (n,) x is to
+        ``draw``: each kept estimate is the fit of its replication drawn alone."""
+        scn, pi = CHUNK_CASES["potentials-1d-x"]
+        report = run_grid(scn, TRIO, [pi], reps=40, seed=6, keep_estimates=True)
+        key = f"scenario=custom|pi={pi}|n=30"
+        datasets = [draw(scn, rep_seed(6, key, r)).data for r in range(40)]
+        for spec, cell in zip(TRIO, report.cells):
+            assert cell.fail_rate == 0.0
+            assert np.array_equal(cell.estimates, [fit_ols(spec, d).ate_hat for d in datasets])
 
     def test_x_with_and_without_its_covariate_axis_runs_a_grid(self):
         scn = custom_scenario(_MixedX(), pi=0.5, beta_ate=0.0, n=20)
