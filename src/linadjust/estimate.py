@@ -11,16 +11,19 @@ the fitted values, the sandwich's score) runs along contiguous rows of
 length n, and the Gram ZᵀWZ and the meat are each a block times its
 transpose. Inside ``_fit``, ``_solve`` is the (weighted) least-squares
 solve used by OLS, WLS, every IRLS step and the full-model refit for the
-centering penalty. It solves a sample from
-its Gram matrix ZᵀWZ (one eigendecomposition, the coefficients refined
-once) when the Gram is finite and its eigenvalue ratio exceeds
-GRAM_RTOL = 1e-2, that is when s_max/s_min < 10. The Gram route's
-distance from the SVD grows as the condition number squared; the bound
-keeps it near 5e-13, inside the 1e-12 to which every estimate must
-agree with the SVD. Every other sample goes to the batched SVD of
-``_svd_solve``, which holds the one rank rule and is the reference the
-tests compare with. ``_sandwich`` is the HC0/HC1 covariance, and
-``_penalized`` adds the empirical-centering penalty and clamps.
+centering penalty. It solves a sample from its Gram matrix ZᵀWZ (one
+eigendecomposition, the coefficients refined once) when the Gram is
+finite and its eigenvalue ratio exceeds GRAM_RTOL = 1e-6, that is when
+κ = s_max/s_min < 10³. The accuracy rule is a budget per quantity
+against the exact solution of the same double data (GRAM_BUDGET, checked
+against a long-double oracle in the tests): the coefficients and ate_hat
+within κ(1 + κη)·ε, the least-squares condition that the SVD's own error
+follows; the bread within 8κ²·ε; the meat within its change under the
+residuals' error; and the covariance within the sandwich's amplification
+of those two. Every other sample goes to the batched SVD of
+``_svd_solve``, which holds the one rank rule. ``_meat`` is the HC0 meat,
+``_sandwich`` the HC0/HC1 covariance, and ``_penalized`` adds the
+empirical-centering penalty and clamps.
 Weighted fits use each sample's weights times an even power of two
 (``_Stack.scaled_w``), which changes no result but keeps w² and ZᵀWZ
 in range. A sample that cannot be fitted is NaN in the stack and keeps
@@ -52,9 +55,22 @@ __all__ = [
 
 SVD_RTOL = 1e-10
 SVD_ROWS = 8192  # rows per batched SVD call
-# λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route (κ = s_max/s_min < 10):
-# its moves against the SVD reached 4.8e-12 at κ <= 31.6 (scenario 4) and scale as κ²
-GRAM_RTOL = 1e-2
+# The Gram route's error budget: the constant c per quantity, for its error relative to
+# the largest entry of the exact value (a long-double oracle in the tests), with ε the
+# double epsilon, κ = s_max/s_min of W^½Z and η = ‖W^½r‖/(s_max‖β‖):
+#   coef   c·κ(1 + κη)·ε: coefficients and ate_hat; the least-squares condition
+#          (Higham, Accuracy and Stability of Numerical Algorithms, §20.1), as the SVD's
+#   bread  c·κ²·ε: (ZᵀWZ)⁻¹ from the normal equations squares κ (Higham §20.4)
+#   meat   c times the meat's first-order change when each residual rᵢ moves by
+#          (|yᵢ| + ‖zᵢ‖₁·max|β|)·(ε + the coef budget)
+#   vcov   ‖B‖²‖M‖/‖BMB‖·(2·bread + meat): what the sandwich makes of the two
+# Seen over random stacks at κ < 10³ and 5,376 fits of scenarios 3 and 4 (seven specs):
+# at most 0.22, 0.38, 0.02 and 0.04 of these.
+GRAM_BUDGET = {"coef": 1.0, "bread": 8.0, "meat": 1.0}
+# λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route, κ < 10³: there the bread's
+# budget, 8κ²ε <= 1.8e-9, stays under a hundredth of the 2e-7 that scenario 4's sandwich
+# loses by either route, and every sample of scenarios 1-4 is inside it (κ <= 300 at n = 1000)
+GRAM_RTOL = 1e-6
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
 _DIVERGED = "Poisson fit diverged (separation or unbounded coefficients)"
@@ -268,14 +284,14 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     SingularDesignError for each sample that fails the rank rule of
     ``_svd_solve``. Those rows are NaN.
 
-    A sample whose Gram matrix G = ZᵀWZ is finite and has eigenvalues
-    λ_min > GRAM_RTOL·λ_max is solved from G: one eigendecomposition
-    gives the bread V·diag(1/λ)·Vᵀ and the singular values √λ, and the
-    normal-equation coefficients are refined once against the residual.
-    Every other sample is gathered into a sub-stack (the whole stack
-    when none is left) and solved by ``_svd_solve``, which alone applies
-    the rank rule. A sample's route
-    and numbers depend on its own data only.
+    One batched eigendecomposition of the Gram matrices G = ZᵀWZ routes
+    each sample. A sample whose G is finite and has eigenvalues
+    λ_min > GRAM_RTOL·λ_max (κ < 10³) is solved from G by ``_gram_solve``,
+    within the budget GRAM_BUDGET states. Every other sample (κ ≳ 10³, a
+    G that overflows, a singular design) is gathered into a sub-stack and
+    solved by ``_svd_solve`` alone, which applies the rank rule; nothing
+    of the Gram route is formed for it. A sample's route and numbers
+    depend on its own data only.
     """
     if w is not None:
         sw = np.sqrt(w)
@@ -286,24 +302,31 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     finite = np.isfinite(gram).all(axis=(1, 2))
     gram[~finite] = np.eye(z.shape[1])  # eigh does not converge on inf or NaN
     lam, v = np.linalg.eigh(gram)
-    svd = ~(finite & (lam[:, 0] > GRAM_RTOL * lam[:, -1]))
-    if svd.all():
+    good = finite & (lam[:, 0] > GRAM_RTOL * lam[:, -1])
+    if good.all():
+        return (*_gram_solve(z, y, lam, v), {})
+    if not good.any():
         return _svd_solve(z, y, labels)
-    # rows that go to the SVD may overflow, divide by zero or hold NaN here;
-    # their results are replaced below
-    with np.errstate(all="ignore"):
-        bread = (v / lam[:, None, :]) @ v.swapaxes(-1, -2)
-        coef = (bread @ (z @ y[..., None]))[..., 0]
-        resid = (coef[:, None, :] @ z)[:, 0]
-        resid = np.subtract(y, resid, out=resid)
-        coef += (bread @ (z @ resid[..., None]))[..., 0]
-        s = np.sqrt(lam[:, ::-1])
-    errors = {}
-    if svd.any():
-        rows = np.flatnonzero(svd)
-        coef[rows], bread[rows], s[rows], sub = _svd_solve(z[rows], y[rows], labels)
-        errors = {int(rows[r]): e for r, e in sub.items()}
-    return coef, bread, s, errors
+    r, q = z.shape[:2]
+    coef, bread, s = np.empty((r, q)), np.empty((r, q, q)), np.empty((r, q))
+    rows = np.flatnonzero(good)
+    coef[rows], bread[rows], s[rows] = _gram_solve(z[rows], y[rows], lam[rows], v[rows])
+    rows = np.flatnonzero(~good)
+    coef[rows], bread[rows], s[rows], sub = _svd_solve(z[rows], y[rows], labels)
+    return coef, bread, s, {int(rows[k]): e for k, e in sub.items()}
+
+
+def _gram_solve(z, y, lam, v):
+    """The normal-equation solve of y (R, n) on z (R, q, n) from the
+    eigendecomposition V·diag(λ)·Vᵀ of each Gram matrix: the bread
+    V·diag(1/λ)·Vᵀ, the coefficients refined once against the residual,
+    and the singular values √λ in descending order."""
+    bread = (v / lam[:, None, :]) @ v.swapaxes(-1, -2)
+    coef = (bread @ (z @ y[..., None]))[..., 0]
+    resid = (coef[:, None, :] @ z)[:, 0]
+    resid = np.subtract(y, resid, out=resid)
+    coef += (bread @ (z @ resid[..., None]))[..., 0]
+    return coef, bread, np.sqrt(lam[:, ::-1])
 
 
 def _svd_solve(z, y, labels: tuple[str, ...]):
@@ -318,8 +341,7 @@ def _svd_solve(z, y, labels: tuple[str, ...]):
     Returns what ``_solve`` returns. A sample fails the one rank rule
     s < SVD_RTOL·s[0] with a SingularDesignError that names the columns
     loading on its weak directions; its row is NaN. This is ``_solve``'s
-    route for the samples the Gram matrix cannot decide, and the
-    reference the tests hold ``_solve`` to.
+    route for the samples the Gram matrix cannot decide.
     """
     step = max(1, SVD_ROWS // z.shape[2])
     parts = []
@@ -344,9 +366,9 @@ def _svd_solve(z, y, labels: tuple[str, ...]):
     return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
 
 
-def _sandwich(z, resid, bread, w=None, hc1=False):
-    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample,
-    of the column-major designs z (R, q, n) and residuals (R, n)."""
+def _meat(z, resid, w=None):
+    """The HC0 meat Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ (R, q, q), per sample, of the column-major
+    designs z (R, q, n) and residuals (R, n)."""
     if w is None:
         score = z * resid[:, None, :]
     else:  # (z·√w)·ε̂·√w in place: numpy makes a new array for each broadcast product
@@ -354,7 +376,13 @@ def _sandwich(z, resid, bread, w=None, hc1=False):
         score = z * sw
         score *= resid[:, None, :]
         score *= sw
-    vcov = bread @ (score @ score.swapaxes(-1, -2)) @ bread
+    return score @ score.swapaxes(-1, -2)
+
+
+def _sandwich(z, resid, bread, w=None, hc1=False):
+    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample,
+    of the column-major designs z (R, q, n) and residuals (R, n)."""
+    vcov = bread @ _meat(z, resid, w) @ bread
     if hc1:
         q, n = z.shape[-2:]
         vcov *= n / max(n - q, 1)
@@ -567,6 +595,7 @@ def estimate_ate_variance_centered(
     if fit_sub.spec.p != spec.p or fit_full.spec.p != spec.p:
         msg = "dimension mismatch between spec and fits"
         raise ValueError(msg)
+    _check_covariates(spec, data.p)
     var = data.n * fit_sub.vcov[1, 1]
     total, clamped = _penalized(var, _Stack.one(data).sigma()[0], fit_sub.delta, fit_full.delta, 1)
     if clamped:

@@ -405,6 +405,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="dimension mismatch between spec and fits"):
             estimate_ate_variance_centered(named_spec("ANCOVA", 2), hand_data, full, sub)
 
+    def test_centered_variance_checks_the_datasets_covariates(self, hand_data):
+        sub = fit_ols(named_spec("ANCOVA", 1), hand_data)
+        full = fit_ols(ANHECOVA1, hand_data)
+        wide = Dataset(hand_data.a, np.column_stack([hand_data.x, hand_data.x]), hand_data.y)
+        with pytest.raises(ValueError, match="dataset has p=2 covariates but spec expects 1"):
+            estimate_ate_variance_centered(named_spec("ANCOVA", 1), wide, full, sub)
+
 
 def test_sandwich_vcov_matches_fit(hand_data):
     fit = fit_ols(ANHECOVA1, hand_data)
