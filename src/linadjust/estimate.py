@@ -6,24 +6,27 @@ columns after the fixed-coefficient offset is moved to the response
 kernel serves them all: ``_Stack`` holds R samples of equal shape and
 ``_fit`` fits one spec to every sample at once. The kernel holds every
 stacked design column-major, as one (R, q, n) block (sample, column,
-row; ``model._design``), so each per-row product (the weighting by √w,
-the fitted values, the sandwich's score) runs along contiguous rows of
-length n, and the Gram ZᵀWZ and the meat are each a block times its
-transpose. Inside ``_fit``, ``_solve`` is the (weighted) least-squares
-solve used by OLS, WLS, every IRLS step and the full-model refit for the
-centering penalty. It solves a sample from its Gram matrix ZᵀWZ (one
-eigendecomposition, the coefficients refined once) when the Gram is
-finite and its eigenvalue ratio exceeds GRAM_RTOL = 1e-6, that is when
-κ = s_max/s_min < 10³. The accuracy rule is a budget per quantity
-against the exact solution of the same double data (GRAM_BUDGET, checked
-against a long-double oracle in the tests): the coefficients and ate_hat
-within κ(1 + κη)·ε, the least-squares condition that the SVD's own error
-follows; the bread within 8κ²·ε; the meat within its change under the
-residuals' error; and the covariance within the sandwich's amplification
-of those two. Every other sample goes to the batched SVD of
-``_svd_solve``, which holds the one rank rule. ``_meat`` is the HC0 meat,
-``_sandwich`` the HC0/HC1 covariance, and ``_penalized`` adds the
-empirical-centering penalty and clamps.
+row; ``model._design``), so each per-row product (the weighting Z·w, the
+fitted values, the sandwich's score Z·wε̂) runs along contiguous rows of
+length n. The Gram ZᵀWZ = (Z·w) @ Zᵀ and the meat S·Sᵀ of the score S
+are products that numpy hands to BLAS gemm, never a block times its own
+transpose, which it hands to the slower syrk (``_self_product``); the
+weights enter the Gram route once, as Z·w, and W^½Z is formed only for
+the samples the SVD takes. Inside ``_fit``, ``_solve`` is the (weighted)
+least-squares solve used by OLS, WLS, every IRLS step and the full-model
+refit for the centering penalty. It solves a sample from its Gram matrix
+ZᵀWZ (one eigendecomposition, the coefficients refined once) when the
+Gram is finite and its eigenvalue ratio exceeds GRAM_RTOL = 1e-6, that
+is when κ = s_max/s_min < 10³. The accuracy rule is a budget per
+quantity against the exact solution of the same double data
+(GRAM_BUDGET, checked against a long-double oracle in the tests): the
+coefficients and ate_hat within κ(1 + κη)·ε, the least-squares condition
+that the SVD's own error follows; the bread within 8κ²·ε; the meat
+within its change under the residuals' error; and the covariance within
+the sandwich's amplification of those two. Every other sample goes to
+the batched SVD of ``_svd_solve``, which holds the one rank rule.
+``_meat`` is the HC0 meat, ``_sandwich`` the HC0/HC1 covariance, and
+``_penalized`` adds the empirical-centering penalty and clamps.
 Weighted fits use each sample's weights times an even power of two
 (``_Stack.scaled_w``), which changes no result but keeps w² and ZᵀWZ
 in range. A sample that cannot be fitted is NaN in the stack and keeps
@@ -219,10 +222,12 @@ class _Stack:
         """Sample covariance (ddof 0) of the covariates of the samples ``rows``, (R', p, p).
 
         Only the samples that need it are multiplied: a failed sample's
-        covariates may overflow the product.
+        covariates may overflow the product. At p >= 2 the second operand
+        is a copy, so numpy calls gemm, not syrk (see ``_self_product``); at
+        p = 1 the product is a dot either way.
         """
         xc = self.centered(Empirical())[rows]
-        return (xc.swapaxes(-1, -2) @ xc) * (1.0 / self.n)
+        return (xc.swapaxes(-1, -2) @ (xc if xc.shape[2] == 1 else xc.copy())) * (1.0 / self.n)
 
     @cached_property
     def full_delta(self) -> tuple[np.ndarray, dict[int, EstimationError]]:
@@ -290,48 +295,62 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
     within the budget GRAM_BUDGET states. Every other sample (κ ≳ 10³, a
     G that overflows, a singular design) is gathered into a sub-stack and
     solved by ``_svd_solve`` alone, which applies the rank rule; nothing
-    of the Gram route is formed for it. A sample's route and numbers
-    depend on its own data only.
+    of the Gram route is formed for it, and W^½Z is formed for it alone.
+    A sample's route and numbers depend on its own data only.
     """
-    if w is not None:
-        sw = np.sqrt(w)
-        z, y = z * sw[:, None, :], y * sw
-        del sw  # freed before the solve allocates: the caller's z is live too
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = z @ z.swapaxes(-1, -2)
+        zw = z if w is None else z * w[:, None, :]
+        gram = _self_product(z) if w is None else zw @ z.swapaxes(-1, -2)
     finite = np.isfinite(gram).all(axis=(1, 2))
     gram[~finite] = np.eye(z.shape[1])  # eigh does not converge on inf or NaN
     lam, v = np.linalg.eigh(gram)
     good = finite & (lam[:, 0] > GRAM_RTOL * lam[:, -1])
     if good.all():
-        return (*_gram_solve(z, y, lam, v), {})
+        return (*_gram_solve(zw, z, y, lam, v), {})
     if not good.any():
-        return _svd_solve(z, y, labels)
+        del zw  # before the SVD route forms W^½Z
+        return _svd_solve(z, y, labels, w)
     r, q = z.shape[:2]
     coef, bread, s = np.empty((r, q)), np.empty((r, q, q)), np.empty((r, q))
     rows = np.flatnonzero(good)
-    coef[rows], bread[rows], s[rows] = _gram_solve(z[rows], y[rows], lam[rows], v[rows])
+    coef[rows], bread[rows], s[rows] = _gram_solve(zw[rows], z[rows], y[rows], lam[rows], v[rows])
+    del zw
     rows = np.flatnonzero(~good)
-    coef[rows], bread[rows], s[rows], sub = _svd_solve(z[rows], y[rows], labels)
+    wr = None if w is None else w[rows]
+    coef[rows], bread[rows], s[rows], sub = _svd_solve(z[rows], y[rows], labels, wr)
     return coef, bread, s, {int(rows[k]): e for k, e in sub.items()}
 
 
-def _gram_solve(z, y, lam, v):
-    """The normal-equation solve of y (R, n) on z (R, q, n) from the
-    eigendecomposition V·diag(λ)·Vᵀ of each Gram matrix: the bread
-    V·diag(1/λ)·Vᵀ, the coefficients refined once against the residual,
-    and the singular values √λ in descending order."""
+def _self_product(a):
+    """a @ aᵀ (R, q, q) of the column-major blocks a (R, q, n): rows 1..q-1,
+    then row 0. numpy hands a block times its own transpose to BLAS syrk,
+    2-5 times slower than gemm on the kernel's stacked blocks; operands that
+    start at different rows of one buffer go to gemm, and unlike a copy of
+    the block they do not raise a chunk's peak memory."""
+    at = a.swapaxes(-1, -2)
+    out = np.empty(a.shape[:-1] + a.shape[-2:-1])
+    np.matmul(a[:, 1:], at, out=out[:, 1:])
+    np.matmul(a[:, :1], at, out=out[:, :1])
+    return out
+
+
+def _gram_solve(zw, z, y, lam, v):
+    """The normal-equation solve of y (R, n) on z (R, q, n), with zw = Z·w
+    (z itself unweighted), from the eigendecomposition V·diag(λ)·Vᵀ of each
+    Gram matrix: the bread V·diag(1/λ)·Vᵀ, the coefficients refined once
+    against the residual y - Zβ, and the singular values √λ in descending
+    order. No square root of the weights is taken."""
     bread = (v / lam[:, None, :]) @ v.swapaxes(-1, -2)
-    coef = (bread @ (z @ y[..., None]))[..., 0]
+    coef = (bread @ (zw @ y[..., None]))[..., 0]
     resid = (coef[:, None, :] @ z)[:, 0]
     resid = np.subtract(y, resid, out=resid)
-    coef += (bread @ (z @ resid[..., None]))[..., 0]
+    coef += (bread @ (zw @ resid[..., None]))[..., 0]
     return coef, bread, np.sqrt(lam[:, ::-1])
 
 
-def _svd_solve(z, y, labels: tuple[str, ...]):
-    """Unweighted least squares of y (R, n) on the column-major designs z
-    (R, q, n) by batched SVDs.
+def _svd_solve(z, y, labels: tuple[str, ...], w=None):
+    """Least squares of y (R, n) on the column-major designs z (R, q, n),
+    weighted by w when given, by batched SVDs of W^½Z.
 
     Each SVD call takes the samples of at most SVD_ROWS rows (one sample
     at least), so its U, the largest array of the solve, stays that
@@ -343,6 +362,9 @@ def _svd_solve(z, y, labels: tuple[str, ...]):
     loading on its weak directions; its row is NaN. This is ``_solve``'s
     route for the samples the Gram matrix cannot decide.
     """
+    if w is not None:
+        sw = np.sqrt(w)
+        z, y = z * sw[:, None, :], y * sw
     step = max(1, SVD_ROWS // z.shape[2])
     parts = []
     for lo in range(0, len(z), step):
@@ -368,15 +390,9 @@ def _svd_solve(z, y, labels: tuple[str, ...]):
 
 def _meat(z, resid, w=None):
     """The HC0 meat Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ (R, q, q), per sample, of the column-major
-    designs z (R, q, n) and residuals (R, n)."""
-    if w is None:
-        score = z * resid[:, None, :]
-    else:  # (z·√w)·ε̂·√w in place: numpy makes a new array for each broadcast product
-        sw = np.sqrt(w)[:, None, :]
-        score = z * sw
-        score *= resid[:, None, :]
-        score *= sw
-    return score @ score.swapaxes(-1, -2)
+    designs z (R, q, n) and residuals (R, n): S·Sᵀ of the one temporary
+    score S = Z·wε̂, by ``_self_product``."""
+    return _self_product(z * (resid if w is None else w * resid)[:, None, :])
 
 
 def _sandwich(z, resid, bread, w=None, hc1=False):
@@ -483,6 +499,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         work = (eta - oi) + (y[rows] - mu) / mu
         del eta
         new, bread[rows], s[rows], collapsed = _solve(zi, work, cmap.labels, mu)
+        del zi, oi, mu, work  # a gathered zi is not held through the sandwich
         # z itself has full rank, so a rank failure here means the IRLS weights
         # collapsed: a fitted mean went to 0
         out[list(collapsed)] = True

@@ -277,12 +277,14 @@ def test_an_overflowing_sample_leaves_its_neighbours_without_a_warning():
 
 
 # one run_grid chunk (16 replications of n = 1000) peaked at 138 B per row in
-# scenario 2 and 145 B in scenario 4 under tracemalloc; the bounds add about 9%
-@pytest.mark.parametrize(("sid", "bound"), [(2, 150), (4, 158)])
+# scenario 2, 145 B in scenario 4 and 108.8 B in scenario 1 (unweighted: the
+# Gram and the meat each multiply a block by its own transpose) under
+# tracemalloc; the bounds add about 9%
+@pytest.mark.parametrize(("sid", "bound"), [(1, 118), (2, 150), (4, 158)])
 def test_a_chunk_stays_within_its_memory(sid, bound):
     scn = scenario(sid, n=1000)
     models = [named_spec(m, 1) for m in ("ANOVA", "ANCOVA", "ANHECOVA")]
-    pis = [0.3] if sid == 2 else None
+    pis = [0.3] if sid in (1, 2) else None
     reps = _chunk_reps(scn.n)
     run_grid(scn, models, pis, reps, seed=0)  # lazy set-up outside the measurement
     tracemalloc.start()
@@ -577,3 +579,31 @@ def test_scenario4_bread_and_meat_within_budget(n):
             v11 = _sandwich(sub[0], resid, bread, sub[2])[:, 1, 1]
             worst[route] = max(worst[route], rel(v11[:, None], o.vcov[:, 1, 1, None]).max())
     assert worst["gram"] <= 4.0 * worst["svd"]
+
+
+@pytest.mark.skipif(not HAS_LONG_DOUBLE, reason="long double is double here")
+@pytest.mark.parametrize("model", ["ANOVA", "ANCOVA", "ANHECOVA"])
+def test_poisson_irls_solve_within_budget(model):
+    """The weighted solve at a scenario 2 chunk's final IRLS weights (16
+    replications, n = 1000): μ and the working response at each fit's own
+    coefficients. Every Gram-routed sample's coefficients, bread, meat and
+    covariance are within GRAM_BUDGET of the long-double oracle. Unlike
+    scenario 4's weights, μ is not rescaled (``_Stack.scaled_w``), and here
+    every sample takes the Gram route."""
+    scn = scenario(2, n=1000)
+    key = f"scenario=2|pi=0.5|n={scn.n}"
+    st = _draw_stack(scn, 0.5, _rep_states(5, _digest(key), 0, 16))
+    spec = named_spec(model, 1)
+    fits = _fit(spec, st, "poisson")
+    assert not fits.errors and fits.converged.all()
+    z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
+    eta = (fits.coef[:, None, :] @ z)[:, 0]
+    mu = np.exp(eta + offset)
+    work = eta + (st.y - mu) / mu
+    got = _solve(z, work, cmap.labels, mu)
+    assert not got[3]
+    gram = np.flatnonzero(got[2][:, 0] / got[2][:, -1] < 0.99 * GRAM_RTOL**-0.5)
+    assert gram.size == len(z)
+    err, _ = _in_budget(z, work, mu, got[:2])
+    for q, e in err.items():
+        assert e.max() <= 1.0, q
