@@ -302,7 +302,8 @@ def _solve(z, y, labels: tuple[str, ...], w=None):
         zw = z if w is None else z * w[:, None, :]
         gram = _self_product(z) if w is None else zw @ z.swapaxes(-1, -2)
     finite = np.isfinite(gram).all(axis=(1, 2))
-    gram[~finite] = np.eye(z.shape[1])  # eigh does not converge on inf or NaN
+    if not finite.all():
+        gram[~finite] = np.eye(z.shape[1])  # eigh does not converge on inf or NaN
     lam, v = np.linalg.eigh(gram)
     good = finite & (lam[:, 0] > GRAM_RTOL * lam[:, -1])
     if good.all():
@@ -417,6 +418,11 @@ def _is_full(spec: ModelSpec) -> bool:
     return all(c.is_free for c in spec.gamma) and all(c.is_free for c in spec.delta)
 
 
+def _no_interactions(spec: ModelSpec) -> bool:
+    """Whether every interaction is fixed at 0: then δ_s = 0 and the centering penalty is 0."""
+    return all(c.value == 0.0 for c in spec.delta)
+
+
 def _centering_penalty(sigma, delta_s, delta_f):
     """The empirical-centering penalty delta_s' Sigma (2 delta_f - delta_s), per sample."""
     return (delta_s[..., None, :] @ sigma @ (2.0 * delta_f - delta_s)[..., :, None])[..., 0, 0]
@@ -435,10 +441,11 @@ def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = Fals
     fits = _fit_poisson(spec, st) if family == "poisson" else _fit_linear(spec, st, hc1)
     # an empty arm is also a singular design, but it is reported as what it is
     fits.errors.update(st.empty_arms)
-    failed = list(fits.errors)
-    fits.coef[failed] = np.nan
-    fits.ate_se[failed] = np.nan
-    fits.clamped[failed] = False
+    if fits.errors:
+        failed = list(fits.errors)
+        fits.coef[failed] = np.nan
+        fits.ate_se[failed] = np.nan
+        fits.clamped[failed] = False
     return fits
 
 
@@ -454,7 +461,7 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
     var = vcov[:, 1, 1]
     ate_se = np.sqrt(np.maximum(var, 0.0))
     clamped = np.zeros(len(var), dtype=bool)
-    if isinstance(spec.centering, Empirical):
+    if isinstance(spec.centering, Empirical) and not _no_interactions(spec):
         delta = _with_fixed(spec.delta, cmap.delta_cols, coef)
         need = np.any(delta != 0.0, axis=1)
         need[list(errors)] = False  # a failed sample's NaN delta needs no penalty
@@ -494,7 +501,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         rows = slice(None) if idx.size == len(y) else idx  # no gather while all are active
         zi, oi = z[rows], offset[rows]
         eta = (coef[rows, None, :] @ zi)[:, 0] + oi
-        out = ~np.isfinite(eta).all(axis=1) | (np.abs(eta).max(axis=1) > 700.0)
+        out = ~(np.abs(eta).max(axis=1) <= 700.0)  # NaN and ±inf fail the comparison too
         mu = np.exp(np.where(out[:, None], 0.0, eta))
         work = (eta - oi) + (y[rows] - mu) / mu
         del eta

@@ -33,6 +33,31 @@ __all__ = [
     "population_from_dict",
 ]
 
+
+def _checked_sigma(sigma, names: str, *vectors):
+    """sigma as a float matrix, the vectors as float vectors, and sigma's Cholesky
+    factor; raises unless sigma is square, symmetric and positive definite and
+    every vector (``names`` in the message) has its dimension."""
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    vectors = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
+    p = sigma.shape[0]
+    if sigma.shape != (p, p):
+        msg = f"sigma must be square, got shape {sigma.shape}"
+        raise ValueError(msg)
+    if any(v.shape != (p,) for v in vectors):
+        msg = f"{names} must match sigma's dimension"
+        raise ValueError(msg)
+    if not np.allclose(sigma, sigma.T):
+        msg = "sigma must be symmetric"
+        raise ValueError(msg)
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        msg = "sigma must be positive definite"
+        raise SingularDesignError(msg) from None
+    return sigma, vectors, chol
+
+
 @dataclass(frozen=True)
 class ExactMoments:
     """Second-order moment record of (X, Y, A) with E(X) = 0.
@@ -51,24 +76,8 @@ class ExactMoments:
     q0: float
 
     def __post_init__(self) -> None:
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        omega1 = np.atleast_1d(np.asarray(self.omega1, dtype=float))
-        omega0 = np.atleast_1d(np.asarray(self.omega0, dtype=float))
-        p = sigma.shape[0]
-        if sigma.shape != (p, p):
-            msg = f"sigma must be square, got shape {sigma.shape}"
-            raise ValueError(msg)
-        if omega1.shape != (p,) or omega0.shape != (p,):
-            msg = "omega1 and omega0 must match sigma's dimension"
-            raise ValueError(msg)
-        if not np.allclose(sigma, sigma.T):
-            msg = "sigma must be symmetric"
-            raise ValueError(msg)
-        try:
-            np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            msg = "sigma must be positive definite"
-            raise SingularDesignError(msg) from None
+        names = "omega1 and omega0"
+        sigma, (omega1, omega0), _ = _checked_sigma(self.sigma, names, self.omega1, self.omega0)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "omega1", omega1)
         object.__setattr__(self, "omega0", omega0)
@@ -99,11 +108,11 @@ class GaussianArmSampler:
     s1: float
 
     def __post_init__(self) -> None:
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
+        sigma, (l0, l1), chol = _checked_sigma(self.sigma, "l0 and l1", self.l0, self.l1)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "l0", np.atleast_1d(np.asarray(self.l0, dtype=float)))
-        object.__setattr__(self, "l1", np.atleast_1d(np.asarray(self.l1, dtype=float)))
-        object.__setattr__(self, "_chol", np.linalg.cholesky(sigma))
+        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def p(self) -> int:
@@ -132,15 +141,25 @@ class GaussianArmSampler:
 
         Each generator fills its row of standard normals in one call, in
         stream order: the n x p covariate draws, then the treated and the
-        control noise. The transforms then run once on the whole stack.
+        control noise. The transforms then run once on the whole stack: the
+        matrix products x = z·Lᵀ and x·l_a at p >= 2. At p = 1 each of those
+        products has a single term, which a matmul computes as the one
+        rounded product; so the elementwise z·L₀₀ and x·l_a[0] give the
+        same bits, without numpy's matmul loop over 1×1 blocks.
         """
         r, m = len(rngs), n * self.p
         normals = np.empty((r, m + 2 * n))
         for k, rng in enumerate(rngs):
             rng.standard_normal(out=normals[k])
+        e1, e0 = normals[:, m : m + n], normals[:, m + n :]
+        if self.p == 1:
+            x = normals[:, :n] * self._chol[0, 0]
+            y1 = self.b1 + x * self.l1[0] + self.s1 * e1
+            y0 = self.b0 + x * self.l0[0] + self.s0 * e0
+            return x[..., None], y1, y0
         x = normals[:, :m].reshape(r, n, self.p) @ self._chol.T
-        y1 = self.b1 + x @ self.l1 + self.s1 * normals[:, m : m + n]
-        y0 = self.b0 + x @ self.l0 + self.s0 * normals[:, m + n :]
+        y1 = self.b1 + x @ self.l1 + self.s1 * e1
+        y0 = self.b0 + x @ self.l0 + self.s0 * e0
         return x, y1, y0
 
 

@@ -22,7 +22,8 @@ from ``beta_ate``, or else as mu1 - mu0 from its sampler's closed-form
 Seeds: replication r of a cell is ``draw(scn, rep_seed(root, key, r),
 pi)``, whose numpy ``SeedSequence`` hashes (root, cell key digest, r).
 ``run_grid`` keeps exactly those streams but derives the PCG64 state
-words of a whole chunk of replications at once (``_rep_states``).
+words of a cell's replications together (``_rep_states``), one call per
+block of up to SEED_BLOCK replications, and hands each chunk its slice.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ FAIL_RATE_LIMIT = 0.01
 # column), because each chunk pays a fixed set-up of a few replications' worth.
 CHUNK_ROWS = 8192
 CHUNK_MIN_REPS = 16
+# A cell's seeds are derived SEED_BLOCK replications at a time (``_chunk_states``):
+# one call for any cell up to that size, and the working set of a block (about
+# 0.5 MB under tracemalloc) stays below that of a chunk however long the cell.
+SEED_BLOCK = 4096
 
 
 def _chunk_reps(n: int) -> int:
@@ -476,6 +481,22 @@ def _rep_states(root: int, digest: int, lo: int, hi: int) -> np.ndarray:
     return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
+def _chunk_states(root: int, digest: int, reps: int, chunk: int):
+    """Yield (lo, hi, states) for the chunks lo..hi-1 of ``chunk`` replications
+    of a cell of ``reps``: each chunk's rows of ``_rep_states``, derived
+    SEED_BLOCK replications per call and sliced per chunk. Blocks need not
+    align with chunks; a chunk that runs past the derived rows takes its rest
+    from the next block."""
+    block, start = np.empty((0, 4), np.uint64), 0  # block holds replications start..
+    for lo in range(0, reps, chunk):
+        hi = min(lo + chunk, reps)
+        while start + len(block) < hi:
+            end = start + len(block)
+            more = _rep_states(root, digest, end, min(end + SEED_BLOCK, reps))
+            block, start = np.concatenate([block[lo - start :], more]), lo
+        yield lo, hi, block[lo - start : hi - start]
+
+
 class _Derived(ISeedSequence):
     """A seed sequence whose PCG64 state words (a row of ``_rep_states``) are known."""
 
@@ -507,12 +528,13 @@ def run_grid(
     dataset, so the cells of one pi are paired. Replications are drawn
     in chunks of about CHUNK_ROWS rows, but of at least CHUNK_MIN_REPS
     replications while they fit in 4·CHUNK_ROWS rows (``_chunk_reps``).
-    Each chunk is drawn at once (its seeds
-    derived together, each transform of its law run once on the stacked
-    raw variates, and the chunk validated once), and each model is
-    fitted to a whole chunk in one stacked call that shares the chunk's
-    centered covariates with the other models; the numbers are those of
-    drawing and fitting each replication alone.
+    The seeds of a cell are derived together, SEED_BLOCK replications
+    per call (one call for any cell up to that size), and sliced per
+    chunk. Each chunk is drawn at once (each transform of its law run
+    once on the stacked raw variates, and the chunk validated once), and
+    each model is fitted to a whole chunk in one stacked call that shares
+    the chunk's centered covariates with the other models; the numbers
+    are those of drawing and fitting each replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
     Failed fits are excluded and counted per cell, by cause, in
     ``MonteCarloCell.failures``; a cell whose failure rate exceeds 1%
@@ -542,9 +564,8 @@ def run_grid(
         key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
         digest, p = _digest(key), _assignment_pi(scn, pi)
         cols = None  # replication 0's covariate count, which a custom sampler must keep
-        for lo in range(0, reps, chunk):
-            hi = min(lo + chunk, reps)
-            stack = _draw_stack(scn, p, _rep_states(int(seed), digest, lo, hi), lo, cols)
+        for lo, hi, states in _chunk_states(int(seed), digest, reps, chunk):
+            stack = _draw_stack(scn, p, states, lo, cols)
             cols = stack.x.shape[-1]
             for m, spec in enumerate(models):
                 res = _fit(spec, stack, family)

@@ -289,6 +289,27 @@ def test_moment_record_shape_rules(sigma, omega1, omega0, match):
         ExactMoments(sigma, omega1, omega0, mu1=1.0, mu0=0.0, q1=3.0, q0=2.0)
 
 
+@pytest.mark.parametrize(
+    "sigma, l0, l1, error, match",
+    [
+        ([[1.0, 0.9], [0.0, 1.0]], [1.0, 0.0], [1.0, 0.0], ValueError, "sigma must be symmetric"),
+        ([[1.0, 0.0]], [1.0], [1.0], ValueError, r"sigma must be square, got shape \(1, 2\)"),
+        ([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0], [0.0, 0.0], SingularDesignError,
+         "sigma must be positive definite"),
+        (np.eye(2), [1.0], [1.0, 0.0], ValueError, "l0 and l1 must match sigma's dimension"),
+        ([[1.0]], [1.0], [1.0, 2.0], ValueError, "l0 and l1 must match sigma's dimension"),
+    ],
+    ids=["asymmetric", "not-square", "not-positive-definite", "short-l0", "long-l1"],
+)
+def test_sampler_checks_its_population(sigma, l0, l1, error, match):
+    """A sampler is checked when it is built, as its moment record is: an
+    asymmetric sigma would otherwise draw from its lower triangle, and a
+    slope of the wrong length fail only inside a draw, or at p = 1 be read
+    at its first entry."""
+    with pytest.raises(error, match=match):
+        GaussianArmSampler(sigma=sigma, b0=0.0, b1=1.0, l0=l0, l1=l1, s0=1.0, s1=1.0)
+
+
 def test_non_positive_definite_sigma_rejected():
     with pytest.raises(SingularDesignError):
         ExactMoments(

@@ -24,7 +24,9 @@ from linadjust import (
     draw,
     figure1_data,
     fit_ols,
+    make_counterexample,
     named_spec,
+    parse_formula,
     rep_seed,
     run_grid,
     scenario,
@@ -407,6 +409,57 @@ class TestChunkSeeds:
             run_grid(scenario(1, n=40), [ANCOVA1], [0.5], 3, seed=-1)
 
 
+class TestSeedBlocks:
+    """run_grid derives a cell's seeds SEED_BLOCK replications per ``_rep_states``
+    call and hands each chunk its slice."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        rep_states = sim._rep_states
+
+        def recorded(root, digest, lo, hi):
+            calls.append((lo, hi))
+            return rep_states(root, digest, lo, hi)
+
+        monkeypatch.setattr("linadjust.sim._rep_states", recorded)
+        return calls
+
+    @pytest.mark.parametrize("block", [7, 100], ids=["block-below-chunk", "block-across-chunks"])
+    def test_a_cell_longer_than_a_block_matches_lone_draws_and_fits(self, block, monkeypatch):
+        """Chunks of 40 replications against blocks of 7 (several calls per
+        chunk) or of 100 (chunks 80-119 and 160-199 span two blocks)."""
+        monkeypatch.setattr("linadjust.sim.CHUNK_ROWS", 40 * 60)
+        monkeypatch.setattr("linadjust.sim.SEED_BLOCK", block)
+        calls = self.spy(monkeypatch)
+        sampler = make_counterexample("InteractionsOnlyWorseCentered", 0.75).sampler
+        scn = custom_scenario(sampler, pi=0.75, beta_ate=1.0, n=60)
+        models = [named_spec("ANOVA", 1), parse_formula("1 + A + A:X1", ["X1"]), TRIO[2]]
+        reps, seed = 250, 4
+        assert sim._chunk_reps(scn.n) == 40
+        report = run_grid(scn, models, None, reps, seed=seed, keep_estimates=True)
+        assert max(hi - lo for lo, hi in calls) == block
+        assert [lo for lo, _ in calls] == list(range(0, reps, block))
+        key = "scenario=custom|pi=0.75|n=60"
+        datasets = [draw(scn, rep_seed(seed, key, r)).data for r in range(reps)]
+        for spec, cell in zip(models, report.cells):
+            fits = [fit_ols(spec, d) for d in datasets]
+            assert cell.fail_rate == 0.0
+            assert np.array_equal(cell.estimates, [f.ate_hat for f in fits])
+            assert cell.mean_se == pytest.approx(np.mean([f.ate_se for f in fits]), rel=1e-12)
+
+    def test_rep_states_is_asked_for_one_block_at_most(self, monkeypatch):
+        """A cell of up to SEED_BLOCK replications takes one call; a longer one
+        takes a block per call, the last one short."""
+        calls = self.spy(monkeypatch)
+        run_grid(scenario(1, n=200), [ANCOVA1], [0.3, 0.5], 100, seed=2)
+        assert calls == [(0, 100), (0, 100)]
+        calls.clear()
+        monkeypatch.setattr("linadjust.sim.SEED_BLOCK", 50)
+        run_grid(scenario(1, n=200), [ANCOVA1], [0.5], 130, seed=2)
+        assert calls == [(0, 50), (50, 100), (100, 130)]
+
+
 def _gaussian_sampler(p, seed=1):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(p, p))
@@ -511,6 +564,16 @@ CHUNK_CASES = {
 }
 
 
+POTENTIALS_SAMPLERS = {  # keyed by p for the random Gaussian samplers
+    **{str(p): _gaussian_sampler(p, seed=p) for p in (1, 2, 3)},
+    "ancova-worse": make_counterexample("AncovaWorse", 0.3).sampler,
+    "interactions-only-worse": make_counterexample("InteractionsOnlyWorseCentered", 0.75).sampler,
+    "zero-slope": GaussianArmSampler(
+        sigma=[[2.5]], b0=0.0, b1=-1.0, l0=[0.0], l1=[0.0], s0=0.5, s1=2.0
+    ),
+}
+
+
 class TestChunkDraw:
     """A chunk is drawn in two steps, raw variates per generator and then each
     transform once on the stack; its rows are the replications drawn alone."""
@@ -558,20 +621,22 @@ class TestChunkDraw:
         assert np.array_equal(d.y1, y1)
         assert np.array_equal(d.y0, y0)
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_potential_is_row_zero_of_potentials(self, p):
-        sampler = _gaussian_sampler(p, seed=p)
+    @pytest.mark.parametrize("case", list(POTENTIALS_SAMPLERS))
+    def test_potential_is_row_zero_of_potentials(self, case):
+        """Bit for bit, also where p = 1 forms its products elementwise."""
+        sampler = POTENTIALS_SAMPLERS[case]
+        p = sampler.p
         one = sampler.potential(40, np.random.default_rng(3))
         stacked = sampler.potentials(40, [np.random.default_rng(3), np.random.default_rng(4)])
         for got, want in zip(one, stacked):
-            assert np.array_equal(got, want[0])
+            assert got.shape == want[0].shape and got.tobytes() == want[0].tobytes()
         # the per-draw formulas, one replication at a time
         rng = np.random.default_rng(4)
         x = rng.standard_normal((40, p)) @ np.linalg.cholesky(sampler.sigma).T
         y1 = sampler.b1 + x @ sampler.l1 + sampler.s1 * rng.standard_normal(40)
         y0 = sampler.b0 + x @ sampler.l0 + sampler.s0 * rng.standard_normal(40)
         for got, want in zip(stacked, (x, y1, y0)):
-            assert np.array_equal(got[1], want)
+            assert got[1].shape == want.shape and got[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nan_first", [False, True], ids=["shape", "nan-before-shape"])
     @pytest.mark.parametrize("fault", ["3-d-x", "short-x", "short-y"])

@@ -1,5 +1,6 @@
-"""Print where the fit kernel spends its time, stage by stage, and the minor
-page faults of each ``run_grid`` call, on the benchmark's chunk shapes.
+"""Print where the fit kernel and the draw spend their time, stage by stage,
+and the minor page faults of each ``run_grid`` call, on the benchmark's chunk
+shapes.
 
 Usage, from the repository root::
 
@@ -29,6 +30,19 @@ together, median over the repeats):
   stages above);
 - fit: the rest of ``_fit`` (error bookkeeping).
 
+Draw. For each Monte Carlo chunk shape it then times, ``--repeat`` times, the
+steps ``run_grid`` takes to draw a chunk, in µs (median over the repeats):
+
+- block: the one ``_rep_states`` call that derives the seeds of a seed block,
+  the cell's first SEED_BLOCK replications (the whole cell in the benchmark);
+- /chunk: that call's share per chunk of the block; chunk call: a
+  ``_rep_states`` call for one chunk's replications alone, for comparison;
+- rngs: constructing the chunk's PCG64 generators from their state words;
+- fills: the rest of ``_draw_chunk``, the generators' variate fills and the
+  law's or the sampler's transforms;
+- observe: ``_observe``, the treatment indicators and observed outcomes;
+- check: ``_check_samples``, the chunk's validation.
+
 Faults. For each Monte Carlo workload, in a fresh interpreter as a
 benchmark worker is, it then runs ``--cycles`` of the benchmark's cycles of
 ``run_grid`` calls (``mc-scenarios``: scenarios 1, 2, 3, 4 and 1 again;
@@ -57,10 +71,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from linadjust import Dataset, custom_scenario, named_spec, parse_formula, run_grid, scenario  # noqa: E402
-from linadjust import estimate  # noqa: E402
-from linadjust.model import KnownMean  # noqa: E402
+from linadjust import estimate, sim  # noqa: E402
+from linadjust.model import KnownMean, _check_samples  # noqa: E402
 from linadjust.population import make_counterexample  # noqa: E402
-from linadjust.sim import _assignment_pi, _chunk_reps, _digest, _draw_stack, _rep_states  # noqa: E402
+from linadjust.sim import SEED_BLOCK, _assignment_pi, _chunk_reps, _Derived, _digest, _draw_stack  # noqa: E402
+from linadjust.sim import _rep_states  # noqa: E402
 
 STAGES = ("design", "gram", "eigh", "solve", "residual", "meat", "sandwich", "penalty", "fit")
 TIMED = (  # (owner, attribute, stage)
@@ -78,6 +93,8 @@ TIMED = (  # (owner, attribute, stage)
     (estimate, "_penalized", "penalty"),
     (estimate, "_fit", "fit"),
 )
+DRAW_STAGES = ("block", "/chunk", "chunk call", "rngs", "fills", "observe", "check")
+DRAW_TIMED = ((sim, "_draw_chunk", "fills"), (sim, "_observe", "observe"))
 THREE = tuple(named_spec(m, 1) for m in ("ANOVA", "ANCOVA", "ANHECOVA"))
 
 
@@ -104,10 +121,11 @@ class Layers:
 
 
 @contextmanager
-def timed(layers: Layers):
-    """The kernel's functions wrapped by ``layers`` while the block runs."""
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in TIMED]
-    for (owner, name, fn), (_, _, stage) in zip(saved, TIMED):
+def timed(layers: Layers, table=TIMED):
+    """The functions of ``table`` (the kernel's by default) wrapped by ``layers``
+    while the block runs."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in table]
+    for (owner, name, fn), (_, _, stage) in zip(saved, table):
         setattr(owner, name, layers.wrap(fn, stage))
     try:
         yield
@@ -183,6 +201,37 @@ def stage_table(seed: int, repeat: int) -> None:
         print(f"{label:<22} {f'{r}x{n}':>9} {cells}")
 
 
+def draw_table(seed: int, repeat: int) -> None:
+    print(f"\nDraw of one chunk as run_grid draws it, µs (median of {repeat}), seed {seed}")
+    print(f"{'chunk':<22} {'R x n':>9} " + " ".join(f"{s:>10}" for s in DRAW_STAGES))
+    for label, scn, pi, reps, _, _ in _mc_configs():
+        chunk = min(reps, _chunk_reps(scn.n))
+        block = min(reps, SEED_BLOCK)
+        digest, p = _digest(f"scenario={scn.id}|pi={pi}|n={scn.n}"), _assignment_pi(scn, pi)
+        runs = defaultdict(list)
+        for k in range(repeat + 1):
+            t0 = time.perf_counter_ns()
+            _rep_states(seed, digest, 0, block)
+            t1 = time.perf_counter_ns()
+            states = _rep_states(seed, digest, 0, chunk)
+            t2 = time.perf_counter_ns()
+            rngs = [np.random.Generator(np.random.PCG64(_Derived(state))) for state in states]
+            t3 = time.perf_counter_ns()
+            layers = Layers()
+            with timed(layers, DRAW_TIMED):
+                a, x, y, w, *_ = sim._draw_chunk(scn, p, rngs)
+            t4 = time.perf_counter_ns()
+            _check_samples(a, x, y, w)
+            t5 = time.perf_counter_ns()
+            if k:  # the first pass warms up
+                times = (t1 - t0, (t1 - t0) * chunk / block, t2 - t1, t3 - t2, layers.ns["fills"],
+                         layers.ns["observe"], t5 - t4)
+                for stage, ns in zip(DRAW_STAGES, times):
+                    runs[stage].append(ns / 1e3)
+        cells = " ".join(f"{statistics.median(runs[s]):10.0f}" for s in DRAW_STAGES)
+        print(f"{label:<22} {f'{chunk}x{scn.n}':>9} {cells}")
+
+
 CYCLES = {  # the benchmark's calls per cycle, by label in _mc_configs
     "mc-scenarios": ("mc-scenarios s1", "mc-scenarios s2", "mc-scenarios s3", "mc-scenarios s4",
                      "mc-scenarios s1"),
@@ -235,6 +284,7 @@ def main(argv: list[str]) -> int:
         faults(args.faults, args.seed, args.cycles)
         return 0
     stage_table(args.seed, args.repeat)
+    draw_table(args.seed, args.repeat)
     fault_table(args.seed, args.cycles)
     return 0
 
