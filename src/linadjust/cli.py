@@ -51,7 +51,6 @@ from .estimate import (
 from .model import (
     NAMED_SPECS,
     Dataset,
-    Empirical,
     KnownMean,
     ModelSpec,
     _check_pi,
@@ -334,10 +333,8 @@ def cmd_estimate(args: argparse.Namespace) -> str:
         if len(mu) != spec.p:
             raise ValueError(f"--mean needs {spec.p} values, got {len(mu)}")
         spec = spec.with_centering(KnownMean(tuple(mu)))
-    else:
-        if args.mean is not None:
-            raise ValueError("--mean applies only with --centering known-mean")
-        spec = spec.with_centering(Empirical())
+    elif args.mean is not None:
+        raise ValueError("--mean applies only with --centering known-mean")
 
     pi = args.pi
     if args.estimate_pi:
@@ -459,7 +456,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
 def cmd_simulate(args: argparse.Namespace) -> str:
     scn = scenario(args.scenario, n=args.n)
     names = ["X1"]
-    if args.models:
+    if args.models is not None:
         models = [_parse_model(m, names) for m in args.models.split(",") if m.strip()]
         if not models:
             raise ValueError("--models is empty")

@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 SVD_RTOL = 1e-10
-SVD_ROWS = 8192  # rows per batched SVD call
 # The Gram route's error budget: the constant c per quantity, for its error relative to
 # the largest entry of the exact value (a long-double oracle in the tests), with ε the
 # double epsilon, κ = s_max/s_min of W^½Z and η = ‖W^½r‖/(s_max‖β‖):
@@ -353,11 +352,10 @@ def _svd_solve(z, y, labels: tuple[str, ...], w=None):
     """Least squares of y (R, n) on the column-major designs z (R, q, n),
     weighted by w when given, by batched SVDs of W^½Z.
 
-    Each SVD call takes the samples of at most SVD_ROWS rows (one sample
-    at least), so its U, the largest array of the solve, stays that
-    small; each sample's numbers are those of its SVD alone. The SVD
-    factors the (n, q) view of each sample, which is Fortran-ordered, so
-    LAPACK's copy of it is a plain one.
+    One batched call factors every sample; each sample's numbers are
+    those of its SVD alone. The SVD factors the (n, q) view of each
+    sample, which is Fortran-ordered, so LAPACK's copy of it is a plain
+    one.
     Returns what ``_solve`` returns. A sample fails the one rank rule
     s < SVD_RTOL·s[0] with a SingularDesignError that names the columns
     loading on its weak directions; its row is NaN. This is ``_solve``'s
@@ -366,13 +364,8 @@ def _svd_solve(z, y, labels: tuple[str, ...], w=None):
     if w is not None:
         sw = np.sqrt(w)
         z, y = z * sw[:, None, :], y * sw
-    step = max(1, SVD_ROWS // z.shape[2])
-    parts = []
-    for lo in range(0, len(z), step):
-        u, s, vt = np.linalg.svd(z[lo : lo + step].swapaxes(-1, -2), full_matrices=False)
-        parts.append(((y[lo : lo + step, None, :] @ u)[:, 0], s, vt))
-        del u  # before the next call allocates its own
-    uty, s, vt = (np.concatenate(v) for v in zip(*parts))
+    u, s, vt = np.linalg.svd(z.swapaxes(-1, -2), full_matrices=False)
+    uty = (y[:, None, :] @ u)[:, 0]
     tol = SVD_RTOL * s[:, 0]
     bad = (s[:, -1] < tol) | (s[:, 0] == 0.0)
     errors = {}
@@ -588,6 +581,7 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat) -> np.ndarray:
     design-column order. Returns the q x q covariance of the free
     coefficients, already scaled for the estimates themselves (the
     asymptotic matrix divided by n): at a fit's own coefficients, its ``vcov``.
+    A dataset the fits cannot fit (an empty arm, a singular design) raises their error.
     """
     _check_covariates(spec, data.p)
     st = _Stack.one(data)
@@ -598,6 +592,7 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat) -> np.ndarray:
         raise ValueError(msg)
     yadj = st.y - offset
     _, bread, _, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
+    errors.update(st.empty_arms)  # reported as the fits report it
     if errors:
         raise errors[0]
     return _sandwich(z, yadj - (coef[None, None, :] @ z)[:, 0], bread, st.scaled_w)[0]

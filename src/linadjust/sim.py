@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import warnings
 from collections import Counter
 from collections.abc import Callable
@@ -132,12 +133,14 @@ _LAWS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation scenario; use :func:`scenario` or :func:`custom_scenario`.
+    """One simulation scenario, checked here however it is built.
 
-    A custom scenario carries a potential-outcome ``sampler`` and a
-    constant ``pi``; without a sampler, ``id`` names a standard
-    scenario 1-4, whose law is looked up from it. ``beta_ate`` is
-    resolved once, here: the given value, else the law's exact truth,
+    Without a sampler, ``id`` is an integer 1-4 (not a bool or float)
+    naming a standard scenario; scenarios 3 and 4 assign by expit(4 - 2X)
+    and ignore any pi. A custom scenario draws from its ``sampler``. A
+    given ``pi`` lies in (0, 1); without one, each run passes its own.
+    ``n`` is an integer >= 4. id and n are stored as ``int``. ``beta_ate``
+    is resolved once, here: the given value, else the law's exact truth,
     else mu1 - mu0 from the sampler's ``moments()``.
     """
 
@@ -148,9 +151,17 @@ class Scenario:
     beta_ate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sampler is None and self.law is None:
-            msg = f"scenario {self.id!r} needs a sampler unless its id is 1..4"
+        if self.sampler is None:
+            if type(self.id) is bool or not hasattr(self.id, "__index__") or self.id not in _LAWS:
+                msg = f"scenario {self.id!r} needs a sampler unless its id is 1..4"
+                raise ValueError(msg)
+            object.__setattr__(self, "id", operator.index(self.id))
+        if not hasattr(self.n, "__index__") or self.n < 4:
+            msg = f"scenario needs n >= 4, got {self.n!r}"
             raise ValueError(msg)
+        object.__setattr__(self, "n", operator.index(self.n))
+        if self.pi is not None:
+            _check_pi(self.pi)
         if self.beta_ate is None:
             if self.law is not None:
                 truth = self.law.truth
@@ -175,27 +186,13 @@ class Scenario:
         return self.law is not None and self.law.logit is not None
 
 
-def scenario(id: int, n: int = 1000, pi: float | None = None) -> Scenario:
-    """Build one of the four standard scenarios.
-
-    Scenarios 1 and 2 take the assignment probability per run (here or
-    per grid cell); scenarios 3 and 4 assign by expit(4 - 2X) and
-    ignore any pi.
-    """
-    if id not in (1, 2, 3, 4):
-        msg = f"scenario id must be 1..4, got {id!r}"
-        raise ValueError(msg)
-    if n < 4:
-        msg = f"scenario needs n >= 4, got {n}"
-        raise ValueError(msg)
-    return Scenario(id=id, n=n, pi=pi)
+scenario = Scenario
 
 
 def custom_scenario(
-    sampler, pi: float, beta_ate: float | None = None, n: int = 1000, id: str = "custom"
+    sampler, pi: float | None, beta_ate: float | None = None, n: int = 1000, id: str = "custom"
 ) -> Scenario:
-    """Wrap a population sampler (potential-outcome protocol) as a scenario."""
-    _check_pi(pi)
+    """Wrap a potential-outcome sampler as a scenario; with pi None, each run passes its own."""
     return Scenario(id=id, n=n, pi=pi, sampler=sampler, beta_ate=beta_ate)
 
 
@@ -536,6 +533,8 @@ def run_grid(
     the chunk's centered covariates with the other models; the numbers
     are those of drawing and fitting each replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
+    Before the first draw, ``reps`` (a positive integer, stored as ``int``),
+    ``models`` (not empty) and every pi are checked; covariate counts at the first fit.
     Failed fits are excluded and counted per cell, by cause, in
     ``MonteCarloCell.failures``; a cell whose failure rate exceeds 1%
     raises, naming the causes. A cell with replications whose
@@ -547,6 +546,7 @@ def run_grid(
         Bias is measured against the scenario's exact effect,
         ``scn.beta_ate``.
     """
+    reps = operator.index(reps)
     if reps <= 0:
         msg = f"reps must be positive, got {reps}"
         raise ValueError(msg)
@@ -554,15 +554,15 @@ def run_grid(
         msg = "at least one model is required"
         raise ValueError(msg)
     pi_list = [None] if scn.covariate_assignment else list(pis or [scn.pi])
+    probs = [_assignment_pi(scn, pi) for pi in pi_list]
 
     family = scn.law.family if scn.law is not None else "gaussian"
     chunk = _chunk_reps(scn.n)
     fits = np.full((len(models), len(pi_list), reps, 2), np.nan)  # NaN: the fit failed
     clamped = np.zeros((len(models), len(pi_list)), dtype=int)
     failures = [[Counter() for _ in pi_list] for _ in models]
-    for i, pi in enumerate(pi_list):
-        key = f"scenario={scn.id}|pi={pi}|n={scn.n}"
-        digest, p = _digest(key), _assignment_pi(scn, pi)
+    for i, (pi, p) in enumerate(zip(pi_list, probs)):
+        digest = _digest(f"scenario={scn.id}|pi={pi}|n={scn.n}")
         cols = None  # replication 0's covariate count, which a custom sampler must keep
         for lo, hi, states in _chunk_states(int(seed), digest, reps, chunk):
             stack = _draw_stack(scn, p, states, lo, cols)

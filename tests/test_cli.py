@@ -1123,9 +1123,10 @@ class TestSimulate:
         )
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
-    def test_empty_model_list(self, capsys):
+    @pytest.mark.parametrize("models", [",", ""])
+    def test_empty_model_list(self, capsys, models):
         rc, out, err = run(
-            ["simulate", "--scenario", "1", "--reps", "2", "--n", "40", "--models", ","], capsys
+            ["simulate", "--scenario", "1", "--reps", "2", "--n", "40", "--models", models], capsys
         )
         assert (rc, out, err) == (2, "", "error: --models is empty\n")
 

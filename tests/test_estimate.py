@@ -376,10 +376,16 @@ class TestErrors:
             with pytest.raises(SingularDesignError):
                 fit_ols(parse_formula(formula, ["X1", "X2"]), data)
 
-    def test_empty_arm(self):
-        data = Dataset([1, 1, 1, 1], np.arange(4.0), np.arange(4.0))
-        with pytest.raises(EstimationError, match="arm"):
+    @pytest.mark.parametrize("arm", [1, 0], ids=["all-treated", "all-control"])
+    def test_empty_arm(self, arm):
+        """The fit and the sandwich report an empty arm alike, not as a singular design."""
+        data = Dataset([arm] * 4, np.arange(4.0), np.arange(4.0))
+        with pytest.raises(EstimationError, match="arm") as fit:
             fit_ols(ANOVA1, data)
+        with pytest.raises(EstimationError) as sandwich:
+            sandwich_vcov(ANOVA1, data, np.zeros(2))
+        assert type(sandwich.value) is EstimationError
+        assert (str(sandwich.value), sandwich.value.cause) == (str(fit.value), "empty arm")
 
     def test_covariate_count_mismatch(self, hand_data):
         with pytest.raises(ValueError, match="dataset has p=1 covariates but spec expects 2"):

@@ -60,25 +60,59 @@ class TestScenarioConstruction:
         assert scenario(3).covariate_assignment
         assert scenario(4).weighted
 
-    @pytest.mark.parametrize("bad", [0, 5, "3", None])
+    @pytest.mark.parametrize("bad", [0, 5, "3", None, 1.0, True])
     def test_bad_id(self, bad):
         with pytest.raises(ValueError):
             scenario(bad)
 
-    def test_tiny_n(self):
+    def test_numpy_integers_are_stored_as_int(self):
+        """A numpy id, n and reps run the streams of their int values, and the
+        report serializes."""
+        scn = scenario(np.int64(1), n=np.int64(40))
+        assert (type(scn.id), type(scn.n)) == (int, int)
+        got = run_grid(scn, TRIO, [0.5], np.int64(3), seed=0, keep_estimates=True)
+        want = run_grid(scenario(1, n=40), TRIO, [0.5], 3, seed=0, keep_estimates=True)
+        assert got.to_json() == want.to_json()
+        for g, w in zip(got.cells, want.cells):
+            assert g.estimates.tobytes() == w.estimates.tobytes()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: scenario(1, n=2),
+            lambda: Scenario(id=1, n=2),
+            lambda: custom_scenario(_did_ldv_sampler("default"), pi=0.5, n=0),
+            lambda: custom_scenario(_did_ldv_sampler("default"), pi=0.5, n=-3),
+            lambda: custom_scenario(_did_ldv_sampler("default"), pi=0.5, n=3),
+        ],
+        ids=["scenario-2", "Scenario-2", "custom-0", "custom-minus-3", "custom-3"],
+    )
+    def test_tiny_n(self, build):
         with pytest.raises(ValueError, match="n >= 4"):
-            scenario(1, n=2)
+            build()
 
-    def test_custom_needs_valid_pi(self):
-        with pytest.raises(ValueError, match="pi"):
-            custom_scenario(object(), pi=1.0)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: custom_scenario(object(), pi=1.0),
+            lambda: custom_scenario(_did_ldv_sampler("default"), pi=0.0),
+            lambda: scenario(1, pi=1.5),
+        ],
+        ids=["custom-1", "custom-0", "scenario-1.5"],
+    )
+    def test_needs_valid_pi(self, build):
+        with pytest.raises(ValueError, match=r"pi must lie in \(0, 1\)"):
+            build()
 
-    def test_custom_pi_override_is_validated(self):
+    def test_custom_pi_override_is_validated(self, monkeypatch):
+        """A bad pi raises before run_grid derives a seed, let alone draws."""
         scn = custom_scenario(_did_ldv_sampler("default"), pi=0.5, beta_ate=2.0, n=50)
         with pytest.raises(ValueError, match=r"pi must lie in \(0, 1\)"):
             draw(scn, 0, pi=1.5)
+        calls = TestSeedBlocks.spy(monkeypatch)
         with pytest.raises(ValueError, match=r"pi must lie in \(0, 1\)"):
-            run_grid(scn, [named_spec("LDV", 2)], [1.5], 5, seed=0)
+            run_grid(scn, [named_spec("LDV", 2)], [0.5, 1.5], 5, seed=0)
+        assert calls == []
 
     @pytest.mark.parametrize("sid", [1, 2, 3, 4])
     def test_pickle_round_trip_draws_the_same(self, sid):

@@ -1,0 +1,183 @@
+"""Print SHA-256 digests of a fixed corpus of Monte Carlo reports and lone fits.
+
+Usage, from the repository root::
+
+    python tools/corpus_digest.py
+
+The corpus is a set of groups, each hashed on its own:
+
+- ``scenarios``: ``run_grid`` on scenarios 1-4 at n = 150 and 1,000, seeds
+  0 and 1, pi 0.3 and 0.5 (scenarios 1 and 2), seven specs (known-mean,
+  interactions-only and fixed-coefficient specs among them);
+- ``counterexamples``: both dominance counterexamples at n = 200, 400 reps;
+- ``did-ldv``: ``did_vs_ldv_experiment`` at n = 300 for each configuration;
+- ``gaussian-p3``: a three-covariate Gaussian sampler;
+- ``all-svd``: a sampler whose covariate is in units of 10^4, so that every
+  sample goes to the SVD route, at n = 2,048 and 5,000;
+- ``lone-fits``: 96 fits of single draws (``fit_ols``, ``fit_weighted``,
+  ``fit_poisson_glm``), with ``sandwich_vcov`` at each OLS/WLS fit's
+  coefficients.
+
+A group hashes every cell's report fields, ``mean_se``, failure causes and
+kept estimates; every lone fit's ``ate_hat``, ``ate_se``, ``vcov`` and free
+coefficients, or its error's cause and message; the messages of the
+warnings raised; and the type and message of any error a run raises.
+Arrays enter as their dtype, shape and bytes, scalars as their ``repr``.
+One digest is printed per group, then one over all of them. Two trees that
+print the same digests give the same bits for every number of the corpus.
+
+Only the standard library and numpy are used; it runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from linadjust import (  # noqa: E402
+    EstimationError,
+    GaussianArmSampler,
+    KnownMean,
+    custom_scenario,
+    did_vs_ldv_experiment,
+    draw,
+    fit_ols,
+    fit_poisson_glm,
+    fit_weighted,
+    make_counterexample,
+    named_spec,
+    parse_formula,
+    run_grid,
+    sandwich_vcov,
+    scenario,
+)
+from linadjust.sim import DID_LDV_CONFIGS  # noqa: E402
+
+IO1 = parse_formula("1 + A + A:X1", ["X1"])
+SPECS = [
+    named_spec("ANOVA", 1),
+    named_spec("ANCOVA", 1),
+    named_spec("ANHECOVA", 1),
+    IO1,
+    parse_formula("1 + A + X1@0.5 + A:X1@-0.25", ["X1"]),
+    named_spec("ANHECOVA", 1).with_centering(KnownMean((0.3,))),
+    IO1.with_centering(KnownMean((0.3,))),
+]
+TRIO = SPECS[:3]
+
+
+def _feed(h, *values) -> None:
+    for v in values:
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(repr(v).encode())
+        h.update(b"\0")
+
+
+def _grid(h, *args, **kwargs) -> None:
+    """Hash one ``run_grid`` report, or the error it raises."""
+    try:
+        report = run_grid(*args, keep_estimates=True, **kwargs)
+    except (EstimationError, ValueError) as exc:
+        _feed(h, type(exc).__name__, str(exc))
+        return
+    _cells(h, report)
+
+
+def _cells(h, report) -> None:
+    for c in report.cells:
+        _feed(h, *c.row().values(), c.mean_se, sorted(c.failures.items()), c.estimates)
+
+
+def scenarios(h) -> None:
+    for sid in (1, 2, 3, 4):
+        for n in (150, 1000):
+            for seed in (0, 1):
+                _grid(h, scenario(sid, n=n), SPECS, [0.3, 0.5], 48 if n == 150 else 24, seed)
+
+
+def counterexamples(h) -> None:
+    for kind, pi, models in (
+        ("AncovaWorse", 0.3, SPECS[:2]),
+        ("InteractionsOnlyWorseCentered", 0.75, [SPECS[0], IO1, SPECS[2]]),
+    ):
+        scn = custom_scenario(make_counterexample(kind, pi).sampler, pi=pi, beta_ate=1.0, n=200)
+        _grid(h, scn, models, None, 400, 3)
+
+
+def did_ldv(h) -> None:
+    for config in DID_LDV_CONFIGS:
+        _cells(h, did_vs_ldv_experiment(reps=200, seed=1, n=300, config=config))
+
+
+def gaussian_p3(h) -> None:
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(3, 3))
+    sampler = GaussianArmSampler(
+        sigma=m @ m.T + np.eye(3), b0=0.5, b1=1.5,
+        l0=rng.normal(size=3), l1=rng.normal(size=3), s0=0.7, s1=1.3,
+    )
+    models = [named_spec(name, 3) for name in ("ANOVA", "ANCOVA", "ANHECOVA")]
+    _grid(h, custom_scenario(sampler, pi=0.4, n=250), models, [0.4, 0.6], 100, 2)
+
+
+def all_svd(h) -> None:
+    sampler = GaussianArmSampler(
+        sigma=np.eye(1) * 1e8, b0=1.0, b1=2.0,
+        l0=np.array([2e-4]), l1=np.array([5e-5]), s0=1.0, s1=1.0,
+    )
+    for n in (2048, 5000):
+        _grid(h, custom_scenario(sampler, pi=0.5, n=n), TRIO, None, 20, 5)
+
+
+def lone_fits(h) -> None:
+    for sid, fit in ((1, fit_ols), (2, fit_poisson_glm), (3, fit_ols), (4, fit_weighted)):
+        for n in (8, 150):
+            for seed in (0, 1):
+                data = draw(scenario(sid, n=n), seed, pi=0.3).data
+                for spec in SPECS[:6]:
+                    try:
+                        res = fit(spec, data)
+                    except EstimationError as exc:
+                        _feed(h, exc.cause, str(exc))
+                        continue
+                    _feed(h, res.ate_hat, res.ate_se, res.vcov, res.free_coefs,
+                          res.converged, res.iterations)
+                    if fit is not fit_poisson_glm:
+                        _feed(h, sandwich_vcov(spec, data, res))
+
+
+GROUPS = {
+    "scenarios": scenarios,
+    "counterexamples": counterexamples,
+    "did-ldv": did_ldv,
+    "gaussian-p3": gaussian_p3,
+    "all-svd": all_svd,
+    "lone-fits": lone_fits,
+}
+
+
+def main() -> int:
+    overall = hashlib.sha256()
+    for name, group in GROUPS.items():
+        h = hashlib.sha256()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            group(h)
+        _feed(h, *(str(w.message) for w in caught))
+        overall.update(h.digest())
+        print(f"{name:<16}{h.hexdigest()}")
+    print(f"{'overall':<16}{overall.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

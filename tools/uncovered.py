@@ -58,9 +58,11 @@ def _runs(numbers: list[int]) -> list[list[int]]:
     return runs
 
 
-def main(args: list[str]) -> int:
-    files = {str(p): p for p in sorted(SRC.glob("*.py"))}
-    ran: dict[str, set[int]] = {f: set() for f in files}
+def trace(fn):
+    """Run fn() under a line tracer limited to ``src/linadjust/*.py``, in this
+    thread and the threads it starts. Returns fn's result and the lines run,
+    as {file name: line numbers}."""
+    ran: dict[str, set[int]] = {str(p): set() for p in SRC.glob("*.py")}
 
     def local(frame, event, arg):
         if event == "line":
@@ -70,26 +72,37 @@ def main(args: list[str]) -> int:
     def calls(frame, event, arg):  # trace only the frames of the package's files
         return local if frame.f_code.co_filename in ran else None
 
-    sys.path.insert(0, str(SRC.parent))
-    # for the tests that run the CLI in a subprocess, which the tracer does not see
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
-                                                             os.environ.get("PYTHONPATH")]))
     threading.settrace(calls)
     sys.settrace(calls)
     try:
-        status = pytest.main(args or [str(ROOT / "tests")])
+        result = fn()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, ran
 
+
+def report(ran: dict[str, set[int]]) -> None:
+    """Print the executable lines of each traced file that did not run, then
+    their count."""
     total = missed = 0
-    for name, path in files.items():
+    for name in sorted(ran):
+        path = Path(name)
         lines = executable_lines(path)
         todo = sorted(lines - ran[name])
         total, missed = total + len(lines), missed + len(todo)
         for first, last in _runs(todo):
             print(f"{path.name}:{first}" + (f"-{last}" if last > first else ""))
     print(f"{missed} of {total} executable lines not run")
+
+
+def main(args: list[str]) -> int:
+    sys.path.insert(0, str(SRC.parent))
+    # for the tests that run the CLI in a subprocess, which the tracer does not see
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
+                                                             os.environ.get("PYTHONPATH")]))
+    status, ran = trace(lambda: pytest.main(args or [str(ROOT / "tests")]))
+    report(ran)
     return int(status)
 
 
