@@ -415,7 +415,10 @@ def cmd_compare(args: argparse.Namespace) -> str:
 
     # each model is solved once; the formulas are those of the public variance functions
     full_spec = named_spec("ANHECOVA", pop.p)
-    sol1, sol2, full = (solve_population(s, pop) for s in (spec1, spec2, full_spec))
+    try:
+        sol1, sol2, full = (solve_population(s, pop) for s in (spec1, spec2, full_spec))
+    except SingularDesignError as exc:  # a fault of the record, as its other faults are
+        raise ValueError(f"{args.population}: {exc}") from exc
     v1, v2 = (_known_mean_variance(pop.moments, s, pop.pi) for s in (sol1, sol2))
     vc1, vc2 = (_centered_variance(pop, s, full) for s in (sol1, sol2))
     gap = _theorem2_gap(pop, sol1, sol2) if condition_centered(spec1, spec2) else None

@@ -7,12 +7,12 @@ kernel serves them all: ``_Stack`` holds R samples of equal shape and
 ``_fit`` fits one spec to every sample at once. The kernel holds every
 stacked design column-major, as one (R, q, n) block (sample, column,
 row; ``model._design``), so each per-row product (the weighting Z·w, the
-fitted values, the sandwich's score Z·wε̂) runs along contiguous rows of
-length n. The Gram ZᵀWZ = (Z·w) @ Zᵀ and the meat S·Sᵀ of the score S
-are products that numpy hands to BLAS gemm, never a block times its own
-transpose, which it hands to the slower syrk (``_self_product``); the
-weights enter the Gram route once, as Z·w, and W^½Z is formed only for
-the samples the SVD takes. Inside ``_fit``, ``_solve`` is the (weighted)
+fitted values, the ATE influence row, a lone fit's score Z·wε̂) runs
+along contiguous rows of length n. The Gram ZᵀWZ = (Z·w) @ Zᵀ and the
+meat S·Sᵀ of the score S are products that numpy hands to BLAS gemm,
+never a block times its own transpose, which it hands to the slower
+syrk (``_self_product``); the weights enter the Gram route once, as Z·w,
+and W^½Z is formed only for the samples the SVD takes. Inside ``_fit``, ``_solve`` is the (weighted)
 least-squares solve used by OLS, WLS, every IRLS step and the full-model
 refit for the centering penalty. It solves a sample from its Gram matrix
 ZᵀWZ (one eigendecomposition, the coefficients refined once) when the
@@ -21,12 +21,16 @@ is when κ = s_max/s_min < 10³. The accuracy rule is a budget per
 quantity against the exact solution of the same double data
 (GRAM_BUDGET, checked against a long-double oracle in the tests): the
 coefficients and ate_hat within κ(1 + κη)·ε, the least-squares condition
-that the SVD's own error follows; the bread within 8κ²·ε; the meat
-within its change under the residuals' error; and the covariance within
-the sandwich's amplification of those two. Every other sample goes to
-the batched SVD of ``_svd_solve``, which holds the one rank rule.
-``_meat`` is the HC0 meat, ``_sandwich`` the HC0/HC1 covariance, and
-``_penalized`` adds the empirical-centering penalty and clamps.
+that the SVD's own error follows; the bread within 8κ²·ε; the ATE
+variance within its change under the bread's and the residuals' errors;
+the meat within its change under the residuals' error; and the
+covariance within the sandwich's amplification of those two. Every other
+sample goes to the batched SVD of ``_svd_solve``, which holds the one
+rank rule. ``_ate_var`` is the HC0/HC1 variance of ate_hat from its
+influence row, which every fit's ate_se is built on; ``_meat`` is the
+HC0 meat and ``_sandwich`` the HC0/HC1 covariance, formed only for a
+lone fit's ``vcov`` and ``sandwich_vcov``; ``_penalized`` adds the
+empirical-centering penalty and clamps.
 Weighted fits use each sample's weights times an even power of two
 (``_Stack.scaled_w``), which changes no result but keeps w² and ZᵀWZ
 in range. A sample that cannot be fitted is NaN in the stack and keeps
@@ -66,9 +70,11 @@ SVD_RTOL = 1e-10
 #   meat   c times the meat's first-order change when each residual rᵢ moves by
 #          (|yᵢ| + ‖zᵢ‖₁·max|β|)·(ε + the coef budget)
 #   vcov   ‖B‖²‖M‖/‖BMB‖·(2·bread + meat): what the sandwich makes of the two
+#   ate_var c times the first-order change of Σuᵢ², uᵢ = (b₁ᵀzᵢ)·wᵢrᵢ (``_ate_var``), when
+#          b₁ moves by the bread's budget and each rᵢ by the meat's error
 # Seen over random stacks at κ < 10³ and 5,376 fits of scenarios 3 and 4 (seven specs):
 # at most 0.22, 0.38, 0.02 and 0.04 of these.
-GRAM_BUDGET = {"coef": 1.0, "bread": 8.0, "meat": 1.0}
+GRAM_BUDGET = {"coef": 1.0, "bread": 8.0, "meat": 1.0, "ate_var": 1.0}
 # λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route, κ < 10³: there the bread's
 # budget, 8κ²ε <= 1.8e-9, stays under a hundredth of the 2e-7 that scenario 4's sandwich
 # loses by either route, and every sample of scenarios 1-4 is inside it (κ <= 300 at n = 1000)
@@ -240,12 +246,13 @@ class _Stack:
 @dataclass
 class _Fits:
     """One spec fitted to every sample of a stack; a failed sample's row is NaN
-    and ``errors`` holds what a fit of that sample alone raises."""
+    and ``errors`` holds what a fit of that sample alone raises. ``vcov`` is
+    None unless the fit was asked for it (``_fit``'s ``vcov``)."""
 
     spec: ModelSpec
     cmap: ColumnMap
     coef: np.ndarray
-    vcov: np.ndarray
+    vcov: np.ndarray | None
     ate_se: np.ndarray
     condition: np.ndarray
     errors: dict[int, EstimationError]
@@ -382,6 +389,26 @@ def _svd_solve(z, y, labels: tuple[str, ...], w=None):
     return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
 
 
+def _ate_var(z, resid, bread, w=None, hc1=False):
+    """The HC0 (or HC1) variance of ate_hat, per sample, of the column-major
+    designs z (R, q, n) and residuals (R, n): Σᵢ uᵢ² with uᵢ = (b₁ᵀzᵢ)·wᵢε̂ᵢ
+    and b₁ the ATE row of the bread. This is ``_sandwich``'s [1, 1] entry
+    from the (R, n) influence row alone, with no score block, meat or B·M·B.
+    Its terms are non-negative, so its relative error is about nε (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4), where B·M·B
+    loses the sandwich's amplification ‖B‖²‖M‖/‖BMB‖."""
+    u = (bread[:, 1:2] @ z)[:, 0]
+    u *= resid if w is None else w * resid
+    var = np.square(u, out=u).sum(axis=1)
+    return var * _hc1_factor(z) if hc1 else var
+
+
+def _hc1_factor(z) -> float:
+    """HC1's small-sample factor n/(n - q) for the designs z (R, q, n)."""
+    q, n = z.shape[-2:]
+    return n / max(n - q, 1)
+
+
 def _meat(z, resid, w=None):
     """The HC0 meat Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ (R, q, q), per sample, of the column-major
     designs z (R, q, n) and residuals (R, n): S·Sᵀ of the one temporary
@@ -394,8 +421,7 @@ def _sandwich(z, resid, bread, w=None, hc1=False):
     of the column-major designs z (R, q, n) and residuals (R, n)."""
     vcov = bread @ _meat(z, resid, w) @ bread
     if hc1:
-        q, n = z.shape[-2:]
-        vcov *= n / max(n - q, 1)
+        vcov *= _hc1_factor(z)
     return 0.5 * (vcov + vcov.swapaxes(-1, -2))
 
 
@@ -428,10 +454,18 @@ def _penalized(var, sigma, delta_s, delta_f, scale):
     return np.where(clamped, 0.0, total), clamped
 
 
-def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = False) -> _Fits:
-    """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson"."""
+def _fit(
+    spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = False, *, vcov: bool = False
+) -> _Fits:
+    """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson".
+
+    ``ate_se`` comes from each sample's ATE influence row (``_ate_var``),
+    so a stacked fit and a fit alone give it the same bits. The full
+    covariance B·M·B is formed only with ``vcov``, which a lone fit's
+    FitResult reports and ``run_grid`` does not read.
+    """
     _check_covariates(spec, st.x.shape[2])
-    fits = _fit_poisson(spec, st) if family == "poisson" else _fit_linear(spec, st, hc1)
+    fits = _fit_poisson(spec, st, vcov) if family == "poisson" else _fit_linear(spec, st, hc1, vcov)
     # an empty arm is also a singular design, but it is reported as what it is
     fits.errors.update(st.empty_arms)
     if fits.errors:
@@ -442,17 +476,17 @@ def _fit(spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = Fals
     return fits
 
 
-def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
+def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool, want_vcov: bool) -> _Fits:
     """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
     z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     yadj = st.y - offset
     del offset  # dead arrays are freed at once, to keep a chunk's peak memory down
     coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
     yadj -= (coef[:, None, :] @ z)[:, 0]  # now the residual
-    vcov = _sandwich(z, yadj, bread, st.scaled_w, hc1)
+    var = _ate_var(z, yadj, bread, st.scaled_w, hc1)
+    vcov = _sandwich(z, yadj, bread, st.scaled_w, hc1) if want_vcov else None
     del z, yadj  # so the full-model refit below does not raise peak memory
-    var = vcov[:, 1, 1]
-    ate_se = np.sqrt(np.maximum(var, 0.0))
+    ate_se = np.sqrt(var)
     clamped = np.zeros(len(var), dtype=bool)
     if isinstance(spec.centering, Empirical) and not _no_interactions(spec):
         delta = _with_fixed(spec.delta, cmap.delta_cols, coef)
@@ -470,7 +504,7 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool) -> _Fits:
                  np.ones(r, dtype=bool), np.ones(r, dtype=int))
 
 
-def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
+def _fit_poisson(spec: ModelSpec, st: _Stack, want_vcov: bool) -> _Fits:
     """Poisson IRLS as a loop of stacked weighted solves.
 
     Each sample keeps its own iteration sequence and stops when its
@@ -513,15 +547,22 @@ def _fit_poisson(spec: ModelSpec, st: _Stack) -> _Fits:
         active[idx[out | done]] = False
 
     coef[list(errors)] = np.nan
-    vcov = _sandwich(z, y - np.exp((coef[:, None, :] @ z)[:, 0] + offset), bread)
-    ate_se = np.sqrt(np.maximum(vcov[:, 1, 1], 0.0))
+    resid = y - np.exp((coef[:, None, :] @ z)[:, 0] + offset)
+    ate_se = np.sqrt(_ate_var(z, resid, bread))
+    vcov = _sandwich(z, resid, bread) if want_vcov else None
     return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors,
                  np.zeros(len(y), dtype=bool), converged, iterations)
 
 
 def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:
-    """Fit a stack of one; raise its error, or warn at the public function's caller on a clamp."""
-    fits = _fit(spec, _Stack.one(data), family, hc1)
+    """Fit a stack of one; raise its error, or warn at the public function's caller on a clamp.
+
+    The FitResult reports the whole covariance, formed as B·M·B: forming it
+    from the influence rows U = B·S as U·Uᵀ instead was 1.1-5.3x slower in
+    numpy 2.4's stacked products on a 2-core x86-64 host. Only lone fits and
+    ``sandwich_vcov`` form the score and the meat.
+    """
+    fits = _fit(spec, _Stack.one(data), family, hc1, vcov=True)
     if fits.errors:
         raise fits.errors[0]
     if fits.clamped[0]:

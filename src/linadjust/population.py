@@ -344,8 +344,9 @@ def make_counterexample(kind: str, pi: float) -> PopulationSpec:
     InteractionsOnlyWorseCentered (pi > 1/2): slopes l1 = 1, l0 = -1/2
     give Omega0 = -Omega1/2, and the centered interactions-only
     estimator trails the unadjusted one by exactly (2pi-1)/pi. For
-    pi <= 1/2 that gap is nonpositive (the interactions-only estimator
-    dominates there), so no counterexample exists and this raises.
+    pi <= 1/2 that gap is nonpositive, so this family has no
+    counterexample there and this raises; other populations do have one
+    at pi <= 1/2.
     """
     _check_pi(pi)
     if kind == "AncovaWorse":

@@ -40,7 +40,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .estimate import EstimationError, _fit, _Stack
-from .model import Dataset, ModelSpec, _check_pi, _check_samples, format_formula, named_spec
+from .model import Dataset, ModelSpec, _check_covariates, _check_pi, _check_samples, format_formula
+from .model import named_spec
 from .population import GaussianArmSampler
 
 __all__ = [
@@ -534,7 +535,9 @@ def run_grid(
     are those of drawing and fitting each replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
     Before the first draw, ``reps`` (a positive integer, stored as ``int``),
-    ``models`` (not empty) and every pi are checked; covariate counts at the first fit.
+    ``models`` (not empty), every pi and, where the draws' covariate count is
+    known (1 for a standard scenario, else the sampler's ``p``), every model's
+    are checked; a sampler without ``p`` has its models checked at the first fit.
     Failed fits are excluded and counted per cell, by cause, in
     ``MonteCarloCell.failures``; a cell whose failure rate exceeds 1%
     raises, naming the causes. A cell with replications whose
@@ -555,6 +558,10 @@ def run_grid(
         raise ValueError(msg)
     pi_list = [None] if scn.covariate_assignment else list(pis or [scn.pi])
     probs = [_assignment_pi(scn, pi) for pi in pi_list]
+    known_p = 1 if scn.law is not None else getattr(scn.sampler, "p", None)
+    if known_p is not None:
+        for spec in models:
+            _check_covariates(spec, known_p)
 
     family = scn.law.family if scn.law is not None else "gaussian"
     chunk = _chunk_reps(scn.n)

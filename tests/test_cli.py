@@ -1035,6 +1035,20 @@ class TestCompare:
         )
         assert (rc, out, err) == (2, "", f"error: {path}: sigma must be positive definite\n")
 
+    def test_singular_normal_equations_name_the_file(self, tmp_path, capsys):
+        """A record whose pi·sigma underflows is invalid input, exit 2, like the
+        record's other faults."""
+        path = tmp_path / "pop.json"
+        record = {"pi": 0.3, "sigma": [[5e-324]], "omega1": [0.0], "omega0": [0.0],
+                  "mu1": 1.0, "mu0": 0.0, "q1": 3.0, "q0": 2.0}
+        path.write_text(json.dumps(record))
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: population normal equations are singular\n"
+
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_non_utf8_byte_cites_file_and_line(self, pop_file, capsys, eol):
         pop_file.write_bytes(pop_file.read_bytes().replace(b"{", b"{" + eol + b"\xff", 1))

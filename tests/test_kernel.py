@@ -28,7 +28,7 @@ from linadjust import (
     run_grid,
     scenario,
 )
-from linadjust.estimate import GRAM_RTOL, _fit, _meat, _sandwich, _solve, _Stack, _svd_solve
+from linadjust.estimate import GRAM_RTOL, _ate_var, _fit, _meat, _sandwich, _solve, _Stack, _svd_solve
 from linadjust.model import _design, build_design
 from linadjust.sim import _chunk_reps, _chunk_states, _did_ldv_sampler, _digest, _draw_stack
 from linadjust.sim import _rep_states
@@ -132,7 +132,7 @@ def test_mixed_stacks_match_fits_alone():
         datasets, specs, fit_fn, family = make(rng)
         stack = _stack_of(datasets)
         for spec in specs:
-            fits = _fit(spec, stack, family)
+            fits = _fit(spec, stack, family, vcov=True)  # result() reports the covariance
             for r, data in enumerate(datasets):
                 ate_hat, ate_se, clamped, error = _alone(fit_fn, spec, data)
                 assert np.isnan(fits.ate_hat[r]) == (error is not None)
@@ -257,6 +257,22 @@ class _OneHuge:
         return x, 1.0 + noise[:, 0], noise[:, 1]
 
 
+@pytest.mark.parametrize("sid", [1, 2, 4])
+def test_run_grid_forms_no_meat_and_no_sandwich(sid, monkeypatch):
+    """A grid's fits take ate_se from the ATE influence row alone: the score,
+    the meat and B·M·B of ``_meat`` and ``_sandwich`` are never formed, in
+    the plain, the Poisson and the weighted fit, with or without the
+    centering penalty."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_grid formed a meat or a sandwich")
+
+    monkeypatch.setattr("linadjust.estimate._meat", forbidden)
+    monkeypatch.setattr("linadjust.estimate._sandwich", forbidden)
+    report = run_grid(scenario(sid, n=100), SPECS1[:3] + [IO1], [0.4], 20, seed=2)
+    assert all(c.fail_rate == 0.0 and np.isfinite(c.mean_se) for c in report.cells)
+
+
 def test_an_overflowing_sample_leaves_its_neighbours_without_a_warning():
     """A sample whose covariates near 1e160 fail the rank rule is kept out of
     the covariance that the other samples' centering penalty needs, so its
@@ -278,10 +294,10 @@ def test_an_overflowing_sample_leaves_its_neighbours_without_a_warning():
 
 
 # one run_grid chunk (16 replications of n = 1000) peaked at 138 B per row in
-# scenario 2, 145 B in scenario 4 and 108.8 B in scenario 1 (unweighted: the
-# Gram and the meat each multiply a block by its own transpose) under
-# tracemalloc; the bounds add about 9%
-@pytest.mark.parametrize(("sid", "bound"), [(1, 118), (2, 150), (4, 158)])
+# scenario 2 and 145 B in scenario 4 under tracemalloc, and at 81.2 B in
+# scenario 1 since its fits form no (R, q, n) score (108.8 B with it); the
+# bounds add about 9%
+@pytest.mark.parametrize(("sid", "bound"), [(1, 89), (2, 150), (4, 158)])
 def test_a_chunk_stays_within_its_memory(sid, bound):
     scn = scenario(sid, n=1000)
     models = [named_spec(m, 1) for m in ("ANOVA", "ANCOVA", "ANHECOVA")]
@@ -426,20 +442,21 @@ def _rel(got, want):
 def _in_budget(z, y, w, solved):
     """Per quantity, each sample's distance from the long-double oracle in units
     of its GRAM_BUDGET, for the coefficients and bread a solve gave and the
-    meat and HC0 covariance formed from them as the fit forms them, and the
-    oracle. The sandwich's entries are NaN where the oracle's meat or
-    covariance is out of double's range (the random stacks scale designs by
-    up to 10^±150)."""
+    ATE variance, meat and HC0 covariance formed from them as the fit forms
+    them, and the oracle. The variances' entries are NaN where the oracle's
+    meat, covariance or ATE variance is out of double's range (the random
+    stacks scale designs by up to 10^±150)."""
     coef, bread = solved[:2]
     resid = y - (coef[:, None, :] @ z)[:, 0]
     o = oracle(z, y, w)
     with np.errstate(all="ignore"):
         got = {"coef": coef, "bread": bread, "meat": _meat(z, resid, w)}
         got["vcov"] = _sandwich(z, resid, bread, w)
+        got["ate_var"] = _ate_var(z, resid, bread, w) if z.shape[1] > 1 else o.ate_var
         err = {q: rel(got[q], getattr(o, q)) / o.budget(q) for q in got}
-        sizes = np.stack([largest(o.meat), largest(o.vcov), largest(o.bread)])
+        sizes = np.stack([largest(o.meat), largest(o.vcov), largest(o.bread), largest(o.ate_var)])
     in_range = ((sizes > 1e-250) & (sizes < 1e250)).all(axis=0)
-    for q in ("meat", "vcov"):
+    for q in ("meat", "vcov", "ate_var"):
         err[q][~in_range] = np.nan
     return err, o
 
@@ -548,7 +565,7 @@ def test_weighted_sandwich_against_long_double(model):
     key = f"scenario=4|pi=None|n={scn.n}"
     st = _draw_stack(scn, None, _rep_states(5, _digest(key), 0, 16))
     spec = named_spec(model, 1)
-    fits = _fit(spec, st)
+    fits = _fit(spec, st, vcov=True)
     assert not fits.errors
     z, offset, _ = _design(spec, st.a, st.centered(spec.centering))
     z, w = z.astype(np.longdouble), st.scaled_w.astype(np.longdouble)
@@ -564,17 +581,19 @@ def test_scenario4_bread_and_meat_within_budget(n):
     """Scenario 4 chunks (16 replications) under ANOVA, ANCOVA and ANHECOVA:
     the coefficients, bread, meat and covariance of every Gram-routed sample
     (κ < 10³; at n = 150 a few samples pass it and take the SVD) are within
-    GRAM_BUDGET of the long-double oracle, and ate_se² is at worst 4 times as
-    far from it as the SVD route's. Over seeds 0 to 5 that ratio reached 2.9;
-    the bread was within 1e-10 of the oracle and the meat within 2.5e-14,
-    but ate_se² was up to 1.6e-8 off at n = 150 and 5.4e-10 at n = 1000. The
-    sandwich B·M·B amplifies its factors' errors by α = ‖B‖²‖M‖/‖BMB‖, which
-    reached 4e8 at n = 150 and 3e6 at n = 1000 (scenario 4's weights reach
-    1e6)."""
+    GRAM_BUDGET of the long-double oracle, and B·M·B's vcov[1, 1] is at worst
+    4 times as far from it as the SVD route's. Over seeds 0 to 5 that ratio
+    reached 2.9; the bread was within 1e-10 of the oracle and the meat within
+    2.5e-14, but B·M·B's vcov[1, 1] was up to 1.6e-8 off at n = 150 and
+    5.4e-10 at n = 1000. The sandwich B·M·B amplifies its factors' errors by
+    α = ‖B‖²‖M‖/‖BMB‖, which reached 4e8 at n = 150 and 3e6 at n = 1000
+    (scenario 4's weights reach 1e6). The fits' ATE variance, Σ uᵢ² of the
+    influence row, is no farther from the oracle than B·M·B's; over seeds 0
+    to 5 it was at most 2.3e-10 off at n = 150 and 1.9e-11 at n = 1000."""
     scn = scenario(4, n=n)
     key = f"scenario=4|pi=None|n={n}"
     st = _draw_stack(scn, None, _rep_states(5, _digest(key), 0, 16))
-    worst = {"gram": 0.0, "svd": 0.0}
+    worst = {"gram": 0.0, "svd": 0.0, "ate_var": 0.0}
     for model in ("ANOVA", "ANCOVA", "ANHECOVA"):
         spec = named_spec(model, 1)
         z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
@@ -587,6 +606,9 @@ def test_scenario4_bread_and_meat_within_budget(n):
         assert (o.kappa >= 10.0).all()
         for q, e in err.items():
             assert e.max() <= 1.0, (model, q)
+        resid = sub[1] - (got[0][gram][:, None, :] @ sub[0])[:, 0]
+        v = _ate_var(sub[0], resid, got[1][gram], sub[2])
+        worst["ate_var"] = max(worst["ate_var"], rel(v[:, None], o.ate_var[:, None]).max())
         sw = np.sqrt(sub[2])
         ref = _svd_solve(sub[0] * sw[:, None, :], sub[1] * sw, cmap.labels)
         for route, (coef, bread) in (("gram", [v[gram] for v in got[:2]]), ("svd", ref[:2])):
@@ -594,18 +616,44 @@ def test_scenario4_bread_and_meat_within_budget(n):
             v11 = _sandwich(sub[0], resid, bread, sub[2])[:, 1, 1]
             worst[route] = max(worst[route], rel(v11[:, None], o.vcov[:, 1, 1, None]).max())
     assert worst["gram"] <= 4.0 * worst["svd"]
+    assert worst["ate_var"] <= worst["gram"]
 
 
 @pytest.mark.skipif(not HAS_LONG_DOUBLE, reason="long double is double here")
+@pytest.mark.parametrize("n", [150, 1000])
+@pytest.mark.parametrize("sid", [1, 3, 4])
+def test_ate_se_within_budget(sid, n):
+    """A stacked fit's ate_se², for the specs whose ate_se has no centering
+    penalty, is within GRAM_BUDGET's ATE-variance entry of the long-double
+    oracle in every Gram-routed sample of a 16-replication chunk. Over seeds 0
+    to 3 it used at most 0.08 of that budget. Scenario 2's ate_se uses the
+    bread of the last IRLS step, which no fixed-weight oracle reproduces;
+    its solve is checked at the final weights by
+    test_poisson_irls_solve_within_budget."""
+    pi = 0.5 if sid == 1 else None
+    key = f"scenario={sid}|pi={pi}|n={n}"
+    st = _draw_stack(scenario(sid, n=n), pi, _rep_states(5, _digest(key), 0, 16))
+    for spec in SPECS1[:2] + SPECS1[5:6]:
+        fits = _fit(spec, st)
+        assert not fits.errors
+        z, offset, _ = _design(spec, st.a, st.centered(spec.centering))
+        o = oracle(z, st.y - offset, st.scaled_w)
+        gram = fits.condition < 0.99 * GRAM_RTOL**-0.5
+        err = rel(fits.ate_se[:, None] ** 2, o.ate_var[:, None]) / o.budget("ate_var")
+        assert err[gram].max() <= 1.0, spec
+
+
+@pytest.mark.skipif(not HAS_LONG_DOUBLE, reason="long double is double here")
+@pytest.mark.parametrize("n", [150, 1000])
 @pytest.mark.parametrize("model", ["ANOVA", "ANCOVA", "ANHECOVA"])
-def test_poisson_irls_solve_within_budget(model):
+def test_poisson_irls_solve_within_budget(model, n):
     """The weighted solve at a scenario 2 chunk's final IRLS weights (16
-    replications, n = 1000): μ and the working response at each fit's own
-    coefficients. Every Gram-routed sample's coefficients, bread, meat and
-    covariance are within GRAM_BUDGET of the long-double oracle. Unlike
-    scenario 4's weights, μ is not rescaled (``_Stack.scaled_w``), and here
-    every sample takes the Gram route."""
-    scn = scenario(2, n=1000)
+    replications): μ and the working response at each fit's own
+    coefficients. Every Gram-routed sample's coefficients, bread, ATE
+    variance, meat and covariance are within GRAM_BUDGET of the long-double
+    oracle. Unlike scenario 4's weights, μ is not rescaled
+    (``_Stack.scaled_w``), and here every sample takes the Gram route."""
+    scn = scenario(2, n=n)
     key = f"scenario=2|pi=0.5|n={scn.n}"
     st = _draw_stack(scn, 0.5, _rep_states(5, _digest(key), 0, 16))
     spec = named_spec(model, 1)

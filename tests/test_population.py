@@ -169,6 +169,18 @@ class TestCounterexamples:
         with pytest.raises(ValueError):
             make_counterexample("InteractionsOnlyWorseCentered", 0.4)
 
+    def test_interactions_only_can_lose_at_small_pi_outside_the_family(self):
+        """make_counterexample's family has no counterexample at pi <= 1/2,
+        but the centered interactions-only estimator can still trail ANOVA there."""
+        sampler = GaussianArmSampler(
+            sigma=[[4.847]], b0=-1.956, b1=-1.938, l0=[1.992], l1=[-0.647], s0=1.070, s1=1.744
+        )
+        pop = PopulationSpec(pi=0.3, sampler=sampler)
+        v_io = asymptotic_variance_centered(parse_formula("1 + A + A:X1", ["X1"]), pop)
+        v_anova = asymptotic_variance_centered(ANOVA1, pop)
+        assert v_anova == pytest.approx(46.013, abs=5e-4)
+        assert v_io == pytest.approx(53.773, abs=5e-4)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             make_counterexample("nope", 0.3)
@@ -321,6 +333,16 @@ def test_non_positive_definite_sigma_rejected():
             q1=1.0,
             q0=1.0,
         )
+
+
+def test_underflowing_population_normal_equations_are_singular():
+    """sigma = [[5e-324]] is positive definite, but pi·sigma underflows to 0,
+    so a model with a free interaction has singular normal equations."""
+    moments = ExactMoments(np.array([[5e-324]]), [0.0], [0.0], mu1=1.0, mu0=0.0, q1=3.0, q0=2.0)
+    pop = PopulationSpec(pi=0.3, moments=moments)
+    assert solve_population(ANOVA1, pop).beta == 1.0
+    with pytest.raises(SingularDesignError, match="population normal equations are singular"):
+        solve_population(ANHECOVA1, pop)
 
 
 def test_population_needs_a_source():

@@ -114,6 +114,26 @@ class TestScenarioConstruction:
             run_grid(scn, [named_spec("LDV", 2)], [0.5, 1.5], 5, seed=0)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        ("scn", "pis"),
+        [
+            (scenario(1, n=200), [0.5, 0.7]),
+            (custom_scenario(_did_ldv_sampler("default"), pi=0.5, beta_ate=2.0, n=200), None),
+        ],
+        ids=["standard", "gaussian-arm-sampler"],
+    )
+    def test_covariate_counts_are_checked_before_the_first_draw(self, scn, pis, monkeypatch):
+        """A model that expects more covariates than the draws have raises
+        before run_grid derives a seed or draws a chunk."""
+        called = []
+        monkeypatch.setattr("linadjust.sim._rep_states", lambda *a: called.append("seeds"))
+        monkeypatch.setattr("linadjust.sim._draw_stack", lambda *a: called.append("draw"))
+        p = 1 if scn.sampler is None else scn.sampler.p
+        models = [named_spec("ANOVA", p), named_spec("ANCOVA", p + 1)]
+        with pytest.raises(ValueError, match=f"dataset has p={p} covariates but spec expects {p + 1}"):
+            run_grid(scn, models, pis, 20000, seed=0)
+        assert called == []
+
     @pytest.mark.parametrize("sid", [1, 2, 3, 4])
     def test_pickle_round_trip_draws_the_same(self, sid):
         scn = scenario(sid, n=30)

@@ -14,9 +14,11 @@ populations at n = 200, 40 replications, their four models;
 weighted), it draws one chunk as ``run_grid`` does and fits every model to
 it with ``estimate._fit`` ``--repeat`` times, each time on a fresh stack,
 so the per-stack work (centering, the full-model refit) is paid as
-``run_grid`` pays it. Timers wrapped around the kernel's functions split
-each fit into the self time of its stages, in µs per chunk (all models
-together, median over the repeats):
+``run_grid`` pays it. The ``analysis-cli`` samples are fitted as a lone
+public fit is, with the full covariance (``_fit``'s ``vcov``); the Monte
+Carlo chunks without it, as ``run_grid`` fits them. Timers wrapped around
+the kernel's functions split each fit into the self time of its stages,
+in µs per chunk (all models together, median over the repeats):
 
 - design: ``_design`` and the covariate centering (``_Stack.centered``);
 - gram: ``_solve`` itself, mostly ZᵀWZ = (Z·w) @ Zᵀ and the routing;
@@ -24,7 +26,9 @@ together, median over the repeats):
 - solve: ``_gram_solve`` and ``_svd_solve``;
 - residual: ``_fit_linear`` and ``_fit_poisson`` themselves: the
   response, the residual and, for Poisson, the IRLS working response;
-- meat: ``_meat``; sandwich: the rest of ``_sandwich``, B·M·B;
+- ate row: ``_ate_var``, the ATE variance from the influence row b₁ᵀZ·wε̂;
+- meat: ``_meat``; sandwich: the rest of ``_sandwich``, B·M·B; both only
+  for the lone ``analysis-cli`` fits, "-" on the Monte Carlo chunks;
 - penalty: the empirical-centering penalty, ``_Stack.sigma`` and
   ``_penalized`` (the full-model refit it needs is counted in the
   stages above);
@@ -77,7 +81,7 @@ from linadjust.population import make_counterexample  # noqa: E402
 from linadjust.sim import SEED_BLOCK, _assignment_pi, _chunk_reps, _Derived, _digest, _draw_stack  # noqa: E402
 from linadjust.sim import _rep_states  # noqa: E402
 
-STAGES = ("design", "gram", "eigh", "solve", "residual", "meat", "sandwich", "penalty", "fit")
+STAGES = ("design", "gram", "eigh", "solve", "residual", "ate row", "meat", "sandwich", "penalty", "fit")
 TIMED = (  # (owner, attribute, stage)
     (estimate, "_design", "design"),
     (estimate._Stack, "centered", "design"),
@@ -87,6 +91,7 @@ TIMED = (  # (owner, attribute, stage)
     (estimate, "_svd_solve", "solve"),
     (estimate, "_fit_linear", "residual"),
     (estimate, "_fit_poisson", "residual"),
+    (estimate, "_ate_var", "ate row"),
     (estimate, "_meat", "meat"),
     (estimate, "_sandwich", "sandwich"),
     (estimate._Stack, "sigma", "penalty"),
@@ -163,28 +168,29 @@ def _cli_stack(rng, weighted: bool) -> estimate._Stack:
 
 
 def chunks(seed: int):
-    """(label, shape, stack maker, models, family) for every chunk shape measured."""
+    """(label, shape, stack maker, models, family, lone) for every chunk shape measured;
+    ``lone`` marks a lone public fit, which forms the full covariance."""
     out = []
     for label, scn, pi, reps, models, family in _mc_configs():
         chunk = min(reps, _chunk_reps(scn.n))
         states = _rep_states(seed, _digest(f"scenario={scn.id}|pi={pi}|n={scn.n}"), 0, chunk)
         st = _draw_stack(scn, _assignment_pi(scn, pi), states)
         fresh = (lambda st=st: estimate._Stack(st.a, st.x, st.y, st.w))
-        out.append((label, (chunk, scn.n), fresh, models, family))
+        out.append((label, (chunk, scn.n), fresh, models, family, False))
     rng = np.random.default_rng(seed)
     plain = parse_formula("1 + A + X1 + X2 + X3 + A:X1 + A:X2 + A:X3", ["X1", "X2", "X3"])
     weighted = parse_formula("1 + A + X1 + X2@0.5 + A:X1 + A:X3", ["X1", "X2", "X3"])
     for label, spec, w in (("analysis-cli plain", plain, False), ("analysis-cli weighted", weighted, True)):
         st = _cli_stack(rng, w)
         fresh = (lambda st=st: estimate._Stack(st.a, st.x, st.y, st.w))
-        out.append((label, (1, st.n), fresh, (spec,), "gaussian"))
+        out.append((label, (1, st.n), fresh, (spec,), "gaussian", True))
     return out
 
 
 def stage_table(seed: int, repeat: int) -> None:
     print(f"Self time per stage of estimate._fit, µs per chunk (median of {repeat}), seed {seed}")
     print(f"{'chunk':<22} {'R x n':>9} " + " ".join(f"{s:>8}" for s in STAGES) + f" {'total':>8}")
-    for label, (r, n), fresh, models, family in chunks(seed):
+    for label, (r, n), fresh, models, family, lone in chunks(seed):
         runs = defaultdict(list)
         for k in range(repeat + 1):
             layers = Layers()
@@ -192,12 +198,13 @@ def stage_table(seed: int, repeat: int) -> None:
             with warnings.catch_warnings(), timed(layers):
                 warnings.simplefilter("ignore")  # a clamped standard error does not matter here
                 for spec in models:
-                    estimate._fit(spec, st, family)
+                    estimate._fit(spec, st, family, vcov=lone)
             if k:  # the first pass warms up
-                for stage in STAGES:
+                for stage in layers.ns:
                     runs[stage].append(layers.ns[stage] / 1e3)
                 runs["total"].append(sum(layers.ns.values()) / 1e3)
-        cells = " ".join(f"{statistics.median(runs[s]):8.0f}" for s in (*STAGES, "total"))
+        cells = " ".join(f"{statistics.median(runs[s]):8.0f}" if s in runs else f"{'-':>8}"
+                         for s in (*STAGES, "total"))
         print(f"{label:<22} {f'{r}x{n}':>9} {cells}")
 
 
