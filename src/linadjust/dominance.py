@@ -174,8 +174,11 @@ def corollaries(pi: float, p: int = 2) -> list[dict]:
     ANHECOVA versus ANOVA and ANCOVA are certified directly. LDV versus
     DiD is a claim the implemented sufficient conditions cannot certify
     (LDV frees the baseline main effect but not its interaction, so its
-    free sets differ); that row carries certified=False and is backed
-    empirically by the simulation harness instead.
+    free sets differ); that row carries certified=False. Whether LDV wins
+    depends on pi: the exact centered variances of 1,500 random
+    two-covariate populations (``random_moment_population``, seed 0) put
+    LDV behind DiD in none at pi = 0.5, in 390 at pi = 0.3 and in 400 at
+    pi = 0.7. ``did_vs_ldv_experiment`` simulates pi = 0.5 only.
     """
     pairs = [
         ("ANHECOVA", "ANOVA"),

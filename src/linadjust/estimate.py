@@ -7,12 +7,12 @@ kernel serves them all: ``_Stack`` holds R samples of equal shape and
 ``_fit`` fits one spec to every sample at once. The kernel holds every
 stacked design column-major, as one (R, q, n) block (sample, column,
 row; ``model._design``), so each per-row product (the weighting Z·w, the
-fitted values, the ATE influence row, a lone fit's score Z·wε̂) runs
-along contiguous rows of length n. The Gram ZᵀWZ = (Z·w) @ Zᵀ and the
-meat S·Sᵀ of the score S are products that numpy hands to BLAS gemm,
-never a block times its own transpose, which it hands to the slower
-syrk (``_self_product``); the weights enter the Gram route once, as Z·w,
-and W^½Z is formed only for the samples the SVD takes. Inside ``_fit``, ``_solve`` is the (weighted)
+fitted values, the influence rows) runs along contiguous rows of length
+n. The Gram ZᵀWZ = (Z·w) @ Zᵀ and a lone fit's U·Uᵀ are products that
+numpy hands to BLAS gemm, never a block times its own transpose, which it
+hands to the slower syrk (``_self_product``); the weights enter the Gram
+route once, as Z·w, and W^½Z is formed only for the samples the SVD
+takes. Inside ``_fit``, ``_solve`` is the (weighted)
 least-squares solve used by OLS, WLS, every IRLS step and the full-model
 refit for the centering penalty. It solves a sample from its Gram matrix
 ZᵀWZ (one eigendecomposition, the coefficients refined once) when the
@@ -21,21 +21,21 @@ is when κ = s_max/s_min < 10³. The accuracy rule is a budget per
 quantity against the exact solution of the same double data
 (GRAM_BUDGET, checked against a long-double oracle in the tests): the
 coefficients and ate_hat within κ(1 + κη)·ε, the least-squares condition
-that the SVD's own error follows; the bread within 8κ²·ε; the ATE
-variance within its change under the bread's and the residuals' errors;
-the meat within its change under the residuals' error; and the
-covariance within the sandwich's amplification of those two. Every other
-sample goes to the batched SVD of ``_svd_solve``, which holds the one
-rank rule. ``_ate_var`` is the HC0/HC1 variance of ate_hat from its
-influence row, which every fit's ate_se is built on; ``_meat`` is the
-HC0 meat and ``_sandwich`` the HC0/HC1 covariance, formed only for a
-lone fit's ``vcov`` and ``sandwich_vcov``; ``_penalized`` adds the
-empirical-centering penalty and clamps.
+that the SVD's own error follows; the bread within 8κ²·ε; and the
+covariance, the ATE variance its [1, 1] entry, within its change under
+the bread's and the residuals' errors. Every other sample goes to the
+batched SVD of ``_svd_solve``, which holds the one rank rule. Every
+variance is a sum over the influence rows U = B·Z·diag(wε̂) of
+``_influence``: ``_ate_var`` sums the squares of the ATE row alone, which
+is every fit's ate_se, and ``_vcov`` forms U·Uᵀ, the HC0/HC1 covariance,
+only for a lone fit's ``vcov`` and ``sandwich_vcov``; ``_penalized`` adds
+the empirical-centering penalty and clamps.
 Weighted fits use each sample's weights times an even power of two
-(``_Stack.scaled_w``), which changes no result but keeps w² and ZᵀWZ
-in range. A sample that cannot be fitted is NaN in the stack and keeps
-the error a fit of it alone raises. ``sim.run_grid`` fits a stack per
-chunk; ``fit_*`` and ``sandwich_vcov`` fit a stack of one (``_Stack.one``).
+(``_Stack.scaled_w``), which changes no result but keeps ZᵀWZ and the
+influence rows in range. A sample that cannot be fitted is NaN in the
+stack and keeps the error a fit of it alone raises. ``sim.run_grid`` fits
+a stack per chunk; ``fit_*`` and ``sandwich_vcov`` fit a stack of one
+(``_Stack.one``).
 """
 
 from __future__ import annotations
@@ -67,17 +67,15 @@ SVD_RTOL = 1e-10
 #   coef   c·κ(1 + κη)·ε: coefficients and ate_hat; the least-squares condition
 #          (Higham, Accuracy and Stability of Numerical Algorithms, §20.1), as the SVD's
 #   bread  c·κ²·ε: (ZᵀWZ)⁻¹ from the normal equations squares κ (Higham §20.4)
-#   meat   c times the meat's first-order change when each residual rᵢ moves by
-#          (|yᵢ| + ‖zᵢ‖₁·max|β|)·(ε + the coef budget)
-#   vcov   ‖B‖²‖M‖/‖BMB‖·(2·bread + meat): what the sandwich makes of the two
-#   ate_var c times the first-order change of Σuᵢ², uᵢ = (b₁ᵀzᵢ)·wᵢrᵢ (``_ate_var``), when
-#          b₁ moves by the bread's budget and each rᵢ by the meat's error
-# Seen over random stacks at κ < 10³ and 5,376 fits of scenarios 3 and 4 (seven specs):
-# at most 0.22, 0.38, 0.02 and 0.04 of these.
-GRAM_BUDGET = {"coef": 1.0, "bread": 8.0, "meat": 1.0, "ate_var": 1.0}
+#   vcov   c times the first-order change of U·Uᵀ = Σᵢ uᵢuᵢᵀ, uᵢ = B·zᵢ·wᵢrᵢ
+#          (``_influence``), when B's rows move by the bread's budget and each rᵢ by
+#          (|yᵢ| + ‖zᵢ‖₁·max|β|)·(ε + the coef budget); the ATE variance, its [1, 1]
+#          entry, within that entry's change
+# Seen over the tests' random stacks at κ < 10³ and 1,790 Gram-routed fits of scenarios 3
+# and 4 (seven specs, n = 150 and 1,000): at most 0.61, 0.50 and 0.15 of these.
+GRAM_BUDGET = {"coef": 1.0, "bread": 8.0, "vcov": 1.0}
 # λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route, κ < 10³: there the bread's
-# budget, 8κ²ε <= 1.8e-9, stays under a hundredth of the 2e-7 that scenario 4's sandwich
-# loses by either route, and every sample of scenarios 1-4 is inside it (κ <= 300 at n = 1000)
+# budget is 8κ²ε <= 1.8e-9, and every sample of scenarios 1-4 is inside it (κ <= 300 at n = 1000)
 GRAM_RTOL = 1e-6
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
@@ -107,10 +105,10 @@ class FitResult:
 
     ``gamma`` and ``delta`` have length p with fixed entries echoed at
     their constraint values. ``vcov`` covers the free coefficients in
-    design-column order (see ``labels``). ``condition_number`` is
-    s_max/s_min of the (square-root-weighted) free design in the final
-    solve, and ``iterations`` the number of IRLS steps (1 for a linear
-    fit).
+    design-column order (see ``labels``): the HC0 (or HC1) sandwich U·Uᵀ
+    of the influence rows U = (ZᵀWZ)⁻¹·Z·diag(wε̂). ``condition_number``
+    is s_max/s_min of the (square-root-weighted) free design in the final
+    solve, and ``iterations`` the number of IRLS steps (1 for a linear fit).
     """
 
     alpha: float
@@ -198,8 +196,9 @@ class _Stack:
         that puts their maximum in [0.5, 2).
 
         The scaling is exact and leaves every estimate and standard error
-        as it is (the bread scales by 4ᵏ, the meat by 4⁻²ᵏ), but w² in the
-        meat cannot underflow or overflow, nor can ZᵀWZ overflow.
+        as it is (the bread scales by 4ᵏ and wε̂ by 4⁻ᵏ, so the influence
+        rows B·Z·wε̂ not at all), but ZᵀWZ cannot overflow, nor can B·Z or
+        wε̂ leave the range of doubles through the weights' overall scale.
         """
         if self.w is None:
             return None
@@ -389,40 +388,40 @@ def _svd_solve(z, y, labels: tuple[str, ...], w=None):
     return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
 
 
+def _influence(z, resid, bread, w=None, rows=slice(None)):
+    """The influence rows U = B[rows]·Z·diag(wε̂) (R, k, n), per sample, of the
+    column-major designs z (R, q, n), residuals (R, n) and breads B (R, q, q):
+    column i of U is observation i's share of β̂ - β, so U·Uᵀ is the HC0
+    covariance B·M·B without its meat M. A grid asks for the ATE row alone."""
+    u = bread[:, rows] @ z
+    u *= (resid if w is None else w * resid)[:, None, :]
+    return u
+
+
 def _ate_var(z, resid, bread, w=None, hc1=False):
-    """The HC0 (or HC1) variance of ate_hat, per sample, of the column-major
-    designs z (R, q, n) and residuals (R, n): Σᵢ uᵢ² with uᵢ = (b₁ᵀzᵢ)·wᵢε̂ᵢ
-    and b₁ the ATE row of the bread. This is ``_sandwich``'s [1, 1] entry
-    from the (R, n) influence row alone, with no score block, meat or B·M·B.
-    Its terms are non-negative, so its relative error is about nε (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 4), where B·M·B
-    loses the sandwich's amplification ‖B‖²‖M‖/‖BMB‖."""
-    u = (bread[:, 1:2] @ z)[:, 0]
-    u *= resid if w is None else w * resid
+    """The HC0 (or HC1) variance of ate_hat, per sample: Σᵢ uᵢ² of the ATE
+    influence row uᵢ = (b₁ᵀzᵢ)·wᵢε̂ᵢ, with no other row formed. Its terms are
+    non-negative, so its relative error is about nε (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4), where B·M·B would lose the
+    sandwich's amplification ‖B‖²‖M‖/‖BMB‖."""
+    u = _influence(z, resid, bread, w, slice(1, 2))[:, 0]
     var = np.square(u, out=u).sum(axis=1)
     return var * _hc1_factor(z) if hc1 else var
+
+
+def _vcov(z, resid, bread, w=None, hc1=False):
+    """The HC0 (or HC1) covariance U·Uᵀ (R, q, q) of all influence rows, per
+    sample, by ``_self_product`` and symmetrised."""
+    vcov = _self_product(_influence(z, resid, bread, w))
+    if hc1:
+        vcov *= _hc1_factor(z)
+    return 0.5 * (vcov + vcov.swapaxes(-1, -2))
 
 
 def _hc1_factor(z) -> float:
     """HC1's small-sample factor n/(n - q) for the designs z (R, q, n)."""
     q, n = z.shape[-2:]
     return n / max(n - q, 1)
-
-
-def _meat(z, resid, w=None):
-    """The HC0 meat Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ (R, q, q), per sample, of the column-major
-    designs z (R, q, n) and residuals (R, n): S·Sᵀ of the one temporary
-    score S = Z·wε̂, by ``_self_product``."""
-    return _self_product(z * (resid if w is None else w * resid)[:, None, :])
-
-
-def _sandwich(z, resid, bread, w=None, hc1=False):
-    """HC0 (or HC1) covariance (ZᵀWZ)⁻¹ · Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ · (ZᵀWZ)⁻¹, per sample,
-    of the column-major designs z (R, q, n) and residuals (R, n)."""
-    vcov = bread @ _meat(z, resid, w) @ bread
-    if hc1:
-        vcov *= _hc1_factor(z)
-    return 0.5 * (vcov + vcov.swapaxes(-1, -2))
 
 
 def _with_fixed(constraints, cols: dict[int, int], coef: np.ndarray) -> np.ndarray:
@@ -460,9 +459,9 @@ def _fit(
     """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson".
 
     ``ate_se`` comes from each sample's ATE influence row (``_ate_var``),
-    so a stacked fit and a fit alone give it the same bits. The full
-    covariance B·M·B is formed only with ``vcov``, which a lone fit's
-    FitResult reports and ``run_grid`` does not read.
+    so a stacked fit and a fit alone give it the same bits. The other
+    influence rows and the covariance U·Uᵀ are formed only with ``vcov``,
+    which a lone fit's FitResult reports and ``run_grid`` does not read.
     """
     _check_covariates(spec, st.x.shape[2])
     fits = _fit_poisson(spec, st, vcov) if family == "poisson" else _fit_linear(spec, st, hc1, vcov)
@@ -484,7 +483,7 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool, want_vcov: bool) -> _Fit
     coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
     yadj -= (coef[:, None, :] @ z)[:, 0]  # now the residual
     var = _ate_var(z, yadj, bread, st.scaled_w, hc1)
-    vcov = _sandwich(z, yadj, bread, st.scaled_w, hc1) if want_vcov else None
+    vcov = _vcov(z, yadj, bread, st.scaled_w, hc1) if want_vcov else None
     del z, yadj  # so the full-model refit below does not raise peak memory
     ate_se = np.sqrt(var)
     clamped = np.zeros(len(var), dtype=bool)
@@ -549,19 +548,15 @@ def _fit_poisson(spec: ModelSpec, st: _Stack, want_vcov: bool) -> _Fits:
     coef[list(errors)] = np.nan
     resid = y - np.exp((coef[:, None, :] @ z)[:, 0] + offset)
     ate_se = np.sqrt(_ate_var(z, resid, bread))
-    vcov = _sandwich(z, resid, bread) if want_vcov else None
+    vcov = _vcov(z, resid, bread) if want_vcov else None
     return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors,
                  np.zeros(len(y), dtype=bool), converged, iterations)
 
 
 def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:
     """Fit a stack of one; raise its error, or warn at the public function's caller on a clamp.
-
-    The FitResult reports the whole covariance, formed as B·M·B: forming it
-    from the influence rows U = B·S as U·Uᵀ instead was 1.1-5.3x slower in
-    numpy 2.4's stacked products on a 2-core x86-64 host. Only lone fits and
-    ``sandwich_vcov`` form the score and the meat.
-    """
+    The FitResult reports the whole covariance U·Uᵀ, which only lone fits and
+    ``sandwich_vcov`` form."""
     fits = _fit(spec, _Stack.one(data), family, hc1, vcov=True)
     if fits.errors:
         raise fits.errors[0]
@@ -636,7 +631,7 @@ def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat) -> np.ndarray:
     errors.update(st.empty_arms)  # reported as the fits report it
     if errors:
         raise errors[0]
-    return _sandwich(z, yadj - (coef[None, None, :] @ z)[:, 0], bread, st.scaled_w)[0]
+    return _vcov(z, yadj - (coef[None, None, :] @ z)[:, 0], bread, st.scaled_w)[0]
 
 
 def estimate_ate_variance_centered(

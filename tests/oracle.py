@@ -1,17 +1,17 @@
 """A long-double oracle for the fit kernel's least squares and sandwich.
 
-The kernel (``linadjust.estimate._solve``, ``_ate_var``, ``_meat`` and
-``_sandwich``) works in double precision. ``oracle`` recomputes what it
-computes in long double (a 64-bit significand on x86-64: ε is 1.1e-19
-against double's 2.2e-16) from the same double inputs: the Gram matrix
-ZᵀWZ, its inverse (the bread) by Gauss-Jordan elimination, the
-normal-equation coefficients refined twice against the residual, the
-ATE variance Σ uᵢ² of the influence row uᵢ = (b₁ᵀzᵢ)·wᵢε̂ᵢ, the HC0 meat
-Σ wᵢ²ε̂ᵢ²zᵢzᵢᵀ and the sandwich. At the condition numbers of the
-kernel's Gram route (κ = s_max/s_min of W^½Z below 10³) the oracle's own
-error is at most about κ²·1.1e-19 = 1e-13 (the bread), four orders below
-the budgets it checks, and ``budget`` turns ``estimate.GRAM_BUDGET`` into
-per-sample bounds.
+The kernel (``linadjust.estimate._solve``, ``_ate_var`` and ``_vcov``)
+works in double precision. ``oracle`` recomputes what it computes in long
+double (a 64-bit significand on x86-64: ε is 1.1e-19 against double's
+2.2e-16) from the same double inputs: the Gram matrix ZᵀWZ, its inverse
+(the bread B) by Gauss-Jordan elimination, the normal-equation
+coefficients refined twice against the residual, and the HC0 covariance
+U·Uᵀ of the influence rows U = B·Z·diag(wε̂), whose [1, 1] entry is the
+ATE variance. At the condition numbers of the kernel's Gram route
+(κ = s_max/s_min of W^½Z below 10³) the oracle's own error is at most
+about κ²·1.1e-19 = 1e-13 (the bread), four orders below the budgets it
+checks, and ``budget`` turns ``estimate.GRAM_BUDGET`` into per-sample
+bounds.
 
 Designs are column-major, (R, q, n), as the kernel's are. This module is
 not collected by pytest; the kernel tests import it.
@@ -42,25 +42,11 @@ def gauss_jordan_inverse(g):
     return aug[:, :, q:]
 
 
-def meat(z, resid, w=None):
-    """The HC0 meat Σ wᵢ²ε̂ᵢ² zᵢzᵢᵀ (R, q, q) in long double, of the designs
-    z (R, q, n) and residuals (R, n) weighted by w (R, n)."""
+def influence(z, resid, bread, w=None):
+    """The influence rows U = B·Z·diag(wε̂) (R, q, n) in long double, of the
+    designs z (R, q, n), residuals (R, n) and breads (R, q, q), weighted by w (R, n)."""
     score = np.asarray(resid, dtype=LD) * (1.0 if w is None else np.asarray(w, dtype=LD))
-    score = np.asarray(z, dtype=LD) * score[:, None, :]
-    return score @ score.swapaxes(1, 2)
-
-
-def ate_var(z, resid, bread, w=None):
-    """The ATE variance Σ uᵢ² (R,), uᵢ = (b₁ᵀzᵢ)·wᵢε̂ᵢ with b₁ the bread's row 1,
-    in long double, of the designs z (R, q, n) and residuals (R, n); NaN at
-    q = 1, where there is no row 1."""
-    zl, bl = np.asarray(z, dtype=LD), np.asarray(bread, dtype=LD)
-    if zl.shape[1] < 2:
-        return np.full(len(zl), np.nan, dtype=LD)
-    u = (bl[:, 1:2] @ zl)[:, 0] * np.asarray(resid, dtype=LD)
-    if w is not None:
-        u *= np.asarray(w, dtype=LD)
-    return (u * u).sum(axis=1)
+    return (np.asarray(bread, dtype=LD) @ np.asarray(z, dtype=LD)) * score[:, None, :]
 
 
 def largest(a):
@@ -86,39 +72,40 @@ def _bread_budget(kappa):
 class Oracle:
     """Long-double least squares of y on z weighted by w, per sample.
 
-    ``coef`` (R, q), ``bread`` (ZᵀWZ)⁻¹ and ``meat``, ``vcov`` (R, q, q),
-    ``resid`` (R, n) and ``ate_var`` (R,) are long double. ``kappa`` is
-    s_max/s_min of W^½Z, ``eta`` the relative residual ‖W^½r‖/(s_max‖β‖)
-    and ``alpha`` the sandwich's amplification ‖B‖²‖M‖/‖BMB‖ (largest
-    magnitudes), each (R,) double; ``meat_change`` and ``ate_change`` are
-    the first-order relative changes ``GRAM_BUDGET`` names.
+    ``coef`` (R, q), ``bread`` (ZᵀWZ)⁻¹ and ``vcov`` U·Uᵀ (R, q, q) and
+    ``resid`` (R, n) are long double. ``kappa`` is s_max/s_min of W^½Z and
+    ``eta`` the relative residual ‖W^½r‖/(s_max‖β‖), each (R,) double;
+    ``change`` (R, q, q) is U·Uᵀ's first-order change that ``GRAM_BUDGET``
+    names, and ``resid_change`` (R, n) the residuals' error that enters it.
     """
 
     coef: np.ndarray
     bread: np.ndarray
     resid: np.ndarray
-    meat: np.ndarray
     vcov: np.ndarray
-    ate_var: np.ndarray
     kappa: np.ndarray
     eta: np.ndarray
-    meat_change: np.ndarray
-    ate_change: np.ndarray
-    alpha: np.ndarray
+    change: np.ndarray
+    resid_change: np.ndarray
+
+    @property
+    def ate_var(self) -> np.ndarray:
+        """The ATE variance, U·Uᵀ's [1, 1] entry (R,)."""
+        return self.vcov[:, 1, 1]
 
     def budget(self, quantity: str) -> np.ndarray:
         """Each sample's error budget for ``quantity``: "coef" (ate_hat too,
-        relative to the largest coefficient), "bread", "meat", "vcov" or
-        "ate_var"."""
+        relative to the largest coefficient), "bread", "resid", "vcov" or
+        "ate_var" (relative to itself)."""
         if quantity == "coef":
             return _coef_budget(self.kappa, self.eta)
         if quantity == "bread":
             return _bread_budget(self.kappa)
-        if quantity == "meat":
-            return GRAM_BUDGET["meat"] * self.meat_change
+        if quantity == "resid":
+            return largest(self.resid_change) / largest(self.resid)
         if quantity == "ate_var":
-            return GRAM_BUDGET["ate_var"] * self.ate_change
-        return self.alpha * (2.0 * self.budget("bread") + self.budget("meat"))
+            return GRAM_BUDGET["vcov"] * self.change[:, 1, 1] / np.asarray(self.ate_var, dtype=float)
+        return GRAM_BUDGET["vcov"] * largest(self.change) / largest(self.vcov)
 
 
 def oracle(z, y, w=None) -> Oracle:
@@ -131,26 +118,21 @@ def oracle(z, y, w=None) -> Oracle:
         resid = yl - (coef[:, None, :] @ zl)[:, 0]
         coef += (bread @ (zw @ resid[..., None]))[..., 0]
     resid = yl - (coef[:, None, :] @ zl)[:, 0]
-    m = meat(zl, resid, w)
-    vcov = bread @ m @ bread
-    v = ate_var(zl, resid, bread, w)
-    sw = np.ones(np.shape(y)) if w is None else np.sqrt(w)
-    s = np.linalg.svd(np.asarray(z) * sw[:, None, :], compute_uv=False)
+    u = influence(zl, resid, bread, w)
+    wd = np.ones(np.shape(y)) if w is None else np.asarray(w, dtype=float)
+    s = np.linalg.svd(np.asarray(z) * np.sqrt(wd)[:, None, :], compute_uv=False)
     kappa = s[:, 0] / s[:, -1]
     r, beta = np.asarray(resid, dtype=float), np.asarray(coef, dtype=float)
-    # a sample whose meat or covariance is out of double's range gets an inf or NaN statistic
+    # a sample whose covariance is out of double's range gets an inf or NaN statistic
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = np.linalg.norm(r * sw, axis=1) / (s[:, 0] * np.linalg.norm(beta, axis=1))
+        eta = np.linalg.norm(r * np.sqrt(wd), axis=1) / (s[:, 0] * np.linalg.norm(beta, axis=1))
         za = np.abs(z)
         e = np.abs(y) + za.sum(axis=1) * np.abs(beta).max(axis=1)[:, None]
         e *= (EPS + _coef_budget(kappa, eta))[:, None]
-        wd = 1.0 if w is None else np.asarray(w, dtype=float)
-        dm = (za * (wd**2 * (2.0 * np.abs(r) + e) * e)[:, None, :]) @ za.swapaxes(1, 2)
-        # each uᵢ moves by the bread's budget along zᵢ and by the residual's error eᵢ
-        b1z = (np.asarray(bread[:, 1:2], dtype=float) @ z)[:, 0] if z.shape[1] > 1 else np.nan
-        db = (_bread_budget(kappa) * largest(bread))[:, None]
-        du = wd * (db * za.sum(axis=1) * np.abs(r) + np.abs(b1z) * e)
-        dv = ((2.0 * np.abs(b1z * wd * r) + du) * du).sum(axis=1)
-        alpha = largest(bread) ** 2 * largest(m) / largest(vcov)
-        return Oracle(coef, bread, resid, m, vcov, v, kappa, eta, largest(dm) / largest(m),
-                      dv / np.asarray(v, dtype=float), alpha)
+        # each u_ki moves by the bread's budget along zᵢ and by the residual's error eᵢ
+        db = (_bread_budget(kappa) * largest(bread))[:, None, None]
+        bz = np.abs(np.asarray(bread, dtype=float) @ z)
+        du = db * (wd * za.sum(axis=1) * np.abs(r))[:, None, :] + bz * (wd * e)[:, None, :]
+        dv = (2.0 * np.abs(np.asarray(u, dtype=float)) + du) @ du.swapaxes(1, 2)
+        return Oracle(coef, bread, resid, u @ u.swapaxes(1, 2), kappa, eta,
+                      0.5 * (dv + dv.swapaxes(1, 2)), e)

@@ -440,6 +440,22 @@ class TestCsvValidation:
         assert out == ""
         assert err == f"error: {path} line 3: not UTF-8 text (byte 0xff)\n"
 
+    def test_file_rewritten_before_the_rescan(self, tmp_path, capsys, monkeypatch):
+        """A bad byte that is gone when the error rescans the file for its line
+        (the file was rewritten between the two reads) is still reported, with
+        no line to cite."""
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y,x1\n1,2.0,0.1\n0,1.0,0.2\xff\n1,3.0,0.3\n")
+        rescan = cli._not_utf8
+
+        def rewritten(name):
+            path.write_bytes(b"a,y,x1\n1,2.0,0.1\n0,1.0,0.2\n1,3.0,0.3\n")
+            return rescan(name)
+
+        monkeypatch.setattr(cli, "_not_utf8", rewritten)
+        rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path}: not UTF-8 text\n")
+
 
 def _rows(n, weighted=False):
     """n valid data rows of fields, as strings: a, y, x1[, w]."""

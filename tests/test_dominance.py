@@ -4,7 +4,9 @@ import pytest
 from linadjust import (
     FREE,
     CoefConstraint,
+    GaussianArmSampler,
     ModelSpec,
+    PopulationSpec,
     asymptotic_variance_centered,
     asymptotic_variance_known_mean,
     check_centered,
@@ -132,6 +134,23 @@ def test_corollary_records():
     balanced = corollaries(0.5)
     assert balanced[1]["verdict"] == "EqualVariance"
     assert balanced[1]["certified"]
+
+
+def test_ldv_can_lose_to_did_away_from_pi_half():
+    """The uncertified LDV-versus-DiD row depends on pi: in this population
+    (the first of ``random_moment_population``'s draws at seed 0, rounded),
+    LDV's exact centered variance exceeds DiD's at pi = 0.3 but not at 0.5."""
+    sampler = GaussianArmSampler(
+        sigma=[[3.3, -0.232], [-0.232, 2.162]], b0=0.427, b1=0.918,
+        l0=[0.174, 1.74], l1=[1.263, -1.989], s0=1.758, s1=0.357,
+    )
+    ldv, did = named_spec("LDV", 2), named_spec("DiD", 2)
+    v = {
+        pi: [asymptotic_variance_centered(s, PopulationSpec(pi=pi, sampler=sampler)) for s in (ldv, did)]
+        for pi in (0.3, 0.5)
+    }
+    assert v[0.3] == pytest.approx([43.661, 40.765], abs=5e-4)
+    assert v[0.5][0] < v[0.5][1]
 
 
 def test_counterexamples_back_the_uncertified_rows():

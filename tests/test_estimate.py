@@ -460,6 +460,22 @@ def test_centered_variance_correction_terms(hand_data):
     assert full.ate_se == pytest.approx(np.sqrt(v_full / n), rel=1e-10)
 
 
+def test_centered_variance_estimate_is_the_fits_ate_se():
+    """The plug-in n·var(ate_hat) reads the same variance as the fit's ate_se:
+    on scenario 4 at n = 150, where B·M·B's vcov[1, 1] was up to 1.4e-8 off
+    the influence row's Σuᵢ², it equals n·ate_se² to rounding."""
+    subs = [named_spec("ANCOVA", 1), parse_formula("1 + A + A:X1", ["X1"]), ANHECOVA1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a clamped estimate is clamped alike on both sides
+        for seed in range(40):
+            d = draw(scenario(4, n=150), seed).data
+            full = fit_weighted(ANHECOVA1, d)
+            for sub in subs:
+                fit_sub = fit_weighted(sub, d)
+                got = estimate_ate_variance_centered(sub, d, full, fit_sub)
+                assert got == pytest.approx(d.n * fit_sub.ate_se**2, rel=1e-13, abs=0), (seed, sub)
+
+
 def test_to_dict_round_trips_through_json(hand_data):
     import json
 

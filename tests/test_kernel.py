@@ -28,11 +28,11 @@ from linadjust import (
     run_grid,
     scenario,
 )
-from linadjust.estimate import GRAM_RTOL, _ate_var, _fit, _meat, _sandwich, _solve, _Stack, _svd_solve
+from linadjust.estimate import GRAM_RTOL, _ate_var, _fit, _influence, _solve, _Stack, _svd_solve, _vcov
 from linadjust.model import _design, build_design
 from linadjust.sim import _chunk_reps, _chunk_states, _did_ldv_sampler, _digest, _draw_stack
 from linadjust.sim import _rep_states
-from oracle import HAS_LONG_DOUBLE, gauss_jordan_inverse, largest, meat, oracle, rel
+from oracle import HAS_LONG_DOUBLE, gauss_jordan_inverse, influence, largest, oracle, rel
 
 IO1 = parse_formula("1 + A + A:X1", ["X1"])
 SPECS1 = [
@@ -258,19 +258,23 @@ class _OneHuge:
 
 
 @pytest.mark.parametrize("sid", [1, 2, 4])
-def test_run_grid_forms_no_meat_and_no_sandwich(sid, monkeypatch):
-    """A grid's fits take ate_se from the ATE influence row alone: the score,
-    the meat and B·M·B of ``_meat`` and ``_sandwich`` are never formed, in
-    the plain, the Poisson and the weighted fit, with or without the
-    centering penalty."""
+def test_run_grid_forms_only_the_ate_influence_row(sid, monkeypatch):
+    """A grid's fits take ate_se from the ATE influence row alone: no other
+    row of U = B·Z·wε̂ and no U·Uᵀ is ever formed, in the plain, the Poisson
+    and the weighted fit, with or without the centering penalty."""
+    calls = []
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_grid formed a meat or a sandwich")
+    def ate_row_only(z, resid, bread, w=None, rows=slice(None)):
+        u = _influence(z, resid, bread, w, rows)
+        if u.shape[1] != 1:
+            raise AssertionError("run_grid formed the full influence block")
+        calls.append(u.shape)
+        return u
 
-    monkeypatch.setattr("linadjust.estimate._meat", forbidden)
-    monkeypatch.setattr("linadjust.estimate._sandwich", forbidden)
+    monkeypatch.setattr("linadjust.estimate._influence", ate_row_only)
     report = run_grid(scenario(sid, n=100), SPECS1[:3] + [IO1], [0.4], 20, seed=2)
     assert all(c.fail_rate == 0.0 and np.isfinite(c.mean_se) for c in report.cells)
+    assert calls
 
 
 def test_an_overflowing_sample_leaves_its_neighbours_without_a_warning():
@@ -442,21 +446,21 @@ def _rel(got, want):
 def _in_budget(z, y, w, solved):
     """Per quantity, each sample's distance from the long-double oracle in units
     of its GRAM_BUDGET, for the coefficients and bread a solve gave and the
-    ATE variance, meat and HC0 covariance formed from them as the fit forms
-    them, and the oracle. The variances' entries are NaN where the oracle's
-    meat, covariance or ATE variance is out of double's range (the random
-    stacks scale designs by up to 10^±150)."""
+    residuals, HC0 covariance U·Uᵀ and ATE variance (at q >= 2) formed from
+    them as the fit forms them, and the oracle. The variances' entries are
+    NaN where the oracle's covariance or bread is out of double's range (the
+    random stacks scale designs by up to 10^±150)."""
     coef, bread = solved[:2]
     resid = y - (coef[:, None, :] @ z)[:, 0]
     o = oracle(z, y, w)
     with np.errstate(all="ignore"):
-        got = {"coef": coef, "bread": bread, "meat": _meat(z, resid, w)}
-        got["vcov"] = _sandwich(z, resid, bread, w)
-        got["ate_var"] = _ate_var(z, resid, bread, w) if z.shape[1] > 1 else o.ate_var
+        got = {"coef": coef, "bread": bread, "resid": resid, "vcov": _vcov(z, resid, bread, w)}
+        if z.shape[1] > 1:
+            got["ate_var"] = _ate_var(z, resid, bread, w)
         err = {q: rel(got[q], getattr(o, q)) / o.budget(q) for q in got}
-        sizes = np.stack([largest(o.meat), largest(o.vcov), largest(o.bread), largest(o.ate_var)])
+        sizes = np.stack([largest(o.vcov), largest(o.bread)])
     in_range = ((sizes > 1e-250) & (sizes < 1e250)).all(axis=0)
-    for q in ("meat", "vcov", "ate_var"):
+    for q in err.keys() & {"vcov", "ate_var"}:
         err[q][~in_range] = np.nan
     return err, o
 
@@ -469,8 +473,8 @@ def test_gram_route_matches_the_svd_reference(weighted):
     bit where it takes the SVD route, fails exactly where it fails, and gives
     each sample what it gives that sample alone. Against the long-double
     oracle, every Gram-routed sample is within GRAM_BUDGET, and at
-    10 <= κ < 10³ its coefficients and meat are, in units of their budgets,
-    at worst 4 times as far from the oracle as the SVD's."""
+    10 <= κ < 10³ its coefficients and residuals are, in units of their
+    budgets, at worst 4 times as far from the oracle as the SVD's."""
     rng = np.random.default_rng(17 + weighted)
     routes = set()
     worst = {"gram": {}, "svd": {}}
@@ -516,7 +520,7 @@ def test_gram_route_matches_the_svd_reference(weighted):
     assert routes == {"gram", "svd", "failed"}
     # the bread, and the covariance where the bread dominates it, hold to their
     # budgets only: the normal equations square κ where the SVD does not
-    for q in ("coef", "meat"):
+    for q in ("coef", "resid"):
         assert worst["gram"][q] <= 4.0 * worst["svd"][q], q
 
 
@@ -557,10 +561,10 @@ def test_overflowing_gram_takes_the_svd_route():
 @pytest.mark.parametrize("model", ["ANOVA", "ANCOVA", "ANHECOVA"])
 def test_weighted_sandwich_against_long_double(model):
     """The weighted sandwich of a scenario 4 chunk (16 replications, n = 1000)
-    agrees with the bread, residual and meat recomputed in long double at the
-    fit's own coefficients and weights. A wrong axis in the weighting or the
-    score moves vcov[:, 1, 1] by O(1); over seeds 0 to 11 (576 fits) its
-    rounding error reached 4.0e-10."""
+    agrees with the bread, residual and influence rows recomputed in long
+    double at the fit's own coefficients and weights. A wrong axis in the
+    weighting or the influence rows moves vcov[:, 1, 1] by O(1); over seeds 0
+    to 11 (576 fits) its rounding error reached 2.0e-11 (5.5e-10 by B·M·B)."""
     scn = scenario(4, n=1000)
     key = f"scenario=4|pi=None|n={scn.n}"
     st = _draw_stack(scn, None, _rep_states(5, _digest(key), 0, 16))
@@ -570,30 +574,31 @@ def test_weighted_sandwich_against_long_double(model):
     z, offset, _ = _design(spec, st.a, st.centered(spec.centering))
     z, w = z.astype(np.longdouble), st.scaled_w.astype(np.longdouble)
     resid = (st.y - offset) - (fits.coef.astype(np.longdouble)[:, None, :] @ z)[:, 0]
-    bread = gauss_jordan_inverse((z * w[:, None, :]) @ z.swapaxes(1, 2))
-    want = (bread @ meat(z, resid, w) @ bread)[:, 1, 1]
-    np.testing.assert_allclose(fits.vcov[:, 1, 1], want.astype(float), rtol=1e-8, atol=0)
+    u = influence(z, resid, gauss_jordan_inverse((z * w[:, None, :]) @ z.swapaxes(1, 2)), w)
+    want = (u @ u.swapaxes(1, 2))[:, 1, 1]
+    np.testing.assert_allclose(fits.vcov[:, 1, 1], want.astype(float), rtol=1e-10, atol=0)
 
 
 @pytest.mark.skipif(not HAS_LONG_DOUBLE, reason="long double is double here")
 @pytest.mark.parametrize("n", [150, 1000])
-def test_scenario4_bread_and_meat_within_budget(n):
+def test_scenario4_bread_and_vcov_within_budget(n):
     """Scenario 4 chunks (16 replications) under ANOVA, ANCOVA and ANHECOVA:
-    the coefficients, bread, meat and covariance of every Gram-routed sample
-    (κ < 10³; at n = 150 a few samples pass it and take the SVD) are within
-    GRAM_BUDGET of the long-double oracle, and B·M·B's vcov[1, 1] is at worst
-    4 times as far from it as the SVD route's. Over seeds 0 to 5 that ratio
-    reached 2.9; the bread was within 1e-10 of the oracle and the meat within
-    2.5e-14, but B·M·B's vcov[1, 1] was up to 1.6e-8 off at n = 150 and
-    5.4e-10 at n = 1000. The sandwich B·M·B amplifies its factors' errors by
-    α = ‖B‖²‖M‖/‖BMB‖, which reached 4e8 at n = 150 and 3e6 at n = 1000
-    (scenario 4's weights reach 1e6). The fits' ATE variance, Σ uᵢ² of the
-    influence row, is no farther from the oracle than B·M·B's; over seeds 0
-    to 5 it was at most 2.3e-10 off at n = 150 and 1.9e-11 at n = 1000."""
+    the coefficients, bread, residuals, covariance U·Uᵀ and ATE variance of
+    every Gram-routed sample (κ < 10³; at n = 150 a few samples pass it and
+    take the SVD) are within GRAM_BUDGET of the long-double oracle, the whole
+    covariance within 1e-9, and the ATE variance equals U·Uᵀ's [1, 1] entry
+    to rounding. Over seeds 0 to 5 the covariance was at most 2.3e-10 off at
+    n = 150 and 1.9e-11 at n = 1000; B·M·B's [1, 1] entry had been up to
+    1.6e-8 and 5.4e-10 off, since it amplifies its factors' rounding by
+    α = ‖B‖²‖M‖/‖BMB‖, up to 4e8 here (scenario 4's weights reach 1e6).
+    What is left is the bread's κ²ε, so U·Uᵀ from the Gram route is 11-81
+    times as far from the oracle as from the SVD route, within its budget;
+    the coefficients and residuals, which the bread does not carry, are at
+    worst 4 times as far, in units of their budgets (at most 3.4 seen)."""
     scn = scenario(4, n=n)
     key = f"scenario=4|pi=None|n={n}"
     st = _draw_stack(scn, None, _rep_states(5, _digest(key), 0, 16))
-    worst = {"gram": 0.0, "svd": 0.0, "ate_var": 0.0}
+    worst = {"gram": {}, "svd": {}}
     for model in ("ANOVA", "ANCOVA", "ANHECOVA"):
         spec = named_spec(model, 1)
         z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
@@ -602,21 +607,23 @@ def test_scenario4_bread_and_meat_within_budget(n):
         assert not got[3]
         gram = np.flatnonzero(got[2][:, 0] / got[2][:, -1] < 0.99 * GRAM_RTOL**-0.5)
         sub = z[gram], y[gram], w[gram]
-        err, o = _in_budget(*sub, [v[gram] for v in got[:2]])
-        assert (o.kappa >= 10.0).all()
-        for q, e in err.items():
-            assert e.max() <= 1.0, (model, q)
-        resid = sub[1] - (got[0][gram][:, None, :] @ sub[0])[:, 0]
-        v = _ate_var(sub[0], resid, got[1][gram], sub[2])
-        worst["ate_var"] = max(worst["ate_var"], rel(v[:, None], o.ate_var[:, None]).max())
         sw = np.sqrt(sub[2])
         ref = _svd_solve(sub[0] * sw[:, None, :], sub[1] * sw, cmap.labels)
-        for route, (coef, bread) in (("gram", [v[gram] for v in got[:2]]), ("svd", ref[:2])):
-            resid = sub[1] - (coef[:, None, :] @ sub[0])[:, 0]
-            v11 = _sandwich(sub[0], resid, bread, sub[2])[:, 1, 1]
-            worst[route] = max(worst[route], rel(v11[:, None], o.vcov[:, 1, 1, None]).max())
-    assert worst["gram"] <= 4.0 * worst["svd"]
-    assert worst["ate_var"] <= worst["gram"]
+        for route, solved in (("gram", [v[gram] for v in got[:2]]), ("svd", ref[:2])):
+            err, o = _in_budget(*sub, solved)
+            for q, e in err.items():
+                worst[route][q] = max(worst[route].get(q, 0.0), e.max())
+        assert (o.kappa >= 10.0).all()
+        for q, e in worst["gram"].items():
+            assert e <= 1.0, (model, q)
+        coef, bread = (v[gram] for v in got[:2])
+        resid = sub[1] - (coef[:, None, :] @ sub[0])[:, 0]
+        vcov = _vcov(sub[0], resid, bread, sub[2])
+        assert rel(vcov, o.vcov).max() <= 1e-9
+        v = _ate_var(sub[0], resid, bread, sub[2])
+        np.testing.assert_allclose(v, vcov[:, 1, 1], rtol=1e-13, atol=0)
+    for q in ("coef", "resid"):
+        assert worst["gram"][q] <= 4.0 * worst["svd"][q], q
 
 
 @pytest.mark.skipif(not HAS_LONG_DOUBLE, reason="long double is double here")
@@ -624,9 +631,10 @@ def test_scenario4_bread_and_meat_within_budget(n):
 @pytest.mark.parametrize("sid", [1, 3, 4])
 def test_ate_se_within_budget(sid, n):
     """A stacked fit's ate_se², for the specs whose ate_se has no centering
-    penalty, is within GRAM_BUDGET's ATE-variance entry of the long-double
-    oracle in every Gram-routed sample of a 16-replication chunk. Over seeds 0
-    to 3 it used at most 0.08 of that budget. Scenario 2's ate_se uses the
+    penalty, is within GRAM_BUDGET's covariance budget for the [1, 1] entry
+    of the long-double oracle in every Gram-routed sample of a
+    16-replication chunk. Over seeds 0 to 3 it used at most 0.08 of that
+    budget. Scenario 2's ate_se uses the
     bread of the last IRLS step, which no fixed-weight oracle reproduces;
     its solve is checked at the final weights by
     test_poisson_irls_solve_within_budget."""
@@ -649,8 +657,8 @@ def test_ate_se_within_budget(sid, n):
 def test_poisson_irls_solve_within_budget(model, n):
     """The weighted solve at a scenario 2 chunk's final IRLS weights (16
     replications): μ and the working response at each fit's own
-    coefficients. Every Gram-routed sample's coefficients, bread, ATE
-    variance, meat and covariance are within GRAM_BUDGET of the long-double
+    coefficients. Every Gram-routed sample's coefficients, bread, residuals,
+    covariance and ATE variance are within GRAM_BUDGET of the long-double
     oracle. Unlike scenario 4's weights, μ is not rescaled
     (``_Stack.scaled_w``), and here every sample takes the Gram route."""
     scn = scenario(2, n=n)

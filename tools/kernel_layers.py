@@ -26,9 +26,11 @@ in µs per chunk (all models together, median over the repeats):
 - solve: ``_gram_solve`` and ``_svd_solve``;
 - residual: ``_fit_linear`` and ``_fit_poisson`` themselves: the
   response, the residual and, for Poisson, the IRLS working response;
-- ate row: ``_ate_var``, the ATE variance from the influence row b₁ᵀZ·wε̂;
-- meat: ``_meat``; sandwich: the rest of ``_sandwich``, B·M·B; both only
-  for the lone ``analysis-cli`` fits, "-" on the Monte Carlo chunks;
+- influence: ``_influence``, the influence rows U = B·Z·wε̂: the ATE row
+  for every fit, and every row for the lone ``analysis-cli`` fits;
+- ate row: the rest of ``_ate_var``, Σ uᵢ² of the ATE row;
+- vcov: the rest of ``_vcov``, U·Uᵀ and its symmetrisation; only for the
+  lone ``analysis-cli`` fits, "-" on the Monte Carlo chunks;
 - penalty: the empirical-centering penalty, ``_Stack.sigma`` and
   ``_penalized`` (the full-model refit it needs is counted in the
   stages above);
@@ -81,7 +83,7 @@ from linadjust.population import make_counterexample  # noqa: E402
 from linadjust.sim import SEED_BLOCK, _assignment_pi, _chunk_reps, _Derived, _digest, _draw_stack  # noqa: E402
 from linadjust.sim import _rep_states  # noqa: E402
 
-STAGES = ("design", "gram", "eigh", "solve", "residual", "ate row", "meat", "sandwich", "penalty", "fit")
+STAGES = ("design", "gram", "eigh", "solve", "residual", "influence", "ate row", "vcov", "penalty", "fit")
 TIMED = (  # (owner, attribute, stage)
     (estimate, "_design", "design"),
     (estimate._Stack, "centered", "design"),
@@ -91,9 +93,9 @@ TIMED = (  # (owner, attribute, stage)
     (estimate, "_svd_solve", "solve"),
     (estimate, "_fit_linear", "residual"),
     (estimate, "_fit_poisson", "residual"),
+    (estimate, "_influence", "influence"),
     (estimate, "_ate_var", "ate row"),
-    (estimate, "_meat", "meat"),
-    (estimate, "_sandwich", "sandwich"),
+    (estimate, "_vcov", "vcov"),
     (estimate._Stack, "sigma", "penalty"),
     (estimate, "_penalized", "penalty"),
     (estimate, "_fit", "fit"),
@@ -189,7 +191,7 @@ def chunks(seed: int):
 
 def stage_table(seed: int, repeat: int) -> None:
     print(f"Self time per stage of estimate._fit, µs per chunk (median of {repeat}), seed {seed}")
-    print(f"{'chunk':<22} {'R x n':>9} " + " ".join(f"{s:>8}" for s in STAGES) + f" {'total':>8}")
+    print(f"{'chunk':<22} {'R x n':>9} " + " ".join(f"{s:>9}" for s in STAGES) + f" {'total':>9}")
     for label, (r, n), fresh, models, family, lone in chunks(seed):
         runs = defaultdict(list)
         for k in range(repeat + 1):
@@ -203,7 +205,7 @@ def stage_table(seed: int, repeat: int) -> None:
                 for stage in layers.ns:
                     runs[stage].append(layers.ns[stage] / 1e3)
                 runs["total"].append(sum(layers.ns.values()) / 1e3)
-        cells = " ".join(f"{statistics.median(runs[s]):8.0f}" if s in runs else f"{'-':>8}"
+        cells = " ".join(f"{statistics.median(runs[s]):9.0f}" if s in runs else f"{'-':>9}"
                          for s in (*STAGES, "total"))
         print(f"{label:<22} {f'{r}x{n}':>9} {cells}")
 
