@@ -44,6 +44,7 @@ from .estimate import (
     EstimationError,
     FitResult,
     SingularDesignError,
+    _singular,
     fit_ols,
     fit_poisson_glm,
     fit_weighted,
@@ -54,6 +55,7 @@ from .model import (
     KnownMean,
     ModelSpec,
     _check_pi,
+    _default_names,
     format_formula,
     named_spec,
     parse_formula,
@@ -352,12 +354,18 @@ def cmd_estimate(args: argparse.Namespace) -> str:
     # a library warning would print this file's source line: say each once, plainly
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.family == "poisson":
-            fit = fit_poisson_glm(spec, data)
-        elif data.weights is not None:
-            fit = fit_weighted(spec, data, hc1=args.hc1)
-        else:
-            fit = fit_ols(spec, data, hc1=args.hc1)
+        try:
+            if args.family == "poisson":
+                fit = fit_poisson_glm(spec, data)
+            elif data.weights is not None:
+                fit = fit_weighted(spec, data, hc1=args.hc1)
+            else:
+                fit = fit_ols(spec, data, hc1=args.hc1)
+        except SingularDesignError as exc:  # name the design's columns as the file does
+            own = {}
+            for label, name in zip(_default_names(spec.p), cov_names):
+                own[label], own["A:" + label] = name, "A:" + name
+            raise _singular(tuple(own.get(c, c) for c in exc.columns)) from None
     for msg in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {msg}", file=sys.stderr)
     payload = fit.to_dict(cov_names)
@@ -366,7 +374,7 @@ def cmd_estimate(args: argparse.Namespace) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> str:
-    names = [f"X{j + 1}" for j in range(args.p)]
+    names = _default_names(args.p)
     spec1 = _parse_model(args.model, names)
     spec2 = _parse_model(args.model2, names)
     if args.centering == "known-mean":
@@ -409,7 +417,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
     if args.pi is not None:
         pop = replace(pop, pi=args.pi)
 
-    names = [f"X{j + 1}" for j in range(pop.p)]
+    names = _default_names(pop.p)
     spec1 = _parse_model(args.model, names)
     spec2 = _parse_model(args.model2, names)
 
@@ -458,7 +466,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> str:
     scn = scenario(args.scenario, n=args.n)
-    names = ["X1"]
+    names = _default_names(1)
     if args.models is not None:
         models = [_parse_model(m, names) for m in args.models.split(",") if m.strip()]
         if not models:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelSpec, _check_pi, named_spec, parse_formula
+from .model import ModelSpec, _check_pi, _default_names, named_spec, parse_formula
 
 __all__ = [
     "DominanceVerdict",
@@ -148,7 +148,7 @@ def table1(p: int, pi: float) -> list[dict]:
     if p < 1:
         msg = f"p must be positive, got {p}"
         raise ValueError(msg)
-    names = [f"X{j + 1}" for j in range(p)]
+    names = _default_names(p)
     rows = []
     for f1, f2 in _TABLE1_ROWS:
         s1 = parse_formula(f1, names)

@@ -75,7 +75,7 @@ SVD_RTOL = 1e-10
 # scenarios 3 and 4, seven specs, n = 150 and 1,000, seeds 0-3: 0.21, 0.21, 0.097).
 GRAM_BUDGET = {"coef": 1.0, "bread": 8.0, "vcov": 1.0}
 # λ_min/λ_max of ZᵀWZ above which _solve takes the Gram route, κ < 10³, as every sample of
-# scenarios 1-4 is (κ <= 300 at n = 1000). Its variances then carry the bread's 8κ²ε: scenario
+# scenarios 1-4 is (κ <= 315 at n = 1000). Its variances then carry the bread's 8κ²ε: scenario
 # 4's U·Uᵀ (n = 150, seeds 0-5) was 2.3e-10 off the oracle, 4.1e-12 by the SVD, 10⁸ below 1/√n
 GRAM_RTOL = 1e-6
 IRLS_TOL = 1e-10
@@ -134,14 +134,13 @@ class FitResult:
 
     def to_dict(self, cov_names: list[str] | None = None) -> dict:
         """JSON-ready record; the spec names covariates ``cov_names`` (default X1..Xp)."""
-        names = cov_names or [f"X{j + 1}" for j in range(self.spec.p)]
         centering = (
             "empirical"
             if isinstance(self.spec.centering, Empirical)
             else f"known-mean {list(self.spec.centering.mu)}"
         )
         return {
-            "spec": format_formula(self.spec, names),
+            "spec": format_formula(self.spec, cov_names or None),
             "centering": centering,
             "theta_hat": {
                 "alpha": self.alpha,
@@ -379,14 +378,16 @@ def _svd_solve(z, y, labels: tuple[str, ...], w=None):
     for r in np.flatnonzero(bad):
         weak = np.flatnonzero(s[r] < tol[r])
         involved = [labels[j] for k in weak for j in np.flatnonzero(np.abs(vt[r, k]) > 0.1)]
-        cols = tuple(dict.fromkeys(involved)) or labels
-        errors[int(r)] = SingularDesignError(
-            f"singular design; offending columns: {', '.join(cols)}", cols
-        )
+        errors[int(r)] = _singular(tuple(dict.fromkeys(involved)) or labels)
     s = np.where(bad[:, None], np.nan, s)
     v = vt.swapaxes(-1, -2)
     coef = (v @ (uty / s)[..., None])[..., 0]
     return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
+
+
+def _singular(columns: tuple[str, ...]) -> SingularDesignError:
+    """The rank rule's error, naming the design columns on the weak directions."""
+    return SingularDesignError(f"singular design; offending columns: {', '.join(columns)}", columns)
 
 
 def _influence(z, resid, bread, w=None, rows=slice(None)):

@@ -344,12 +344,20 @@ def _set_term(slots, j, constraint, names, side):
     slots[j] = constraint
 
 
-def format_formula(spec: ModelSpec, covariate_names: list[str]) -> str:
+def _default_names(p: int) -> list[str]:
+    """The covariate names X1..Xp that a spec's labels use when no file names them."""
+    return [f"X{j + 1}" for j in range(p)]
+
+
+def format_formula(spec: ModelSpec, covariate_names: list[str] | None = None) -> str:
     """Canonical formula text for ``spec``; inverse of parse_formula.
 
+    The covariates are named ``covariate_names``, by default X1..Xp.
     Coefficients fixed at zero are omitted, matching the parser's
     default for absent terms.
     """
+    if covariate_names is None:
+        covariate_names = _default_names(spec.p)
     if len(covariate_names) != spec.p:
         msg = f"expected {spec.p} covariate names, got {len(covariate_names)}"
         raise ValueError(msg)
@@ -443,6 +451,7 @@ def _design(spec: ModelSpec, a: np.ndarray, xc: np.ndarray):
     z[..., 0, :] = 1.0
     z[..., 1, :] = a
     labels = ["1", "A"]
+    names = _default_names(spec.p)
     offset = np.zeros_like(a)
     gamma_cols: dict[int, int] = {}
     delta_cols: dict[int, int] = {}
@@ -450,7 +459,7 @@ def _design(spec: ModelSpec, a: np.ndarray, xc: np.ndarray):
         for j, c in enumerate(coefs):
             if c.is_free:
                 k = where[j] = len(labels)
-                labels.append(f"{side}X{j + 1}")
+                labels.append(side + names[j])
                 if side:
                     np.multiply(a, xc[..., j], out=z[..., k, :])
                 else:

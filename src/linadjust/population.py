@@ -58,13 +58,22 @@ def _checked_sigma(sigma, names: str, *vectors):
     return sigma, vectors, chol
 
 
+# Relative rounding allowed in ExactMoments' check q_a >= mu_a^2 + omega_a' sigma^-1 omega_a;
+# saturated Gaussian-arm records (s_a = 0, cond(sigma) up to 10^4) fall short by at most 1.5e-14.
+MOMENT_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ExactMoments:
     """Second-order moment record of (X, Y, A) with E(X) = 0.
 
     sigma = E(XX'), omega_a = E(XY | A=a), mu_a = E(Y | A=a) and
     q_a = E(Y^2 | A=a). These suffice for every population solution and
-    asymptotic variance in the linear class.
+    asymptotic variance in the linear class. After sigma's checks, each
+    arm's record must be a second moment: q_a >= mu_a^2 + omega_a' sigma^-1
+    omega_a, up to MOMENT_RTOL of the right-hand side. That is, E((1, X, Y)
+    (1, X, Y)' | A=a) is positive semidefinite, given E(X) = 0 and A
+    independent of X; the equality case is an outcome linear in X.
     """
 
     sigma: np.ndarray
@@ -77,7 +86,7 @@ class ExactMoments:
 
     def __post_init__(self) -> None:
         names = "omega1 and omega0"
-        sigma, (omega1, omega0), _ = _checked_sigma(self.sigma, names, self.omega1, self.omega0)
+        sigma, (omega1, omega0), chol = _checked_sigma(self.sigma, names, self.omega1, self.omega0)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "omega1", omega1)
         object.__setattr__(self, "omega0", omega0)
@@ -85,6 +94,15 @@ class ExactMoments:
         object.__setattr__(self, "mu0", float(self.mu0))
         object.__setattr__(self, "q1", float(self.q1))
         object.__setattr__(self, "q0", float(self.q0))
+        for arm, omega, mu, q in ((1, omega1, self.mu1, self.q1), (0, omega0, self.mu0, self.q0)):
+            half = np.linalg.solve(chol, omega)  # L⁻¹ω, so ω'Σ⁻¹ω = ‖L⁻¹ω‖²
+            least = mu * mu + float(half @ half)
+            if not q >= least * (1.0 - MOMENT_RTOL):  # a NaN q or bound fails too
+                msg = (
+                    f"q{arm} = {q!r} is not at least mu{arm}^2 + omega{arm}' sigma^-1 omega{arm} = "
+                    f"{least!r}: no distribution has these moments in arm {arm}"
+                )
+                raise ValueError(msg)
 
     @property
     def p(self) -> int:
@@ -249,7 +267,9 @@ def solve_population(spec: ModelSpec, pop: PopulationSpec) -> PopulationSolution
 
 
 def _residual_second_moment(mom: ExactMoments, sol: PopulationSolution, arm: int) -> float:
-    """E[eps^2 | A=arm] from the moment record; exact, no 4th moments."""
+    """E[eps^2 | A=arm] from the moment record; exact, no 4th moments. The
+    clamp at 0 absorbs rounding: ExactMoments refuses a record whose
+    residual moments are negative beyond it."""
     c = sol.gamma + arm * sol.delta
     omega = mom.omega1 if arm == 1 else mom.omega0
     mu = mom.mu1 if arm == 1 else mom.mu0

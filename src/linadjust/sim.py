@@ -414,9 +414,19 @@ def _digest(cell_key: str) -> int:
     return int.from_bytes(hashlib.sha256(cell_key.encode()).digest()[:8], "big")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``: an integer, numpy's included, but not a bool or a float."""
+    if type(value) is bool or not hasattr(value, "__index__"):
+        msg = f"{what} must be an integer, got {value!r}"
+        raise TypeError(msg)
+    return operator.index(value)
+
+
 def rep_seed(root_seed: int, cell_key: str, rep: int) -> np.random.SeedSequence:
-    """Derived seed for one replication; independent across cells and reps."""
-    return np.random.SeedSequence((int(root_seed), _digest(cell_key), int(rep)))
+    """Derived seed for one replication; independent across cells and reps.
+    ``root_seed`` and ``rep`` are integers, as ``run_grid``'s seed and reps are."""
+    root, rep = _integer(root_seed, "root_seed"), _integer(rep, "rep")
+    return np.random.SeedSequence((root, _digest(cell_key), rep))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -505,10 +515,6 @@ class _Derived(ISeedSequence):
         return self.state  # PCG64 asks for its 4 uint64 words
 
 
-def _model_label(spec: ModelSpec) -> str:
-    return format_formula(spec, [f"X{j + 1}" for j in range(spec.p)])
-
-
 def run_grid(
     scn: Scenario,
     models: list[ModelSpec],
@@ -534,8 +540,9 @@ def run_grid(
     the chunk's centered covariates with the other models; the numbers
     are those of drawing and fitting each replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
-    Before the first draw, ``reps`` (a positive integer, stored as ``int``),
-    ``models`` (not empty), every pi and, where the draws' covariate count is
+    Before the first draw, ``seed`` and ``reps`` (integers, not bools or
+    floats, stored as ``int``; reps positive), ``models`` (not empty),
+    every pi and, where the draws' covariate count is
     known (1 for a standard scenario, else the sampler's ``p``), every model's
     are checked; a sampler without ``p`` has its models checked at the first fit.
     Failed fits are excluded and counted per cell, by cause, in
@@ -549,7 +556,7 @@ def run_grid(
         Bias is measured against the scenario's exact effect,
         ``scn.beta_ate``.
     """
-    reps = operator.index(reps)
+    reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
     if reps <= 0:
         msg = f"reps must be positive, got {reps}"
         raise ValueError(msg)
@@ -571,7 +578,7 @@ def run_grid(
     for i, (pi, p) in enumerate(zip(pi_list, probs)):
         digest = _digest(f"scenario={scn.id}|pi={pi}|n={scn.n}")
         cols = None  # replication 0's covariate count, which a custom sampler must keep
-        for lo, hi, states in _chunk_states(int(seed), digest, reps, chunk):
+        for lo, hi, states in _chunk_states(seed, digest, reps, chunk):
             stack = _draw_stack(scn, p, states, lo, cols)
             cols = stack.x.shape[-1]
             for m, spec in enumerate(models):
@@ -582,7 +589,7 @@ def run_grid(
                 failures[m][i].update(e.cause for e in res.errors.values())
     cells = []
     for m, spec in enumerate(models):
-        label = _model_label(spec)
+        label = format_formula(spec)
         for i, pi in enumerate(pi_list):
             ests, ses = fits[m, i][~np.isnan(fits[m, i, :, 0])].T
             used = ests.size
@@ -633,7 +640,7 @@ def figure1_data(reps: int = 1000, seed: int = 0, n: int = 1000) -> MonteCarloRe
     for sid in (1, 2):
         report = run_grid(scenario(sid, n=n), models, list(FIGURE1_PIS), reps, seed)
         cells.extend(report.cells)
-    return MonteCarloReport(cells, seed)
+    return MonteCarloReport(cells, report.seed)
 
 
 DID_LDV_CONFIGS = ("default", "unit-baseline", "zero-baseline")

@@ -347,6 +347,20 @@ class TestEstimate:
         assert rc == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "model, columns",
+        [("1 + A + age + income", "age"), ("1 + A + A:age + income", "A:age"),
+         ("1 + A + age@2 + A:age + income", "A:age")],
+    )
+    def test_singular_design_names_the_files_columns(self, tmp_path, capsys, model, columns):
+        """A constant column is named as the file names it, not X1, as the
+        reports name it."""
+        path = tmp_path / "trial.csv"
+        rows = ["a,y,age,income"] + [f"{a},{y},30,{x}" for a, y, x in zip(A, Y, X)]
+        path.write_text("\n".join(rows) + "\n")
+        rc, out, err = run(["estimate", "--data", str(path), "--model", model], capsys)
+        assert (rc, out, err) == (3, "", f"error: singular design; offending columns: {columns}\n")
+
 
 class TestCsvValidation:
     def test_bad_treatment_value_cites_line(self, tmp_path, capsys):
@@ -1050,6 +1064,20 @@ class TestCompare:
             capsys,
         )
         assert (rc, out, err) == (2, "", f"error: {path}: sigma must be positive definite\n")
+
+    def test_impossible_second_moment_names_the_file(self, tmp_path, capsys):
+        """q1 = 0 < mu1^2: every variance used to print as 0, with exit 0."""
+        path = tmp_path / "pop.json"
+        record = {"pi": 0.5, "sigma": [[1]], "omega1": [0.5], "omega0": [0.2],
+                  "mu1": 3, "mu0": 1, "q1": 0, "q0": 0}
+        path.write_text(json.dumps(record))
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {path}: q1 = 0.0 is not at least mu1^2 + omega1' sigma^-1 omega1 = 9.25:"
+                       " no distribution has these moments in arm 1\n")
 
     def test_singular_normal_equations_name_the_file(self, tmp_path, capsys):
         """A record whose pi·sigma underflows is invalid input, exit 2, like the

@@ -322,6 +322,29 @@ def test_sampler_checks_its_population(sigma, l0, l1, error, match):
         GaussianArmSampler(sigma=sigma, b0=0.0, b1=1.0, l0=l0, l1=l1, s0=1.0, s1=1.0)
 
 
+@pytest.mark.parametrize(
+    "q1, q0, arm",
+    [(0.0, 2.0, 1), (3.0, 0.5, 0), (2.0 * (1.0 - 1e-8), 2.0, 1), (float("nan"), 2.0, 1)],
+    ids=["q1-zero", "q0-below-mu0-sq-plus-omega0-term", "q1-just-below", "q1-nan"],
+)
+def test_impossible_second_moments_are_refused(q1, q0, arm):
+    """q_a must be at least mu_a^2 + omega_a' sigma^-1 omega_a: here mu1 = 1,
+    omega1 = (1, 0), omega0 = (1, 0) under sigma = I, so q1 >= 2 and q0 >= 1.
+    A record below it had every variance printed as 0 by the clamp in
+    _residual_second_moment, and a NaN q1 as NaN with exit 0 from compare."""
+    with pytest.raises(ValueError, match=rf"q{arm} = .* is not at least mu{arm}\^2"):
+        ExactMoments(np.eye(2), [1.0, 0.0], [1.0, 0.0], mu1=1.0, mu0=0.0, q1=q1, q0=q0)
+
+
+def test_second_moment_bound_allows_rounding():
+    """The equality case, an outcome linear in X, passes up to MOMENT_RTOL."""
+    sigma = np.array([[2.0, 0.6], [0.6, 0.5]])
+    omega = sigma @ [0.7, -1.3]
+    bound = 1.5**2 + omega @ np.linalg.solve(sigma, omega)
+    for q in (bound, bound * (1.0 - 1e-12)):
+        ExactMoments(sigma, omega, omega, mu1=1.5, mu0=1.5, q1=q, q0=q)
+
+
 def test_non_positive_definite_sigma_rejected():
     with pytest.raises(SingularDesignError):
         ExactMoments(

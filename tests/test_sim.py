@@ -288,6 +288,30 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="explicit assignment"):
             run_grid(scn, TRIO, None, 5)
 
+    @pytest.mark.parametrize(
+        "kw", [{"seed": 3.9}, {"seed": 3.0}, {"seed": True}, {"seed": np.True_}, {"reps": True},
+               {"reps": 20.0}],
+        ids=["seed-3.9", "seed-3.0", "seed-True", "seed-np-True", "reps-True", "reps-20.0"],
+    )
+    def test_seed_and_reps_are_integers(self, kw, monkeypatch):
+        """A float or bool seed or reps raises TypeError before the first draw;
+        seed 3.9 used to run seed 3's streams and report 3.9, and reps True one
+        replication."""
+        monkeypatch.setattr(sim, "_draw_stack", None)  # a draw would raise TypeError too
+        args = {"seed": 3, "reps": 20, **kw}
+        with pytest.raises(TypeError, match=f"{next(iter(kw))} must be an integer"):
+            run_grid(scenario(1, n=50), [ANCOVA1], [0.5], args["reps"], seed=args["seed"])
+
+    def test_a_numpy_integer_seed_is_stored_as_int(self):
+        got = run_grid(scenario(1, n=50), [ANCOVA1], [0.5], 6, seed=np.int64(3))
+        assert type(got.seed) is int
+        assert got.to_json() == run_grid(scenario(1, n=50), [ANCOVA1], [0.5], 6, seed=3).to_json()
+        assert type(figure1_data(reps=2, seed=np.uint8(1), n=200).seed) is int
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            figure1_data(reps=2, seed=1.5, n=50)
+        with pytest.raises(TypeError, match="reps must be an integer"):
+            did_vs_ldv_experiment(reps=True, n=50)
+
     def test_covariate_assignment_ignores_pis(self):
         rep = run_grid(scenario(3, n=120), [ANCOVA1], [0.2, 0.8], 4, seed=0)
         assert [c.pi for c in rep.cells] == [None]
@@ -369,6 +393,14 @@ def test_rep_seeds_are_distinct():
             seen.add(tuple(ss.entropy))
     assert len(seen) == 100
     assert tuple(rep_seed(1, "k", 0).entropy) != tuple(rep_seed(0, "k", 0).entropy)
+
+
+@pytest.mark.parametrize("root, rep", [(3.9, 0), (True, 0), (3, 1.0), (3, False)])
+def test_rep_seed_takes_integers_only(root, rep):
+    """rep_seed(3.9, key, r) used to hash 3, where draw(scn, 3.9) raises."""
+    with pytest.raises(TypeError, match="must be an integer"):
+        rep_seed(root, "k", rep)
+    assert rep_seed(np.int64(3), "k", np.int32(2)).entropy == rep_seed(3, "k", 2).entropy
 
 
 def test_figure_grid_covers_both_scenarios():

@@ -1,87 +1,67 @@
-"""Print where the fit kernel and the draw spend their time, stage by stage,
-and the minor page faults of each ``run_grid`` call, on the benchmark's chunk
-shapes.
+"""Print where the benchmark's own calls spend their time in the fit kernel and
+the draw, stage by stage, how the kernel routes their fits, and the minor page
+faults of every call kind.
 
 Usage, from the repository root::
 
     python tools/kernel_layers.py [--repeat 30] [--cycles 20] [--seed 7]
 
-Stages. For each chunk shape of the benchmark's workloads (``mc-scenarios``:
-scenarios 1-4 at n = 1000, 12 or 16 replications, ANOVA, ANCOVA and
-ANHECOVA, scenario 2 by Poisson IRLS; ``mc-n200``: the two counterexample
-populations at n = 200, 40 replications, their four models;
-``analysis-cli``: one 20,000-row sample with three covariates, plain and
-weighted), it draws one chunk as ``run_grid`` does and fits every model to
-it with ``estimate._fit`` ``--repeat`` times, each time on a fresh stack,
-so the per-stack work (centering, the full-model refit) is paid as
-``run_grid`` pays it. The ``analysis-cli`` samples are fitted as a lone
-public fit is, with the full covariance (``_fit``'s ``vcov``); the Monte
-Carlo chunks without it, as ``run_grid`` fits them. Timers wrapped around
-the kernel's functions split each fit into the self time of its stages,
-in µs per chunk (all models together, median over the repeats):
+Every input comes from ``bench/workloads.py`` at full size and run seed
+``--seed``, set up as ``tools/traffic.py`` sets it up. One cycle of each
+workload runs with RECORDED (``sim._fit``, ``estimate._fit``,
+``sim._rep_states``, ``sim._draw_stack``) wrapped to log each call's
+arguments and result under the call kind that made it (``record``). The
+tables replay those calls, tail chunks included, in µs per call of a kind
+(median over ``--repeat`` passes after one that warms up):
 
-- design: ``_design`` and the covariate centering (``_Stack.centered``);
-- gram: ``_solve`` itself, mostly ZᵀWZ = (Z·w) @ Zᵀ and the routing;
-- eigh: the batched eigendecomposition of the Gram matrices;
-- solve: ``_gram_solve`` and ``_svd_solve``;
-- residual: ``_fit_linear`` and ``_fit_poisson`` themselves: the
-  response, the residual and, for Poisson, the IRLS working response;
-- influence: ``_influence``, the influence rows U = B·Z·wε̂: the ATE row
-  for every fit, and every row for the lone ``analysis-cli`` fits;
-- ate row: the rest of ``_ate_var``, Σ uᵢ² of the ATE row;
-- vcov: the rest of ``_vcov``, U·Uᵀ and its symmetrisation; only for the
-  lone ``analysis-cli`` fits, "-" on the Monte Carlo chunks;
-- penalty: the empirical-centering penalty, ``_Stack.sigma`` and
-  ``_penalized`` (the full-model refit it needs is counted in the
-  stages above);
-- fit: the rest of ``_fit`` (error bookkeeping).
+- stages: the recorded fits, each pass on fresh ``_Stack``s of the recorded
+  samples, split by TIMED into the self time of design (``_design``,
+  ``_Stack.centered``), gram (``_solve`` itself: ZᵀWZ and the routing), eigh,
+  solve (``_gram_solve``, ``_svd_solve``), residual (``_fit_linear``,
+  ``_fit_poisson``), influence (``_influence``), ate row (the rest of
+  ``_ate_var``), vcov (the rest of ``_vcov``: the lone fits of ``estimate``
+  commands only), penalty (``_Stack.sigma``, ``_penalized``) and fit;
+- draw: the recorded ``_rep_states`` (seeds) and ``_draw_stack`` calls, split
+  into rngs (the generators and the stack), fills (the rest of
+  ``_draw_chunk``), observe (``_observe``) and check (``_check_samples``);
+- routes: per call kind and model, quantiles of each sample's κ = s_max/s_min
+  in its final solve (a Poisson fit's last IRLS step) and the shares of the
+  Gram route at κ < 10 and at κ < GRAM_RTOL^-1/2, and of the SVD, which also
+  takes the samples that fail;
+- faults: each workload in a fresh interpreter, as a benchmark worker runs it
+  (set-up, then ``--cycles`` cycles, unwrapped): minor page faults
+  (``resource.getrusage``) and ms per call kind.
 
-Draw. For each Monte Carlo chunk shape it then times, ``--repeat`` times, the
-steps ``run_grid`` takes to draw a chunk, in µs (median over the repeats):
-
-- block: the one ``_rep_states`` call that derives the seeds of a seed block,
-  the cell's first SEED_BLOCK replications (the whole cell in the benchmark);
-- /chunk: that call's share per chunk of the block; chunk call: a
-  ``_rep_states`` call for one chunk's replications alone, for comparison;
-- rngs: constructing the chunk's PCG64 generators from their state words;
-- fills: the rest of ``_draw_chunk``, the generators' variate fills and the
-  law's or the sampler's transforms;
-- observe: ``_observe``, the treatment indicators and observed outcomes;
-- check: ``_check_samples``, the chunk's validation.
-
-Faults. For each Monte Carlo workload, in a fresh interpreter as a
-benchmark worker is, it then runs ``--cycles`` of the benchmark's cycles of
-``run_grid`` calls (``mc-scenarios``: scenarios 1, 2, 3, 4 and 1 again;
-``mc-n200``: the km call and two io calls), after one warm-up cycle and
-with no wrapper, and prints the minor page faults (``resource.getrusage``
-of that process) and the wall time per call and per cycle.
-
-Only the standard library and numpy are used; pytest does not collect it.
+Like ``bench/run.py`` it runs BLAS on one thread; ``bench/`` is only imported.
+It uses the standard library, numpy and what ``tools/traffic.py`` imports.
 """
 
 from __future__ import annotations
 
-import argparse
-import resource
-import statistics
-import subprocess
-import sys
-import time
-import warnings
-from collections import defaultdict
-from contextlib import contextmanager
-from pathlib import Path
+import os
 
-import numpy as np
+if __name__ == "__main__":  # one thread of BLAS, as bench/run.py sets it before numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import argparse  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import warnings  # noqa: E402
+from collections import Counter, defaultdict  # noqa: E402
+from contextlib import ExitStack, contextmanager  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from functools import partial  # noqa: E402
 
-from linadjust import Dataset, custom_scenario, named_spec, parse_formula, run_grid, scenario  # noqa: E402
+import numpy as np  # noqa: E402
+from traffic import prepared, workloads  # noqa: E402
+
 from linadjust import estimate, sim  # noqa: E402
-from linadjust.model import KnownMean, _check_samples  # noqa: E402
-from linadjust.population import make_counterexample  # noqa: E402
-from linadjust.sim import SEED_BLOCK, _assignment_pi, _chunk_reps, _Derived, _digest, _draw_stack  # noqa: E402
-from linadjust.sim import _rep_states  # noqa: E402
+from linadjust.estimate import GRAM_RTOL  # noqa: E402
+from linadjust.model import format_formula  # noqa: E402
 
 STAGES = ("design", "gram", "eigh", "solve", "residual", "influence", "ate row", "vcov", "penalty", "fit")
 TIMED = (  # (owner, attribute, stage)
@@ -100,19 +80,41 @@ TIMED = (  # (owner, attribute, stage)
     (estimate, "_penalized", "penalty"),
     (estimate, "_fit", "fit"),
 )
-DRAW_STAGES = ("block", "/chunk", "chunk call", "rngs", "fills", "observe", "check")
-DRAW_TIMED = ((sim, "_draw_chunk", "fills"), (sim, "_observe", "observe"))
-THREE = tuple(named_spec(m, 1) for m in ("ANOVA", "ANCOVA", "ANHECOVA"))
+DRAW_STAGES = ("seeds", "rngs", "fills", "observe", "check")
+DRAW_TIMED = (
+    (sim, "_rep_states", "seeds"),
+    (sim, "_draw_stack", "rngs"),
+    (sim, "_draw_chunk", "fills"),
+    (sim, "_observe", "observe"),
+    (sim, "_check_samples", "check"),
+)
+RECORDED = ((sim, "_fit"), (estimate, "_fit"), (sim, "_rep_states"), (sim, "_draw_stack"))
+QUANTILES = (0.0, 0.5, 0.9, 1.0)
+
+
+@contextmanager
+def patched(table):
+    """Each (owner, attribute, wrap) of ``table``: the attribute is ``wrap(attribute)`` in the block."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in table]
+    for (owner, name, fn), (_, _, wrap) in zip(saved, table):
+        setattr(owner, name, wrap(fn))
+    try:
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 class Layers:
-    """Self time per stage, in ns, of the functions ``timed`` wraps."""
+    """Self time per stage, in ns, of the functions its timers wrap."""
 
     def __init__(self) -> None:
         self.ns: dict[str, int] = defaultdict(int)
         self._children: list[int] = []
 
-    def wrap(self, fn, stage: str):
+    def wrap(self, stage: str, fn):
+        """``fn``, adding its self time to ``stage``."""
+
         def timed(*args, **kwargs):
             self._children.append(0)
             t0 = time.perf_counter_ns()
@@ -127,158 +129,139 @@ class Layers:
         return timed
 
 
-@contextmanager
-def timed(layers: Layers, table=TIMED):
-    """The functions of ``table`` (the kernel's by default) wrapped by ``layers``
-    while the block runs."""
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in table]
-    for (owner, name, fn), (_, _, stage) in zip(saved, table):
-        setattr(owner, name, layers.wrap(fn, stage))
-    try:
-        yield
-    finally:
-        for owner, name, fn in saved:
-            setattr(owner, name, fn)
+@dataclass
+class Traffic:
+    """One cycle of the workloads' kernel calls: the ``calls`` per cycle of each call
+    kind ("workload kind"), and per call kind the (attribute, arguments, keyword
+    arguments, result) of each recorded call, in order."""
+
+    calls: Counter
+    log: dict[str, list[tuple]]
+
+    def of(self, name: str) -> dict[str, list[tuple]]:
+        """Per call kind that made any, the (args, kwargs, result) of each call of ``name``."""
+        out = {kind: [(a, kw, r) for n, a, kw, r in log if n == name] for kind, log in self.log.items()}
+        return {kind: calls for kind, calls in out.items() if calls}
 
 
-def _mc_configs():
-    """(label, scenario, pi, replications per call, models, family) per benchmark call kind."""
-    km = custom_scenario(make_counterexample("AncovaWorse", 0.3).sampler, pi=0.3, beta_ate=1.0, n=200)
-    io = custom_scenario(
-        make_counterexample("InteractionsOnlyWorseCentered", 0.75).sampler, pi=0.75, beta_ate=1.0, n=200
-    )
-    anova = named_spec("ANOVA", 1)
-    km_models = tuple(s.with_centering(KnownMean((0.0,))) for s in (anova, named_spec("ANCOVA", 1)))
-    io_models = (anova, parse_formula("1 + A + A:X1", ["X1"]))
-    return [
-        ("mc-scenarios s1", scenario(1, n=1000), 0.5, 12, THREE, "gaussian"),
-        ("mc-scenarios s2", scenario(2, n=1000), 0.5, 12, THREE, "poisson"),
-        ("mc-scenarios s3", scenario(3, n=1000), None, 35, THREE, "gaussian"),
-        ("mc-scenarios s4", scenario(4, n=1000), None, 27, THREE, "gaussian"),
-        ("mc-n200 km", km, 0.3, 100, km_models, "gaussian"),
-        ("mc-n200 io", io, 0.75, 80, io_models, "gaussian"),
-    ]
+def record(wls) -> Traffic:
+    """Run cycle 0 of each prepared workload with RECORDED logged."""
+    tr, kind = Traffic(Counter(), defaultdict(list)), ""
 
+    def logged(name, fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            tr.log[kind].append((name, args, kwargs, out))
+            return out
 
-def _cli_stack(rng, weighted: bool) -> estimate._Stack:
-    n = 20_000
-    x = rng.standard_normal((n, 3)) @ np.array([[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.3, 0.2, 0.8]]).T
-    a = (rng.random(n) < 0.4).astype(float)
-    y = 1.0 + 2.0 * a + x @ [1.0, 0.5, -0.3] + a * (x @ [0.6, -0.4, 0.2]) + rng.standard_normal(n)
-    w = rng.uniform(0.5, 2.0, n) if weighted else None
-    return estimate._Stack.one(Dataset(a, x + [1.0, -0.5, 2.0], y, w))
+        return recorded
 
-
-def chunks(seed: int):
-    """(label, shape, stack maker, models, family, lone) for every chunk shape measured;
-    ``lone`` marks a lone public fit, which forms the full covariance."""
-    out = []
-    for label, scn, pi, reps, models, family in _mc_configs():
-        chunk = min(reps, _chunk_reps(scn.n))
-        states = _rep_states(seed, _digest(f"scenario={scn.id}|pi={pi}|n={scn.n}"), 0, chunk)
-        st = _draw_stack(scn, _assignment_pi(scn, pi), states)
-        fresh = (lambda st=st: estimate._Stack(st.a, st.x, st.y, st.w))
-        out.append((label, (chunk, scn.n), fresh, models, family, False))
-    rng = np.random.default_rng(seed)
-    plain = parse_formula("1 + A + X1 + X2 + X3 + A:X1 + A:X2 + A:X3", ["X1", "X2", "X3"])
-    weighted = parse_formula("1 + A + X1 + X2@0.5 + A:X1 + A:X3", ["X1", "X2", "X3"])
-    for label, spec, w in (("analysis-cli plain", plain, False), ("analysis-cli weighted", weighted, True)):
-        st = _cli_stack(rng, w)
-        fresh = (lambda st=st: estimate._Stack(st.a, st.x, st.y, st.w))
-        out.append((label, (1, st.n), fresh, (spec,), "gaussian", True))
-    return out
-
-
-def stage_table(seed: int, repeat: int) -> None:
-    print(f"Self time per stage of estimate._fit, µs per chunk (median of {repeat}), seed {seed}")
-    print(f"{'chunk':<22} {'R x n':>9} " + " ".join(f"{s:>9}" for s in STAGES) + f" {'total':>9}")
-    for label, (r, n), fresh, models, family, lone in chunks(seed):
-        runs = defaultdict(list)
-        for k in range(repeat + 1):
-            layers = Layers()
-            st = fresh()
-            with warnings.catch_warnings(), timed(layers):
-                warnings.simplefilter("ignore")  # a clamped standard error does not matter here
-                for spec in models:
-                    estimate._fit(spec, st, family, vcov=lone)
-            if k:  # the first pass warms up
-                for stage in layers.ns:
-                    runs[stage].append(layers.ns[stage] / 1e3)
-                runs["total"].append(sum(layers.ns.values()) / 1e3)
-        cells = " ".join(f"{statistics.median(runs[s]):9.0f}" if s in runs else f"{'-':>9}"
-                         for s in (*STAGES, "total"))
-        print(f"{label:<22} {f'{r}x{n}':>9} {cells}")
-
-
-def draw_table(seed: int, repeat: int) -> None:
-    print(f"\nDraw of one chunk as run_grid draws it, µs (median of {repeat}), seed {seed}")
-    print(f"{'chunk':<22} {'R x n':>9} " + " ".join(f"{s:>10}" for s in DRAW_STAGES))
-    for label, scn, pi, reps, _, _ in _mc_configs():
-        chunk = min(reps, _chunk_reps(scn.n))
-        block = min(reps, SEED_BLOCK)
-        digest, p = _digest(f"scenario={scn.id}|pi={pi}|n={scn.n}"), _assignment_pi(scn, pi)
-        runs = defaultdict(list)
-        for k in range(repeat + 1):
-            t0 = time.perf_counter_ns()
-            _rep_states(seed, digest, 0, block)
-            t1 = time.perf_counter_ns()
-            states = _rep_states(seed, digest, 0, chunk)
-            t2 = time.perf_counter_ns()
-            rngs = [np.random.Generator(np.random.PCG64(_Derived(state))) for state in states]
-            t3 = time.perf_counter_ns()
-            layers = Layers()
-            with timed(layers, DRAW_TIMED):
-                a, x, y, w, *_ = sim._draw_chunk(scn, p, rngs)
-            t4 = time.perf_counter_ns()
-            _check_samples(a, x, y, w)
-            t5 = time.perf_counter_ns()
-            if k:  # the first pass warms up
-                times = (t1 - t0, (t1 - t0) * chunk / block, t2 - t1, t3 - t2, layers.ns["fills"],
-                         layers.ns["observe"], t5 - t4)
-                for stage, ns in zip(DRAW_STAGES, times):
-                    runs[stage].append(ns / 1e3)
-        cells = " ".join(f"{statistics.median(runs[s]):10.0f}" for s in DRAW_STAGES)
-        print(f"{label:<22} {f'{chunk}x{scn.n}':>9} {cells}")
-
-
-CYCLES = {  # the benchmark's calls per cycle, by label in _mc_configs
-    "mc-scenarios": ("mc-scenarios s1", "mc-scenarios s2", "mc-scenarios s3", "mc-scenarios s4",
-                     "mc-scenarios s1"),
-    "mc-n200": ("mc-n200 km", "mc-n200 io", "mc-n200 io"),
-}
-
-
-def faults(workload: str, seed: int, cycles: int) -> None:
-    """Minor faults and ms per ``run_grid`` call over ``cycles`` cycles of a workload's
-    calls, after one warm-up cycle; run in a fresh interpreter by ``fault_table``."""
-    configs = {c[0]: c for c in _mc_configs()}
-    per_kind = defaultdict(lambda: ([], []))
-    with warnings.catch_warnings():
+    table = [(owner, name, partial(logged, name)) for owner, name in RECORDED]
+    with patched(table), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a clamped standard error does not matter here
-        for k in range(cycles + 1):
-            for slot, label in enumerate(CYCLES[workload]):
-                _, scn, pi, reps, models, family = configs[label]
-                pis = [0.3, 0.5, 0.7] if label.endswith("s1") else [pi] if pi is not None else None
-                s = seed if family == "poisson" else seed + 10 * k + slot  # as the benchmark seeds
+        for wl in wls:
+            for call in wl.cycle(0):
+                kind = f"{wl.name} {call.kind}"
+                tr.calls[kind] += 1
+                call.run()
+    return tr
+
+
+def replay(tr: Traffic, title: str, stages, timed, runs, repeat: int) -> dict[str, dict[str, float]]:
+    """Per call kind of ``runs`` (kind: its replay), µs per call of each stage of
+    ``timed`` and of their total, median over ``repeat`` replays after one that
+    warms up; printed under ``title`` and returned."""
+    rows = {}
+    for kind, run in runs.items():
+        samples = defaultdict(list)
+        for _ in range(repeat + 1):
+            layers = Layers()
+            with warnings.catch_warnings(), patched([(o, n, partial(layers.wrap, s)) for o, n, s in timed]):
+                warnings.simplefilter("ignore")
+                run()
+            for stage, ns in (*layers.ns.items(), ("total", sum(layers.ns.values()))):
+                samples[stage].append(ns / 1e3 / tr.calls[kind])
+        rows[kind] = {stage: statistics.median(us[1:]) for stage, us in samples.items()}
+    print(f"\n{title}, µs per call (median of {repeat})")
+    print(f"{'call kind':<24} {'calls':>5} " + " ".join(f"{s:>9}" for s in (*stages, "total")))
+    for kind, row in rows.items():
+        cells = " ".join(f"{row[s]:9.0f}" if s in row else f"{'-':>9}" for s in (*stages, "total"))
+        print(f"{kind:<24} {tr.calls[kind]:>5} {cells}")
+    return rows
+
+
+def stage_table(tr: Traffic, repeat: int) -> dict[str, dict[str, float]]:
+    def run(fits):
+        fresh = {}  # a fresh stack per recorded stack, shared by its fits as the call shared it
+        for (spec, st, *args), kwargs, _ in fits:
+            if id(st) not in fresh:
+                fresh[id(st)] = estimate._Stack(st.a, st.x, st.y, st.w)
+            estimate._fit(spec, fresh[id(st)], *args, **kwargs)
+
+    runs = {kind: (lambda f=fits: run(f)) for kind, fits in tr.of("_fit").items()}
+    return replay(tr, "Self time per stage of the recorded fits", STAGES, TIMED, runs, repeat)
+
+
+def draw_table(tr: Traffic, repeat: int) -> dict[str, dict[str, float]]:
+    seeds, draws = tr.of("_rep_states"), tr.of("_draw_stack")
+
+    def run(kind):
+        for args, _, _ in seeds[kind]:
+            sim._rep_states(*args)
+        for args, _, _ in draws[kind]:
+            sim._draw_stack(*args)
+
+    runs = {kind: (lambda k=kind: run(k)) for kind in draws}
+    return replay(tr, "Self time per step of the recorded draws", DRAW_STAGES, DRAW_TIMED, runs, repeat)
+
+
+def route_table(tr: Traffic) -> dict[tuple[str, str], np.ndarray]:
+    """Per (call kind, model), the condition numbers of its recorded fits (NaN
+    where a fit failed), printed as quantiles and route shares."""
+    rows = defaultdict(list)
+    for kind, fits in tr.of("_fit").items():
+        for (spec, *_), _, out in fits:
+            rows[kind, format_formula(spec)].append(out.condition)
+    limit = GRAM_RTOL**-0.5
+    print(f"\nRoutes of the recorded fits: GRAM_RTOL = {GRAM_RTOL:g}, the Gram route at kappa < {limit:g}")
+    print(f"{'call kind':<24} {'fits':>5} " + " ".join(f"{f'k q{int(100 * q)}':>8}" for q in QUANTILES)
+          + f" {'gram<10':>8} {'gram>=10':>8} {'svd':>6}  model")
+    for (kind, model), parts in rows.items():
+        kappa = rows[kind, model] = np.concatenate(parts)
+        ok = kappa[np.isfinite(kappa)]
+        quants = " ".join(f"{v:8.3g}" for v in np.quantile(ok, QUANTILES)) if ok.size else f"{'':35}"
+        low, gram = np.mean(kappa < 10.0), np.mean(kappa < limit)
+        print(f"{kind:<24} {kappa.size:>5} {quants} {low:8.0%} {gram - low:8.0%} {1.0 - gram:6.0%}  {model}")
+    return dict(rows)
+
+
+def faults(name: str, seed: int, cycles: int) -> None:
+    """Minor faults and ms per call kind over ``cycles`` cycles of a workload's calls
+    after its set-up, as a benchmark worker runs them; run in a fresh interpreter
+    by ``fault_table``."""
+    per_kind = defaultdict(lambda: ([], []))
+    with prepared(name, seed) as wl, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a clamped standard error does not matter here
+        for k in range(cycles):
+            for call in wl.cycle(k):
                 f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-                run_grid(scn, list(models), pis, reps, seed=s, keep_estimates=True)
-                if k:
-                    per_kind[label][0].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-                    per_kind[label][1].append(time.perf_counter() - t0)
-    for label, (f, t) in per_kind.items():
-        print(f"{label:<22} {configs[label][3]:>5} {statistics.mean(f):8.0f} {1e3 * statistics.mean(t):8.2f}")
-    total = sum(sum(f) for f, _ in per_kind.values()) / cycles
-    print(f"{workload + ' cycle':<22} {'':>5} {total:8.0f} "
-          f"{1e3 * sum(sum(t) for _, t in per_kind.values()) / cycles:8.2f}")
+                call.run()
+                per_kind[call.kind][1].append(time.perf_counter() - t0)
+                per_kind[call.kind][0].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    for kind, (f, t) in per_kind.items():
+        ms = 1e3 * statistics.mean(t)
+        print(f"{f'{name} {kind}':<24} {len(f) // cycles:>5} {statistics.mean(f):8.0f} {ms:8.2f}")
+    total_f, total_t = (sum(sum(v[i]) for v in per_kind.values()) / cycles for i in (0, 1))
+    print(f"{name + ' cycle':<24} {'':>5} {total_f:8.0f} {1e3 * total_t:8.2f}")
 
 
 def fault_table(seed: int, cycles: int) -> None:
-    print(f"\nrun_grid calls of the benchmark's cycles, each workload in a fresh interpreter:"
+    print(f"\nCalls of each workload's cycles, each workload in a fresh interpreter:"
           f" minor faults and ms per call (mean over {cycles} cycles)")
-    print(f"{'call':<22} {'reps':>5} {'faults':>8} {'ms':>8}")
-    for workload in CYCLES:
-        argv = [__file__, "--faults", workload, "--cycles", str(cycles), "--seed", str(seed)]
+    print(f"{'call kind':<24} {'calls':>5} {'faults':>8} {'ms':>8}")
+    for name in workloads.WORKLOADS:
         sys.stdout.flush()
+        argv = [__file__, "--faults", name, "--cycles", str(cycles), "--seed", str(seed)]
         subprocess.run([sys.executable, *argv], check=True)
 
 
@@ -287,13 +270,18 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeat", type=int, default=30)
     parser.add_argument("--cycles", type=int, default=20)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--faults", choices=tuple(CYCLES), help="measure one workload's faults only")
+    parser.add_argument("--faults", choices=tuple(workloads.WORKLOADS), help="one workload's faults only")
     args = parser.parse_args(argv)
     if args.faults:
         faults(args.faults, args.seed, args.cycles)
         return 0
-    stage_table(args.seed, args.repeat)
-    draw_table(args.seed, args.repeat)
+    with ExitStack() as stack:
+        tr = record([stack.enter_context(prepared(name, args.seed)) for name in workloads.WORKLOADS])
+    print(f"Seed {args.seed}; recorded fits per cycle: "
+          + ", ".join(f"{kind} {len(fits)}" for kind, fits in tr.of("_fit").items()))
+    stage_table(tr, args.repeat)
+    draw_table(tr, args.repeat)
+    route_table(tr)
     fault_table(args.seed, args.cycles)
     return 0
 

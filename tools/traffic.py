@@ -26,6 +26,7 @@ from __future__ import annotations
 import importlib
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from uncovered import ROOT, SRC, report, trace
@@ -40,10 +41,12 @@ CYCLES = 4  # cycles of each workload after its warm-up
 SEED = 1
 
 
-def run_workload(name: str) -> None:
-    """Run a workload's set-up and CYCLES cycles of calls, as a benchmark
-    worker does."""
-    wl = workloads.WORKLOADS[name](SEED, False)
+@contextmanager
+def prepared(name: str, seed: int = SEED, tiny: bool = False):
+    """A workload of run seed ``seed`` as a benchmark worker has it before its
+    first cycle: inputs made in a temporary directory, which lasts while the
+    block runs, then prepared and warmed up."""
+    wl = workloads.WORKLOADS[name](seed, tiny)
     with tempfile.TemporaryDirectory() as tmp:
         inputs, work = Path(tmp, "inputs"), Path(tmp, "work")
         inputs.mkdir()
@@ -52,6 +55,13 @@ def run_workload(name: str) -> None:
         wl.make_warmup_inputs(work)
         wl.prepare()
         wl.warm_up()
+        yield wl
+
+
+def run_workload(name: str) -> None:
+    """Run a workload's set-up and CYCLES cycles of calls, as a benchmark
+    worker does."""
+    with prepared(name) as wl:
         for k in range(CYCLES):
             for call in wl.cycle(k):
                 call.run()
