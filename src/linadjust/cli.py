@@ -34,16 +34,24 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from itertools import chain, islice
 
 import numpy as np
 
-from .dominance import check_centered, check_known_mean, condition_centered, corollaries, table1
+from .dominance import (
+    DominanceVerdict,
+    check_centered,
+    check_known_mean,
+    condition_centered,
+    corollaries,
+    table1,
+)
 from .estimate import (
     EstimationError,
     FitResult,
     SingularDesignError,
+    _centering_penalty,
     _singular,
     fit_ols,
     fit_poisson_glm,
@@ -61,7 +69,6 @@ from .model import (
     parse_formula,
 )
 from .population import (
-    _centered_variance,
     _known_mean_variance,
     _theorem2_gap,
     population_from_dict,
@@ -365,12 +372,22 @@ def cmd_estimate(args: argparse.Namespace) -> str:
             own = {}
             for label, name in zip(_default_names(spec.p), cov_names):
                 own[label], own["A:" + label] = name, "A:" + name
-            raise _singular(tuple(own.get(c, c) for c in exc.columns)) from None
+            raise _singular(tuple(own.get(c, c) for c in exc.columns), exc.refit) from None
     for msg in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {msg}", file=sys.stderr)
     payload = fit.to_dict(cov_names)
     payload["pi"] = pi
     return _fit_report(fit, payload, cov_names, args.format)
+
+
+def _verdict_record(verdict: DominanceVerdict) -> dict:
+    """``dataclasses.asdict(verdict)``, without its recursive deep copy."""
+    return {
+        "verdict": verdict.verdict,
+        "theorem": verdict.theorem,
+        "centering": verdict.centering,
+        "explanation": dict(verdict.explanation),
+    }
 
 
 def cmd_check(args: argparse.Namespace) -> str:
@@ -382,7 +399,7 @@ def cmd_check(args: argparse.Namespace) -> str:
     else:
         verdict = check_centered(spec1, spec2, args.pi)
     if args.format == "json":
-        payload = asdict(verdict)
+        payload = _verdict_record(verdict)
         payload["model1"] = format_formula(spec1, names)
         payload["model2"] = format_formula(spec2, names)
         payload["pi"] = args.pi
@@ -428,7 +445,10 @@ def cmd_compare(args: argparse.Namespace) -> str:
     except SingularDesignError as exc:  # a fault of the record, as its other faults are
         raise ValueError(f"{args.population}: {exc}") from exc
     v1, v2 = (_known_mean_variance(pop.moments, s, pop.pi) for s in (sol1, sol2))
-    vc1, vc2 = (_centered_variance(pop, s, full) for s in (sol1, sol2))
+    vc1, vc2 = (
+        v + _centering_penalty(pop.moments.sigma, s.delta, full.delta)
+        for v, s in ((v1, sol1), (v2, sol2))
+    )
     gap = _theorem2_gap(pop, sol1, sol2) if condition_centered(spec1, spec2) else None
     verdict_km = check_known_mean(spec1, spec2, pop.pi)
     verdict_c = check_centered(spec1, spec2, pop.pi)
@@ -442,8 +462,8 @@ def cmd_compare(args: argparse.Namespace) -> str:
         "v_known_mean": {"model1": v1, "model2": v2, "gap": v2 - v1},
         "v_centered": {"model1": vc1, "model2": vc2, "gap": vc2 - vc1},
         "theorem2_gap": gap,
-        "verdict_known_mean": asdict(verdict_km),
-        "verdict_centered": asdict(verdict_c),
+        "verdict_known_mean": _verdict_record(verdict_km),
+        "verdict_centered": _verdict_record(verdict_c),
     }
     if args.format == "json":
         return json.dumps(payload, indent=2) + "\n"

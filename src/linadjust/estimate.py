@@ -93,11 +93,17 @@ class EstimationError(Exception):
 
 
 class SingularDesignError(EstimationError):
-    """The free-column Gram matrix is singular to working tolerance."""
+    """The free-column Gram matrix is singular to working tolerance.
 
-    def __init__(self, msg: str, columns: tuple[str, ...] = ()) -> None:
+    ``columns`` names the design columns on the weak directions; ``refit`` is
+    true when the failed fit is the full model refitted for the empirical
+    centering correction, whose columns need not be the model's own.
+    """
+
+    def __init__(self, msg: str, columns: tuple[str, ...] = (), refit: bool = False) -> None:
         super().__init__(msg, "singular design")
         self.columns = columns
+        self.refit = refit
 
 
 @dataclass
@@ -235,11 +241,12 @@ class _Stack:
 
     @cached_property
     def full_delta(self) -> tuple[np.ndarray, dict[int, EstimationError]]:
-        """Interaction estimates (R, p) of the empirically centered full model, and its errors."""
+        """Interaction estimates (R, p) of the empirically centered full model, and
+        its errors, each saying that it is the centering correction's refit."""
         p = self.x.shape[2]
         z, _, cmap = _design(named_spec("ANHECOVA", p), self.a, self.centered(Empirical()))
         coef, _, _, errors = _solve(z, self.y, cmap.labels, self.scaled_w)
-        return coef[:, -p:], errors
+        return coef[:, -p:], {r: _singular(e.columns, refit=True) for r, e in errors.items()}
 
 
 @dataclass
@@ -385,9 +392,12 @@ def _svd_solve(z, y, labels: tuple[str, ...], w=None):
     return coef, (v / s[:, None, :] ** 2) @ vt, s, errors
 
 
-def _singular(columns: tuple[str, ...]) -> SingularDesignError:
-    """The rank rule's error, naming the design columns on the weak directions."""
-    return SingularDesignError(f"singular design; offending columns: {', '.join(columns)}", columns)
+def _singular(columns: tuple[str, ...], refit: bool = False) -> SingularDesignError:
+    """The rank rule's error, naming the design columns on the weak directions
+    and, for the centering correction's refit, saying that it failed."""
+    where = " in the full model refitted for the centering correction" if refit else ""
+    msg = f"singular design{where}; offending columns: {', '.join(columns)}"
+    return SingularDesignError(msg, columns, refit)
 
 
 def _influence(z, resid, bread, w=None, rows=slice(None)):

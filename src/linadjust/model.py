@@ -8,6 +8,7 @@ always free.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -279,8 +280,17 @@ def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
     ValueError
         On syntax errors (with character position), unknown covariate
         names, duplicate terms, or a missing ``1`` or ``A`` term.
+
+    Results are memoized per process on ``(text, tuple(covariate_names))``,
+    the last 256 of them: an equal call returns the same frozen ModelSpec,
+    and a call that raises raises again, with the same message.
     """
-    names = list(covariate_names)
+    return _parse_formula(text, tuple(covariate_names))
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_formula(text: str, names: tuple[str, ...]) -> ModelSpec:
+    """:func:`parse_formula` on a hashable tuple of names, memoized."""
     if len(set(names)) != len(names):
         msg = "covariate names must be unique"
         raise ValueError(msg)

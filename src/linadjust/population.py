@@ -9,6 +9,7 @@ sampler's closed-form ``moments()``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,20 +35,28 @@ __all__ = [
 ]
 
 
-def _checked_sigma(sigma, names: str, *vectors):
-    """sigma as a float matrix, the vectors as float vectors, and sigma's Cholesky
-    factor; raises unless sigma is square, symmetric and positive definite and
-    every vector (``names`` in the message) has its dimension."""
+def _checked_sigma(sigma, **vectors):
+    """sigma as a float matrix, the named vectors as float vectors, and sigma's
+    Cholesky factor; raises unless sigma is square, every vector has its
+    dimension, all are finite, and sigma is symmetric and positive definite.
+
+    Symmetry is ``np.allclose``'s predicate |σ - σᵀ| <= 1e-8 + 1e-5·|σᵀ|,
+    written out; on finite values the two agree.
+    """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    vectors = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
+    vectors = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in vectors.items()}
     p = sigma.shape[0]
     if sigma.shape != (p, p):
         msg = f"sigma must be square, got shape {sigma.shape}"
         raise ValueError(msg)
-    if any(v.shape != (p,) for v in vectors):
-        msg = f"{names} must match sigma's dimension"
+    if any(v.shape != (p,) for v in vectors.values()):
+        msg = f"{' and '.join(vectors)} must match sigma's dimension"
         raise ValueError(msg)
-    if not np.allclose(sigma, sigma.T):
+    for name, v in {"sigma": sigma, **vectors}.items():
+        if not np.isfinite(v).all():
+            msg = f"{name} must be finite"
+            raise ValueError(msg)
+    if not (np.abs(sigma - sigma.T) <= 1e-8 + 1e-5 * np.abs(sigma.T)).all():
         msg = "sigma must be symmetric"
         raise ValueError(msg)
     try:
@@ -55,7 +64,17 @@ def _checked_sigma(sigma, names: str, *vectors):
     except np.linalg.LinAlgError:
         msg = "sigma must be positive definite"
         raise SingularDesignError(msg) from None
-    return sigma, vectors, chol
+    return sigma, list(vectors.values()), chol
+
+
+def _checked_scalars(record, *names: str) -> None:
+    """Store each named field of the frozen ``record`` as a float; raises unless it is finite."""
+    for name in names:
+        v = float(getattr(record, name))
+        if not math.isfinite(v):
+            msg = f"{name} must be finite, got {v!r}"
+            raise ValueError(msg)
+        object.__setattr__(record, name, v)
 
 
 # Relative rounding allowed in ExactMoments' check q_a >= mu_a^2 + omega_a' sigma^-1 omega_a;
@@ -69,7 +88,8 @@ class ExactMoments:
 
     sigma = E(XX'), omega_a = E(XY | A=a), mu_a = E(Y | A=a) and
     q_a = E(Y^2 | A=a). These suffice for every population solution and
-    asymptotic variance in the linear class. After sigma's checks, each
+    asymptotic variance in the linear class. Every field must be finite;
+    a field that is not is refused by name. After sigma's checks, each
     arm's record must be a second moment: q_a >= mu_a^2 + omega_a' sigma^-1
     omega_a, up to MOMENT_RTOL of the right-hand side. That is, E((1, X, Y)
     (1, X, Y)' | A=a) is positive semidefinite, given E(X) = 0 and A
@@ -85,15 +105,13 @@ class ExactMoments:
     q0: float
 
     def __post_init__(self) -> None:
-        names = "omega1 and omega0"
-        sigma, (omega1, omega0), chol = _checked_sigma(self.sigma, names, self.omega1, self.omega0)
+        sigma, (omega1, omega0), chol = _checked_sigma(
+            self.sigma, omega1=self.omega1, omega0=self.omega0
+        )
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "omega1", omega1)
         object.__setattr__(self, "omega0", omega0)
-        object.__setattr__(self, "mu1", float(self.mu1))
-        object.__setattr__(self, "mu0", float(self.mu0))
-        object.__setattr__(self, "q1", float(self.q1))
-        object.__setattr__(self, "q0", float(self.q0))
+        _checked_scalars(self, "mu1", "mu0", "q1", "q0")
         for arm, omega, mu, q in ((1, omega1, self.mu1, self.q1), (0, omega0, self.mu0, self.q0)):
             half = np.linalg.solve(chol, omega)  # L⁻¹ω, so ω'Σ⁻¹ω = ‖L⁻¹ω‖²
             least = mu * mu + float(half @ half)
@@ -114,7 +132,8 @@ class GaussianArmSampler:
     """Gaussian covariates with linear arm-wise outcome laws.
 
     X ~ N(0, sigma); Y(a) = b_a + l_a'X + s_a * e with independent
-    standard normal noise. Closed-form moments are exact.
+    standard normal noise. Closed-form moments are exact. sigma is checked
+    as ExactMoments checks it, and every field must be finite.
     """
 
     sigma: np.ndarray
@@ -126,7 +145,8 @@ class GaussianArmSampler:
     s1: float
 
     def __post_init__(self) -> None:
-        sigma, (l0, l1), chol = _checked_sigma(self.sigma, "l0 and l1", self.l0, self.l1)
+        sigma, (l0, l1), chol = _checked_sigma(self.sigma, l0=self.l0, l1=self.l1)
+        _checked_scalars(self, "b0", "b1", "s0", "s1")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "l0", l0)
         object.__setattr__(self, "l1", l1)
@@ -241,20 +261,25 @@ def solve_population(spec: ModelSpec, pop: PopulationSpec) -> PopulationSolution
     f_idx = list(spec.unrestricted_gamma())
     g_idx = list(spec.unrestricted_delta())
     if f_idx or g_idx:
-        k11 = sigma[np.ix_(f_idx, f_idx)]
-        k12 = pi * sigma[np.ix_(f_idx, g_idx)]
-        k22 = pi * sigma[np.ix_(g_idx, g_idx)]
-        k = np.block([[k11, k12], [k12.T, k22]])
-        r = omega_bar[f_idx] - sigma[f_idx] @ gamma - pi * (sigma[f_idx] @ delta)
-        s = pi * (mom.omega1[g_idx] - sigma[g_idx] @ gamma - sigma[g_idx] @ delta)
-        rhs = np.concatenate([r, s])
+        # rows = Σ[F ∪ G, :] and k = its (F ∪ G) columns, filled in place: the
+        # products and sums are those of the block form above, in its order,
+        # and the lower-left block is the transpose of the upper-right
+        m = len(f_idx)
+        rows = sigma[f_idx + g_idx]
+        k = rows[:, f_idx + g_idx]
+        k[:m, m:] *= pi
+        k[m:, m:] *= pi
+        k[m:, :m] = k[:m, m:].T
+        rhs = np.empty(len(k))
+        rhs[:m] = omega_bar[f_idx] - rows[:m] @ gamma - pi * (rows[:m] @ delta)
+        rhs[m:] = pi * (mom.omega1[g_idx] - rows[m:] @ gamma - rows[m:] @ delta)
         try:
             sol = np.linalg.solve(k, rhs)
         except np.linalg.LinAlgError:
             msg = "population normal equations are singular"
             raise SingularDesignError(msg) from None
-        gamma[f_idx] = sol[: len(f_idx)]
-        delta[g_idx] = sol[len(f_idx) :]
+        gamma[f_idx] = sol[:m]
+        delta[g_idx] = sol[m:]
 
     beta_ate = mom.mu1 - mom.mu0
     return PopulationSolution(
@@ -294,15 +319,6 @@ def asymptotic_variance_known_mean(spec: ModelSpec, pop: PopulationSpec) -> floa
     return _known_mean_variance(pop.moments, solve_population(spec, pop), pop.pi)
 
 
-def _centered_variance(
-    pop: PopulationSpec, sol: PopulationSolution, full: PopulationSolution
-) -> float:
-    """The known-mean variance at ``sol`` plus the centering penalty, with ``full``
-    the all-free model's solution."""
-    penalty = _centering_penalty(pop.moments.sigma, sol.delta, full.delta)
-    return _known_mean_variance(pop.moments, sol, pop.pi) + penalty
-
-
 def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec) -> float:
     """n * avar of the empirically centered estimate.
 
@@ -310,7 +326,9 @@ def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec) -> float:
     to the known-mean variance, with delta_f from the all-free model.
     """
     full = solve_population(named_spec("ANHECOVA", spec.p), pop)
-    return _centered_variance(pop, solve_population(spec, pop), full)
+    sol = solve_population(spec, pop)
+    penalty = _centering_penalty(pop.moments.sigma, sol.delta, full.delta)
+    return _known_mean_variance(pop.moments, sol, pop.pi) + penalty
 
 
 def _theorem2_gap(

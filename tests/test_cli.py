@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from linadjust import (
     fit_poisson_glm,
     fit_weighted,
     named_spec,
+    parse_formula,
     population_to_dict,
     random_moment_population,
     run_grid,
@@ -33,6 +35,7 @@ from linadjust import (
 )
 from linadjust import cli
 from linadjust.cli import main
+from linadjust.dominance import _TABLE1_ROWS, check_centered, check_known_mean
 
 A = [1, 1, 1, 1, 0, 0, 0, 0]
 X = [0.5, -1.0, 2.0, 0.0, 1.0, -0.5, 0.25, -2.0]
@@ -360,6 +363,18 @@ class TestEstimate:
         path.write_text("\n".join(rows) + "\n")
         rc, out, err = run(["estimate", "--data", str(path), "--model", model], capsys)
         assert (rc, out, err) == (3, "", f"error: singular design; offending columns: {columns}\n")
+
+    def test_a_failed_centering_refit_says_so(self, tmp_path, capsys):
+        """The model pins age and has no A:age, so a singular design naming them
+        is the full model refitted for the centering correction, and says so."""
+        path = tmp_path / "trial.csv"
+        rows = ["a,y,age,income"] + [f"{a},{y},30,{x}" for a, y, x in zip(A, Y, X)]
+        path.write_text("\n".join(rows) + "\n")
+        model = "1 + A + age@2 + income + A:income"
+        rc, out, err = run(["estimate", "--data", str(path), "--model", model], capsys)
+        assert (rc, out) == (3, "")
+        assert err == ("error: singular design in the full model refitted for the centering"
+                       " correction; offending columns: age, A:age\n")
 
 
 class TestCsvValidation:
@@ -1078,6 +1093,58 @@ class TestCompare:
         assert (rc, out) == (2, "")
         assert err == (f"error: {path}: q1 = 0.0 is not at least mu1^2 + omega1' sigma^-1 omega1 = 9.25:"
                        " no distribution has these moments in arm 1\n")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("sigma", [[float("inf")]], "sigma must be finite"),
+         ("sigma", [[float("nan")]], "sigma must be finite"),
+         ("omega1", [float("nan")], "omega1 must be finite"),
+         ("omega0", [float("-inf")], "omega0 must be finite"),
+         ("mu1", float("nan"), "mu1 must be finite, got nan"),
+         ("q1", float("inf"), "q1 must be finite, got inf"),
+         ("q0", float("nan"), "q0 must be finite, got nan")],
+        ids=["inf-sigma", "nan-sigma", "nan-omega1", "inf-omega0", "nan-mu1", "inf-q1",
+             "nan-q0"],
+    )
+    def test_non_finite_record_names_the_field(self, tmp_path, capsys, field, value, message):
+        """An infinite sigma or q1 printed NaN or Infinity variances with exit 0,
+        a NaN sigma was called asymmetric and a NaN omega1 or mu1 was blamed on q1."""
+        path = tmp_path / "pop.json"
+        record = {"pi": 0.3, "sigma": [[1.0]], "omega1": [1.0], "omega0": [0.5],
+                  "mu1": 1.0, "mu0": 0.0, "q1": 3.0, "q0": 2.0, field: value}
+        path.write_text(json.dumps(record))
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "anova", "--model2", "ancova"],
+            capsys,
+        )
+        assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_verdict_records_are_the_verdicts_as_dicts(self, tmp_path, capsys, p):
+        """compare's and check's verdict records equal dataclasses.asdict of the
+        verdicts, for each Table 1 pair under both centerings."""
+        pop = random_moment_population(np.random.default_rng(11), p=p)
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(population_to_dict(pop)))
+        names = [f"X{j + 1}" for j in range(p)]
+        for f1, f2 in _TABLE1_ROWS:
+            spec1, spec2 = parse_formula(f1, names), parse_formula(f2, names)
+            argv = ["compare", "--population", str(path), "--model", f1, "--model2", f2,
+                    "--format", "json"]
+            rc, out, _ = run(argv, capsys)
+            payload = json.loads(out)
+            for key, centering, check in (
+                ("verdict_known_mean", "known-mean", check_known_mean),
+                ("verdict_centered", "empirical", check_centered),
+            ):
+                want = asdict(check(spec1, spec2, pop.pi))
+                assert (rc, payload[key]) == (0, want)
+                argv = ["check", "--model", f1, "--model2", f2, "--pi", repr(pop.pi),
+                        "--p", str(p), "--centering", centering, "--format", "json"]
+                rc, out, _ = run(argv, capsys)
+                record = json.loads(out)
+                assert (rc, record.pop("pi")) == (0, pop.pi)
+                assert {k: v for k, v in record.items() if not k.startswith("model")} == want
 
     def test_singular_normal_equations_name_the_file(self, tmp_path, capsys):
         """A record whose pi·sigma underflows is invalid input, exit 2, like the

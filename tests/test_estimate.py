@@ -376,6 +376,27 @@ class TestErrors:
             with pytest.raises(SingularDesignError):
                 fit_ols(parse_formula(formula, ["X1", "X2"]), data)
 
+    def test_a_failed_centering_refit_says_so(self):
+        """One treated unit: the pinned model's own design (1, A) is fine, but the
+        full model refitted for the centering correction is singular, and its
+        columns A and A:X1 are not the pinned model's. The error says which fit
+        failed; its cause, which run_grid counts, stays "singular design"."""
+        data = draw(scenario(1, n=8), 1, pi=0.3).data
+        spec = parse_formula("1 + A + X1@0.5 + A:X1@-0.25", ["X1"])
+        with pytest.raises(SingularDesignError) as exc:
+            fit_ols(spec, data)
+        assert str(exc.value) == (
+            "singular design in the full model refitted for the centering correction;"
+            " offending columns: A, A:X1"
+        )
+        assert (exc.value.cause, exc.value.columns, exc.value.refit) == (
+            "singular design", ("A", "A:X1"), True
+        )
+        with pytest.raises(SingularDesignError) as own:
+            fit_ols(named_spec("ANHECOVA", 1), data)
+        assert str(own.value) == "singular design; offending columns: A, A:X1"
+        assert not own.value.refit
+
     @pytest.mark.parametrize("arm", [1, 0], ids=["all-treated", "all-control"])
     def test_empty_arm(self, arm):
         """The fit and the sandwich report an empty arm alike, not as a singular design."""

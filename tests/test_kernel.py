@@ -154,6 +154,7 @@ def test_mixed_stacks_match_fits_alone():
         "fitted",
         "clamped",
         "singular design",
+        "singular design in the full model refitted for the centering correction",
         "both treatment arms must be nonempty",
         "Poisson fit diverged",
     }

@@ -104,6 +104,39 @@ class TestParse:
             parse_formula("1 + A", ["X1", "X1"])
 
 
+class TestParseCache:
+    """parse_formula is memoized on (text, tuple(names)); a cached spec must be
+    the spec a fresh parse gives, for those names and no others."""
+
+    def test_list_and_tuple_names_give_the_same_spec(self):
+        text = "1 + A + X1@0.5 + A:X2"
+        from_list = parse_formula(text, ["X1", "X2"])
+        assert parse_formula(text, ("X1", "X2")) is from_list
+        assert from_list == ModelSpec((CoefConstraint(0.5), CoefConstraint(0.0)),
+                                      (CoefConstraint(0.0), FREE))
+
+    def test_different_names_give_different_specs(self):
+        assert parse_formula("1 + A + b", ["c", "b"]).gamma == (CoefConstraint(0.0), FREE)
+        assert parse_formula("1 + A + b", ["b", "c"]).gamma == (FREE, CoefConstraint(0.0))
+        assert parse_formula("1 + A + X", ["X1"]).p == 1
+        assert parse_formula("1 + A + X", ["X1", "X2"]).p == 2
+
+    @pytest.mark.parametrize("text", ["1 + A + ?bad", "1 + A + X9", "A + X1"])
+    def test_a_malformed_formula_raises_the_same_message_every_time(self, text):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                parse_formula(text, NAMES1)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    def test_a_cached_spec_is_frozen(self):
+        spec = parse_formula("1 + A + X1", NAMES1)
+        with pytest.raises(AttributeError):
+            spec.gamma = (CoefConstraint(0.0),)
+        assert parse_formula("1 + A + X1", NAMES1).gamma == (FREE,)
+
+
 constraint_st = st.one_of(
     st.none(),
     st.just(0.0),

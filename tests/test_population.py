@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from linadjust import (
+    NAMED_SPECS,
     FREE,
     CoefConstraint,
     ExactMoments,
@@ -324,16 +325,107 @@ def test_sampler_checks_its_population(sigma, l0, l1, error, match):
 
 @pytest.mark.parametrize(
     "q1, q0, arm",
-    [(0.0, 2.0, 1), (3.0, 0.5, 0), (2.0 * (1.0 - 1e-8), 2.0, 1), (float("nan"), 2.0, 1)],
-    ids=["q1-zero", "q0-below-mu0-sq-plus-omega0-term", "q1-just-below", "q1-nan"],
+    [(0.0, 2.0, 1), (3.0, 0.5, 0), (2.0 * (1.0 - 1e-8), 2.0, 1)],
+    ids=["q1-zero", "q0-below-mu0-sq-plus-omega0-term", "q1-just-below"],
 )
 def test_impossible_second_moments_are_refused(q1, q0, arm):
     """q_a must be at least mu_a^2 + omega_a' sigma^-1 omega_a: here mu1 = 1,
     omega1 = (1, 0), omega0 = (1, 0) under sigma = I, so q1 >= 2 and q0 >= 1.
     A record below it had every variance printed as 0 by the clamp in
-    _residual_second_moment, and a NaN q1 as NaN with exit 0 from compare."""
+    _residual_second_moment. A NaN q1 is refused as not finite
+    (``test_non_finite_moment_record_names_the_field``)."""
     with pytest.raises(ValueError, match=rf"q{arm} = .* is not at least mu{arm}\^2"):
         ExactMoments(np.eye(2), [1.0, 0.0], [1.0, 0.0], mu1=1.0, mu0=0.0, q1=q1, q0=q0)
+
+
+FINITE_RECORD = {"sigma": np.eye(2), "omega1": [1.0, 0.0], "omega0": [1.0, 0.0],
+                 "mu1": 1.0, "mu0": 0.0, "q1": 3.0, "q0": 2.0}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", list(FINITE_RECORD))
+def test_non_finite_moment_record_names_the_field(field, bad):
+    """A non-finite field is refused by name, before sigma's symmetry test and
+    the second-moment bound: an infinite sigma gave NaN variances, a NaN sigma
+    was called asymmetric, and a NaN omega1 or mu1 was blamed on q1."""
+    record = dict(FINITE_RECORD)
+    value = np.array(record[field], dtype=float)
+    value.flat[-1] = bad
+    record[field] = value if value.ndim else float(value)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        ExactMoments(**record)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", ["sigma", "l0", "l1", "b0", "b1", "s0", "s1"])
+def test_sampler_refuses_a_non_finite_field(field, bad):
+    """A sampler with s0 = inf was accepted and drew infinite outcomes."""
+    args = {"sigma": np.eye(2), "l0": [1.0, 0.0], "l1": [0.5, 0.5],
+            "b0": 0.0, "b1": 1.0, "s0": 1.0, "s1": 1.0}
+    value = np.array(args[field], dtype=float)
+    value.flat[0] = bad
+    args[field] = value if value.ndim else float(value)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        GaussianArmSampler(**args)
+
+
+def test_symmetry_rule_is_allclose():
+    """sigma's symmetry test is np.allclose(sigma, sigma.T) written out: the
+    same records pass and fail on either side of its tolerance."""
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for scale in np.logspace(-10, -2, 33):
+        for _ in range(5):
+            base = rng.uniform(0.1, 10.0)
+            sigma = np.array([[base, 0.0], [rng.uniform(-1.0, 1.0) * base * scale, base]])
+            symmetric = bool(np.allclose(sigma, sigma.T))
+            verdicts.add(symmetric)
+            try:
+                ExactMoments(sigma, [0.0, 0.0], [0.0, 0.0], mu1=0.0, mu0=0.0, q1=1.0, q0=1.0)
+            except ValueError as exc:
+                assert (str(exc), symmetric) == ("sigma must be symmetric", False)
+            else:
+                assert symmetric
+    assert verdicts == {True, False}
+
+
+def _block_reference(spec, pop):
+    """solve_population's gamma and delta by its documented block system, assembled
+    with np.ix_ and np.block: the reference the in-place assembly must equal."""
+    pi, mom = pop.pi, pop.moments
+    sigma = mom.sigma
+    omega_bar = pi * mom.omega1 + (1.0 - pi) * mom.omega0
+    gamma = np.array([0.0 if c.is_free else c.value for c in spec.gamma])
+    delta = np.array([0.0 if c.is_free else c.value for c in spec.delta])
+    f_idx, g_idx = list(spec.unrestricted_gamma()), list(spec.unrestricted_delta())
+    if f_idx or g_idx:
+        k11 = sigma[np.ix_(f_idx, f_idx)]
+        k12 = pi * sigma[np.ix_(f_idx, g_idx)]
+        k22 = pi * sigma[np.ix_(g_idx, g_idx)]
+        k = np.block([[k11, k12], [k12.T, k22]])
+        r = omega_bar[f_idx] - sigma[f_idx] @ gamma - pi * (sigma[f_idx] @ delta)
+        s = pi * (mom.omega1[g_idx] - sigma[g_idx] @ gamma - sigma[g_idx] @ delta)
+        sol = np.linalg.solve(k, np.concatenate([r, s]))
+        gamma[f_idx] = sol[: len(f_idx)]
+        delta[g_idx] = sol[len(f_idx) :]
+    return gamma, delta
+
+
+def test_solve_population_equals_the_block_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for k in range(60):
+        p = 1 + k % 3
+        pop = random_moment_population(rng, p)
+        names = [f"X{j + 1}" for j in range(p)]
+        specs = [named_spec(name, p) for name in NAMED_SPECS] + [
+            parse_formula(f"1 + A + X1@0.5 + A:X{p}", names),
+            parse_formula(f"1 + A + X{p} + A:X1@-0.25", names),
+        ]
+        for spec in specs:
+            sol = solve_population(spec, pop)
+            gamma, delta = _block_reference(spec, pop)
+            assert sol.gamma.tobytes() == gamma.tobytes()
+            assert sol.delta.tobytes() == delta.tobytes()
 
 
 def test_second_moment_bound_allows_rounding():

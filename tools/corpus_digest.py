@@ -1,4 +1,5 @@
-"""Print SHA-256 digests of a fixed corpus of Monte Carlo reports and lone fits.
+"""Print SHA-256 digests of a fixed corpus of Monte Carlo reports, lone fits and
+exact population results.
 
 Usage, from the repository root::
 
@@ -16,11 +17,21 @@ The corpus is a set of groups, each hashed on its own:
   sample goes to the SVD route, at n = 2,048 and 5,000;
 - ``lone-fits``: 96 fits of single draws (``fit_ols``, ``fit_weighted``,
   ``fit_poisson_glm``), with ``sandwich_vcov`` at each OLS/WLS fit's
-  coefficients.
+  coefficients;
+- ``population``: the exact calculus on 21 ``random_moment_population``
+  records (p = 1..3): every named spec's ``solve_population`` coefficients,
+  its ``asymptotic_variance_known_mean`` and ``asymptotic_variance_centered``,
+  ``variance_gap_theorem2`` for each ordered pair of named specs where it is
+  defined, and the ``table1`` and ``corollaries`` records at the record's pi
+  and p; then, for three of the records written to a temporary directory, the
+  exit code and stdout of ``cli.main`` for ``compare`` and ``check`` on each
+  Table 1 pair (``check`` under both centerings) and for ``table1``, each in
+  json and text, with the directory's name replaced by ``<dir>``.
 
 A group hashes every cell's report fields, ``mean_se``, failure causes and
 kept estimates; every lone fit's ``ate_hat``, ``ate_se``, ``vcov`` and free
-coefficients, or its error's cause and message; the messages of the
+coefficients, or its error's cause and message; the population group's
+numbers, records and command outputs; the messages of the
 warnings raised; and the type and message of any error a run raises.
 Arrays enter as their dtype, shape and bytes, scalars as their ``repr``.
 One digest is printed per group, then one over all of them. Two trees that
@@ -31,8 +42,12 @@ Only the standard library and numpy are used; it runs in a few seconds.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -41,9 +56,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linadjust import (  # noqa: E402
+    NAMED_SPECS,
     EstimationError,
     GaussianArmSampler,
     KnownMean,
+    asymptotic_variance_centered,
+    asymptotic_variance_known_mean,
+    condition_centered,
+    corollaries,
     custom_scenario,
     did_vs_ldv_experiment,
     draw,
@@ -53,10 +73,17 @@ from linadjust import (  # noqa: E402
     make_counterexample,
     named_spec,
     parse_formula,
+    population_to_dict,
+    random_moment_population,
     run_grid,
     sandwich_vcov,
     scenario,
+    solve_population,
+    table1,
+    variance_gap_theorem2,
 )
+from linadjust.cli import main as cli_main  # noqa: E402
+from linadjust.dominance import _TABLE1_ROWS  # noqa: E402
 from linadjust.sim import DID_LDV_CONFIGS  # noqa: E402
 
 IO1 = parse_formula("1 + A + A:X1", ["X1"])
@@ -155,6 +182,40 @@ def lone_fits(h) -> None:
                         _feed(h, sandwich_vcov(spec, data, res))
 
 
+def population(h) -> None:
+    rng = np.random.default_rng(29)
+    pops = [random_moment_population(rng, 1 + k % 3) for k in range(21)]
+    for pop in pops:
+        specs = [named_spec(name, pop.p) for name in NAMED_SPECS]
+        for spec in specs:
+            sol = solve_population(spec, pop)
+            _feed(h, sol.alpha, sol.beta, sol.gamma, sol.delta, sol.beta_ate,
+                  asymptotic_variance_known_mean(spec, pop),
+                  asymptotic_variance_centered(spec, pop))
+        for s1 in specs:
+            for s2 in specs:
+                if condition_centered(s1, s2):
+                    _feed(h, variance_gap_theorem2(s1, s2, pop))
+        _feed(h, table1(pop.p, pop.pi), corollaries(pop.pi, pop.p))
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, pop in enumerate(pops[:3]):
+            path = Path(tmp, f"population{k}.json")
+            path.write_text(json.dumps(population_to_dict(pop)))
+            p, pi = str(pop.p), repr(pop.pi)
+            runs = [["table1", "--pi", pi, "--p", p]]
+            for f1, f2 in _TABLE1_ROWS:
+                runs.append(["compare", "--population", str(path), "--model", f1, "--model2", f2])
+                for centering in ("known-mean", "empirical"):
+                    runs.append(["check", "--model", f1, "--model2", f2, "--pi", pi, "--p", p,
+                                 "--centering", centering])
+            for argv in runs:
+                for fmt in ("json", "text"):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        rc = cli_main([*argv, "--format", fmt])
+                    _feed(h, rc, out.getvalue().replace(tmp, "<dir>"))
+
+
 GROUPS = {
     "scenarios": scenarios,
     "counterexamples": counterexamples,
@@ -162,6 +223,7 @@ GROUPS = {
     "gaussian-p3": gaussian_p3,
     "all-svd": all_svd,
     "lone-fits": lone_fits,
+    "population": population,
 }
 
 
