@@ -62,6 +62,7 @@ from .model import (
     Dataset,
     KnownMean,
     ModelSpec,
+    _check_names,
     _check_pi,
     _default_names,
     format_formula,
@@ -120,7 +121,10 @@ def _parse_pis(text: str) -> list[float]:
             raise ValueError(f"pi range must be numeric, got {text!r}") from None
         if step <= 0 or stop < start:
             raise ValueError(f"pi range must increase, got {text!r}")
-        vals = [round(v, 12) for v in np.arange(start, stop + step / 2, step)]
+        # the half step of slack keeps a last value that floating point put just past
+        # stop; one more than 1e-12 past it is dropped, and none is kept past stop
+        grid = np.arange(start, stop + step / 2, step)
+        vals = [min(round(v, 12), stop) for v in grid if v <= stop + 1e-12]
     else:
         vals = _parse_float_list(text, "--pis")
     if not vals or not all(0.0 < v < 1.0 for v in vals):
@@ -164,7 +168,8 @@ def _csv_error(exc: csv.Error, fh, start: int) -> csv.Error:
 
 
 def _header(reader, fh, path: str) -> list[str]:
-    """The checked header names: ``a``, ``y``, at least one covariate, optional ``w``."""
+    """The checked header names: ``a``, ``y``, at least one covariate, optional ``w``;
+    the covariates' names as formulas can address them (``model._check_names``)."""
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -178,6 +183,10 @@ def _header(reader, fh, path: str) -> list[str]:
         raise ValueError(f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'")
     if names[2:] == ["w"]:
         raise ValueError(f"{path}: need at least one covariate column")
+    try:
+        _check_names(names[2 : len(names) - (names[-1] == "w")])
+    except ValueError as exc:
+        raise ValueError(f"{path} line 1: {exc}") from None
     return names
 
 
@@ -382,12 +391,7 @@ def cmd_estimate(args: argparse.Namespace) -> str:
 
 def _verdict_record(verdict: DominanceVerdict) -> dict:
     """``dataclasses.asdict(verdict)``, without its recursive deep copy."""
-    return {
-        "verdict": verdict.verdict,
-        "theorem": verdict.theorem,
-        "centering": verdict.centering,
-        "explanation": dict(verdict.explanation),
-    }
+    return {**vars(verdict), "explanation": dict(verdict.explanation)}
 
 
 def cmd_check(args: argparse.Namespace) -> str:

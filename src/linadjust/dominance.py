@@ -155,16 +155,9 @@ def table1(p: int, pi: float) -> list[dict]:
         s2 = parse_formula(f2, names)
         known = check_known_mean(s1, s2, pi)
         cent = check_centered(s1, s2, pi)
-        rows.append(
-            {
-                "model1": f1,
-                "model2": f2,
-                "known_mean": known.verdict,
-                "known_mean_clause": known.theorem,
-                "empirical": cent.verdict,
-                "empirical_clause": cent.theorem,
-            }
-        )
+        rows.append({"model1": f1, "model2": f2,
+                     "known_mean": known.verdict, "known_mean_clause": known.theorem,
+                     "empirical": cent.verdict, "empirical_clause": cent.theorem})
     return rows
 
 
@@ -180,23 +173,9 @@ def corollaries(pi: float, p: int = 2) -> list[dict]:
     LDV behind DiD in none at pi = 0.5, in 390 at pi = 0.3 and in 400 at
     pi = 0.7. ``did_vs_ldv_experiment`` simulates pi = 0.5 only.
     """
-    pairs = [
-        ("ANHECOVA", "ANOVA"),
-        ("ANHECOVA", "ANCOVA"),
-        ("LDV", "DiD"),
-    ]
     out = []
-    for name1, name2 in pairs:
-        s1 = named_spec(name1, p)
-        s2 = named_spec(name2, p)
-        v = check_centered(s1, s2, pi)
-        out.append(
-            {
-                "model1": name1,
-                "model2": name2,
-                "verdict": v.verdict,
-                "clause": v.theorem,
-                "certified": v.verdict in ("Dominates", "EqualVariance"),
-            }
-        )
+    for name1, name2 in (("ANHECOVA", "ANOVA"), ("ANHECOVA", "ANCOVA"), ("LDV", "DiD")):
+        v = check_centered(named_spec(name1, p), named_spec(name2, p), pi)
+        out.append({"model1": name1, "model2": name2, "verdict": v.verdict, "clause": v.theorem,
+                    "certified": v.verdict in ("Dominates", "EqualVariance")})
     return out

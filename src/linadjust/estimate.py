@@ -12,19 +12,13 @@ n. The Gram ZᵀWZ = (Z·w) @ Zᵀ and a lone fit's U·Uᵀ are products that
 numpy hands to BLAS gemm, never a block times its own transpose, which it
 hands to the slower syrk (``_self_product``); the weights enter the Gram
 route once, as Z·w, and W^½Z is formed only for the samples the SVD
-takes. Inside ``_fit``, ``_solve`` is the (weighted)
-least-squares solve used by OLS, WLS, every IRLS step and the full-model
-refit for the centering penalty. It solves a sample from its Gram matrix
-ZᵀWZ (one eigendecomposition, the coefficients refined once) when the
-Gram is finite and its eigenvalue ratio exceeds GRAM_RTOL = 1e-6, that
-is when κ = s_max/s_min < 10³. The accuracy rule is a budget per
-quantity against the exact solution of the same double data
-(GRAM_BUDGET, checked against a long-double oracle in the tests): the
-coefficients and ate_hat within κ(1 + κη)·ε, the least-squares condition
-that the SVD's own error follows; the bread within 8κ²·ε; and the
-covariance, the ATE variance its [1, 1] entry, within its change under
-the bread's and the residuals' errors. Every other sample goes to the
-batched SVD of ``_svd_solve``, which holds the one rank rule. Every
+takes. ``_fit`` assembles every fit: the design, the solve (``_irls``
+for Poisson), the residual, the variances, the centering penalty and the
+failed rows. ``_solve`` is the (weighted) least-squares solve used by OLS,
+WLS, every IRLS step and the full-model refit for the centering penalty:
+from the Gram matrix ZᵀWZ when κ = s_max/s_min < 10³ (GRAM_RTOL), within
+the per-quantity budget GRAM_BUDGET states, and otherwise by the batched
+SVD of ``_svd_solve``, which holds the one rank rule. Every
 variance is a sum over the influence rows U = B·Z·diag(wε̂) of
 ``_influence``: ``_ate_var`` sums the squares of the ATE row alone, which
 is every fit's ate_se, and ``_vcov`` forms U·Uᵀ, the HC0/HC1 covariance,
@@ -448,11 +442,6 @@ def _is_full(spec: ModelSpec) -> bool:
     return all(c.is_free for c in spec.gamma) and all(c.is_free for c in spec.delta)
 
 
-def _no_interactions(spec: ModelSpec) -> bool:
-    """Whether every interaction is fixed at 0: then δ_s = 0 and the centering penalty is 0."""
-    return all(c.value == 0.0 for c in spec.delta)
-
-
 def _centering_penalty(sigma, delta_s, delta_f):
     """The empirical-centering penalty delta_s' Sigma (2 delta_f - delta_s), per sample."""
     return (delta_s[..., None, :] @ sigma @ (2.0 * delta_f - delta_s)[..., :, None])[..., 0, 0]
@@ -468,7 +457,8 @@ def _penalized(var, sigma, delta_s, delta_f, scale):
 def _fit(
     spec: ModelSpec, st: _Stack, family: str = "gaussian", hc1: bool = False, *, vcov: bool = False
 ) -> _Fits:
-    """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian" or "poisson".
+    """Fit ``spec`` to every sample of the stack; ``family`` is "gaussian"
+    (OLS, or WLS on a weighted stack) or "poisson" (``_irls``, unweighted).
 
     ``ate_se`` comes from each sample's ATE influence row (``_ate_var``),
     so a stacked fit and a fit alone give it the same bits. The other
@@ -476,32 +466,30 @@ def _fit(
     which a lone fit's FitResult reports and ``run_grid`` does not read.
     """
     _check_covariates(spec, st.x.shape[2])
-    fits = _fit_poisson(spec, st, vcov) if family == "poisson" else _fit_linear(spec, st, hc1, vcov)
-    # an empty arm is also a singular design, but it is reported as what it is
-    fits.errors.update(st.empty_arms)
-    if fits.errors:
-        failed = list(fits.errors)
-        fits.coef[failed] = np.nan
-        fits.ate_se[failed] = np.nan
-        fits.clamped[failed] = False
-    return fits
-
-
-def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool, want_vcov: bool) -> _Fits:
-    """The OLS/WLS fit, with the empirical-centering penalty in ate_se."""
+    poisson = family == "poisson"
+    if poisson and not st.counts:
+        msg = "Poisson outcomes must be nonnegative integers"
+        raise ValueError(msg)
     z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
-    yadj = st.y - offset
-    del offset  # dead arrays are freed at once, to keep a chunk's peak memory down
-    coef, bread, s, errors = _solve(z, yadj, cmap.labels, st.scaled_w)
-    yadj -= (coef[:, None, :] @ z)[:, 0]  # now the residual
-    var = _ate_var(z, yadj, bread, st.scaled_w, hc1)
-    vcov = _vcov(z, yadj, bread, st.scaled_w, hc1) if want_vcov else None
-    del z, yadj  # so the full-model refit below does not raise peak memory
+    if poisson:
+        w = None
+        coef, bread, s, errors, converged, iterations = _irls(z, offset, st.y, cmap.labels)
+        resid = st.y - np.exp((coef[:, None, :] @ z)[:, 0] + offset)
+    else:
+        resid = st.y - offset
+        del offset  # dead arrays are freed at once, to keep a chunk's peak memory down
+        w = st.scaled_w
+        coef, bread, s, errors = _solve(z, resid, cmap.labels, w)
+        resid -= (coef[:, None, :] @ z)[:, 0]
+        converged, iterations = np.ones(len(coef), dtype=bool), np.ones(len(coef), dtype=int)
+    var = _ate_var(z, resid, bread, w, hc1)
+    cov = _vcov(z, resid, bread, w, hc1) if vcov else None
+    del z, resid  # so the full-model refit below does not raise peak memory
     ate_se = np.sqrt(var)
     clamped = np.zeros(len(var), dtype=bool)
-    if isinstance(spec.centering, Empirical) and not _no_interactions(spec):
+    if not poisson and isinstance(spec.centering, Empirical):
         delta = _with_fixed(spec.delta, cmap.delta_cols, coef)
-        need = np.any(delta != 0.0, axis=1)
+        need = np.any(delta != 0.0, axis=1)  # δ_s = 0 has no penalty
         need[list(errors)] = False  # a failed sample's NaN delta needs no penalty
         if need.any():
             rows = slice(None) if need.all() else np.flatnonzero(need)
@@ -510,24 +498,28 @@ def _fit_linear(spec: ModelSpec, st: _Stack, hc1: bool, want_vcov: bool) -> _Fit
             clamped[rows] = over
             ate_se[rows] = np.sqrt(total)
             errors.update((r, e) for r, e in full_errors.items() if need[r])
-    r = len(var)
-    return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors, clamped,
-                 np.ones(r, dtype=bool), np.ones(r, dtype=int))
+    # an empty arm is also a singular design, but it is reported as what it is
+    errors.update(st.empty_arms)
+    if errors:
+        failed = list(errors)
+        coef[failed] = np.nan
+        ate_se[failed] = np.nan
+        clamped[failed] = False
+    return _Fits(spec, cmap, coef, cov, ate_se, s[:, 0] / s[:, -1], errors, clamped, converged,
+                 iterations)
 
 
-def _fit_poisson(spec: ModelSpec, st: _Stack, want_vcov: bool) -> _Fits:
-    """Poisson IRLS as a loop of stacked weighted solves.
+def _irls(z, offset, y, labels: tuple[str, ...]):
+    """Poisson IRLS of y (R, n) on the column-major designs z (R, q, n) with
+    the offsets (R, n), as a loop of stacked weighted solves.
 
     Each sample keeps its own iteration sequence and stops when its
     step falls below IRLS_TOL; a sample whose linear predictor leaves
-    |eta| <= 700 or whose IRLS weights collapse diverges alone.
+    |eta| <= 700 or whose IRLS weights collapse diverges alone, its row NaN.
+    Returns what ``_solve`` returns at the last step, then whether each
+    sample converged and its number of steps.
     """
-    y = st.y
-    if not st.counts:
-        msg = "Poisson outcomes must be nonnegative integers"
-        raise ValueError(msg)
-    z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
-    coef, bread, s, errors = _solve(z, np.log(y + 0.5) - offset, cmap.labels)
+    coef, bread, s, errors = _solve(z, np.log(y + 0.5) - offset, labels)
     converged = np.zeros(len(y), dtype=bool)
     iterations = np.zeros(len(y), dtype=int)
     active = np.ones(len(y), dtype=bool)
@@ -543,7 +535,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack, want_vcov: bool) -> _Fits:
         mu = np.exp(np.where(out[:, None], 0.0, eta))
         work = (eta - oi) + (y[rows] - mu) / mu
         del eta
-        new, bread[rows], s[rows], collapsed = _solve(zi, work, cmap.labels, mu)
+        new, bread[rows], s[rows], collapsed = _solve(zi, work, labels, mu)
         del zi, oi, mu, work  # a gathered zi is not held through the sandwich
         # z itself has full rank, so a rank failure here means the IRLS weights
         # collapsed: a fitted mean went to 0
@@ -558,11 +550,7 @@ def _fit_poisson(spec: ModelSpec, st: _Stack, want_vcov: bool) -> _Fits:
         active[idx[out | done]] = False
 
     coef[list(errors)] = np.nan
-    resid = y - np.exp((coef[:, None, :] @ z)[:, 0] + offset)
-    ate_se = np.sqrt(_ate_var(z, resid, bread))
-    vcov = _vcov(z, resid, bread) if want_vcov else None
-    return _Fits(spec, cmap, coef, vcov, ate_se, s[:, 0] / s[:, -1], errors,
-                 np.zeros(len(y), dtype=bool), converged, iterations)
+    return coef, bread, s, errors, converged, iterations
 
 
 def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:

@@ -291,12 +291,7 @@ def parse_formula(text: str, covariate_names: list[str]) -> ModelSpec:
 @functools.lru_cache(maxsize=256)
 def _parse_formula(text: str, names: tuple[str, ...]) -> ModelSpec:
     """:func:`parse_formula` on a hashable tuple of names, memoized."""
-    if len(set(names)) != len(names):
-        msg = "covariate names must be unique"
-        raise ValueError(msg)
-    if "1" in names or "A" in names:
-        msg = "covariate names '1' and 'A' are reserved"
-        raise ValueError(msg)
+    _check_names(names)
     index = {name: j for j, name in enumerate(names)}
     p = len(names)
 
@@ -345,6 +340,18 @@ def _parse_formula(text: str, names: tuple[str, ...]) -> ModelSpec:
         gamma=tuple(c if c is not None else zero for c in gamma),
         delta=tuple(c if c is not None else zero for c in delta),
     )
+
+
+def _check_names(names) -> None:
+    """Raise unless the covariate names are unique and none is ``1`` or ``A``, which
+    formulas reserve; the error cites the first name at fault."""
+    for j, name in enumerate(names):
+        if name in ("1", "A"):
+            msg = f"covariate names '1' and 'A' are reserved, got {name!r}"
+            raise ValueError(msg)
+        if name in names[:j]:
+            msg = f"covariate names must be unique, got {name!r} twice"
+            raise ValueError(msg)
 
 
 def _set_term(slots, j, constraint, names, side):

@@ -10,6 +10,7 @@ sampler's closed-form ``moments()``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,36 +36,37 @@ __all__ = [
 ]
 
 
-def _checked_sigma(sigma, **vectors):
-    """sigma as a float matrix, the named vectors as float vectors, and sigma's
-    Cholesky factor; raises unless sigma is square, every vector has its
-    dimension, all are finite, and sigma is symmetric and positive definite.
+def _checked_sigma(record, *vectors: str) -> np.ndarray:
+    """Store the frozen ``record``'s sigma as a float matrix and its named vector
+    fields as float vectors; return sigma's Cholesky factor. Raises unless sigma
+    is square, every vector has its dimension, all are finite, and sigma is
+    symmetric and positive definite.
 
     Symmetry is ``np.allclose``'s predicate |σ - σᵀ| <= 1e-8 + 1e-5·|σᵀ|,
     written out; on finite values the two agree.
     """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    vectors = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in vectors.items()}
+    sigma = np.atleast_2d(np.asarray(record.sigma, dtype=float))
+    arrays = {k: np.atleast_1d(np.asarray(getattr(record, k), dtype=float)) for k in vectors}
     p = sigma.shape[0]
     if sigma.shape != (p, p):
         msg = f"sigma must be square, got shape {sigma.shape}"
         raise ValueError(msg)
-    if any(v.shape != (p,) for v in vectors.values()):
+    if any(v.shape != (p,) for v in arrays.values()):
         msg = f"{' and '.join(vectors)} must match sigma's dimension"
         raise ValueError(msg)
-    for name, v in {"sigma": sigma, **vectors}.items():
+    for name, v in {"sigma": sigma, **arrays}.items():
         if not np.isfinite(v).all():
             msg = f"{name} must be finite"
             raise ValueError(msg)
+        object.__setattr__(record, name, v)
     if not (np.abs(sigma - sigma.T) <= 1e-8 + 1e-5 * np.abs(sigma.T)).all():
         msg = "sigma must be symmetric"
         raise ValueError(msg)
     try:
-        chol = np.linalg.cholesky(sigma)
+        return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         msg = "sigma must be positive definite"
         raise SingularDesignError(msg) from None
-    return sigma, list(vectors.values()), chol
 
 
 def _checked_scalars(record, *names: str) -> None:
@@ -105,14 +107,10 @@ class ExactMoments:
     q0: float
 
     def __post_init__(self) -> None:
-        sigma, (omega1, omega0), chol = _checked_sigma(
-            self.sigma, omega1=self.omega1, omega0=self.omega0
-        )
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "omega1", omega1)
-        object.__setattr__(self, "omega0", omega0)
+        chol = _checked_sigma(self, "omega1", "omega0")
         _checked_scalars(self, "mu1", "mu0", "q1", "q0")
-        for arm, omega, mu, q in ((1, omega1, self.mu1, self.q1), (0, omega0, self.mu0, self.q0)):
+        arms = ((1, self.omega1, self.mu1, self.q1), (0, self.omega0, self.mu0, self.q0))
+        for arm, omega, mu, q in arms:
             half = np.linalg.solve(chol, omega)  # L⁻¹ω, so ω'Σ⁻¹ω = ‖L⁻¹ω‖²
             least = mu * mu + float(half @ half)
             if not q >= least * (1.0 - MOMENT_RTOL):  # a NaN q or bound fails too
@@ -145,12 +143,8 @@ class GaussianArmSampler:
     s1: float
 
     def __post_init__(self) -> None:
-        sigma, (l0, l1), chol = _checked_sigma(self.sigma, l0=self.l0, l1=self.l1)
+        object.__setattr__(self, "_chol", _checked_sigma(self, "l0", "l1"))
         _checked_scalars(self, "b0", "b1", "s0", "s1")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "l0", l0)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "_chol", chol)
 
     @property
     def p(self) -> int:
@@ -159,15 +153,9 @@ class GaussianArmSampler:
     def moments(self) -> ExactMoments:
         q1 = self.b1**2 + self.l1 @ self.sigma @ self.l1 + self.s1**2
         q0 = self.b0**2 + self.l0 @ self.sigma @ self.l0 + self.s0**2
-        return ExactMoments(
-            sigma=self.sigma,
-            omega1=self.sigma @ self.l1,
-            omega0=self.sigma @ self.l0,
-            mu1=self.b1,
-            mu0=self.b0,
-            q1=q1,
-            q0=q0,
-        )
+        sigma = self.sigma
+        return ExactMoments(sigma=sigma, omega1=sigma @ self.l1, omega0=sigma @ self.l0,
+                            mu1=self.b1, mu0=self.b0, q1=q1, q0=q0)
 
     def potential(self, n: int, rng: np.random.Generator):
         """Draw covariates and both potential outcomes."""
@@ -282,13 +270,8 @@ def solve_population(spec: ModelSpec, pop: PopulationSpec) -> PopulationSolution
         delta[g_idx] = sol[m:]
 
     beta_ate = mom.mu1 - mom.mu0
-    return PopulationSolution(
-        alpha=mom.mu0,
-        beta=beta_ate,
-        gamma=gamma,
-        delta=delta,
-        beta_ate=beta_ate,
-    )
+    return PopulationSolution(alpha=mom.mu0, beta=beta_ate, gamma=gamma, delta=delta,
+                              beta_ate=beta_ate)
 
 
 def _residual_second_moment(mom: ExactMoments, sol: PopulationSolution, arm: int) -> float:
@@ -446,10 +429,34 @@ def population_to_dict(pop: PopulationSpec) -> dict:
     return {"pi": pop.pi, **record}
 
 
+# A population record's fields by depth: 0 a number, 1 a list of numbers, 2 a list of lists.
+_RECORD = {"pi": 0, "sigma": 2, "omega1": 1, "omega0": 1, "mu1": 0, "mu0": 0, "q1": 0, "q0": 0}
+_DEPTHS = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
 def population_from_dict(d: dict) -> PopulationSpec:
-    try:
-        moments = ExactMoments(**{f.name: d[f.name] for f in fields(ExactMoments)})
-        return PopulationSpec(pi=float(d["pi"]), moments=moments)
-    except KeyError as exc:
-        msg = f"population record is missing field {exc.args[0]!r}"
-        raise ValueError(msg) from None
+    """The population of a record as ``population_to_dict`` writes it and JSON
+    reads it: an object whose pi, mu_a and q_a are numbers, whose omega_a are
+    lists of numbers and whose sigma is a list of lists of them. A number is an
+    int or a float that a double holds, not a bool, a string or None. A field
+    that is missing or not of its shape is refused by name.
+    """
+    if not isinstance(d, dict):
+        msg = f"population record must be a JSON object, got {type(d).__name__}"
+        raise ValueError(msg)
+    for name, depth in _RECORD.items():
+        if name not in d:
+            msg = f"population record is missing field {name!r}"
+            raise ValueError(msg)
+        if not _numbers(d[name], depth):
+            msg = f"{name} must be {_DEPTHS[depth]}, got {d[name]!r}"
+            raise ValueError(msg)
+    moments = ExactMoments(**{f.name: d[f.name] for f in fields(ExactMoments)})
+    return PopulationSpec(pi=float(d["pi"]), moments=moments)
+
+
+def _numbers(v, depth: int) -> bool:
+    """Whether v is a number a double holds (depth 0) or a list of ``depth`` levels of them."""
+    if depth:
+        return isinstance(v, list) and all(_numbers(x, depth - 1) for x in v)
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)

@@ -422,10 +422,20 @@ def _integer(value, what: str) -> int:
     return operator.index(value)
 
 
+def _nonnegative(value, what: str) -> int:
+    """``value`` as an ``int`` (``_integer``) that a SeedSequence takes: not negative."""
+    v = _integer(value, what)
+    if v < 0:
+        msg = f"{what}: expected non-negative integer, got {v}"
+        raise ValueError(msg)
+    return v
+
+
 def rep_seed(root_seed: int, cell_key: str, rep: int) -> np.random.SeedSequence:
     """Derived seed for one replication; independent across cells and reps.
-    ``root_seed`` and ``rep`` are integers, as ``run_grid``'s seed and reps are."""
-    root, rep = _integer(root_seed, "root_seed"), _integer(rep, "rep")
+    ``root_seed`` and ``rep`` are non-negative integers, as ``run_grid``'s seed
+    and replication indices are."""
+    root, rep = _nonnegative(root_seed, "root_seed"), _nonnegative(rep, "rep")
     return np.random.SeedSequence((root, _digest(cell_key), rep))
 
 
@@ -541,8 +551,8 @@ def run_grid(
     are those of drawing and fitting each replication alone.
     Scenarios with covariate-dependent assignment ignore ``pis``.
     Before the first draw, ``seed`` and ``reps`` (integers, not bools or
-    floats, stored as ``int``; reps positive), ``models`` (not empty),
-    every pi and, where the draws' covariate count is
+    floats, stored as ``int``; seed non-negative, reps positive),
+    ``models`` (not empty), every pi and, where the draws' covariate count is
     known (1 for a standard scenario, else the sampler's ``p``), every model's
     are checked; a sampler without ``p`` has its models checked at the first fit.
     Failed fits are excluded and counted per cell, by cause, in
@@ -556,7 +566,7 @@ def run_grid(
         Bias is measured against the scenario's exact effect,
         ``scn.beta_ate``.
     """
-    reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
+    reps, seed = _integer(reps, "reps"), _nonnegative(seed, "seed")
     if reps <= 0:
         msg = f"reps must be positive, got {reps}"
         raise ValueError(msg)

@@ -453,6 +453,23 @@ class TestCsvValidation:
         rc, out, err = run(["estimate", "--data", str(path), "--model", "anova"], capsys)
         assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "header, model, rule",
+        [("a,y,x,x", "ANCOVA", "covariate names must be unique, got 'x' twice"),
+         ("a,y,x, x ,w", "1 + A + x", "covariate names must be unique, got 'x' twice"),
+         ("a,y,A", "ANCOVA", "covariate names '1' and 'A' are reserved, got 'A'"),
+         ("a,y,x,1,w", "1 + A + x", "covariate names '1' and 'A' are reserved, got '1'")],
+        ids=["twice-named-model", "twice-formula", "A", "1"],
+    )
+    def test_header_names_every_covariate_once(self, tmp_path, capsys, header, model, rule):
+        """``a,y,x,x`` fitted ANCOVA as ``1 + A + x + x`` with exit 0, and with a formula
+        failed naming no file; a covariate ``A`` reported ``1 + A + A``."""
+        path = tmp_path / "bad.csv"
+        row = ",1" * header.count(",")
+        path.write_text(header + "\n" + "".join(f"{k % 2}{row}\n" for k in range(6)))
+        rc, out, err = run(["estimate", "--data", str(path), "--model", model], capsys)
+        assert (rc, out, err) == (2, "", f"error: {path} line 1: {rule}\n")
+
     def test_missing_file(self, capsys):
         rc, _, err = run(
             ["estimate", "--data", "/does/not/exist.csv", "--model", "anova"], capsys
@@ -743,6 +760,13 @@ def _reference_rows(path):
                         return f"{path}: header must be 'a,y,<covariates...>[,w]', got '{got}'"
                     if names[2:] == ["w"]:
                         return f"{path}: need at least one covariate column"
+                    covariates = names[2 : len(names) - (names[-1] == "w")]
+                    for j, name in enumerate(covariates):
+                        if name in ("1", "A"):
+                            rule = f"covariate names '1' and 'A' are reserved, got {name!r}"
+                            return f"{path} line 1: {rule}"
+                        if name in covariates[:j]:
+                            return f"{path} line 1: covariate names must be unique, got {name!r} twice"
                 elif any(v.strip() for v in row):
                     if len(row) != len(names):
                         return f"{path} line {line}: expected {len(names)} fields, got {len(row)}"
@@ -808,7 +832,8 @@ def _csv_files(draw):
         return text.encode()
     header = draw(st.one_of(
         st.sampled_from(["a,y,x1", "a,y,x1,w", " a , y ,x1,x2", '"a",y,x1']),
-        st.sampled_from(["a,y,x1", "a,y,x1,w", "a,y,w", "t,y,x1", 'a,y,"x1', "a,y,x§"]),
+        st.sampled_from(["a,y,x1", "a,y,x1,w", "a,y,w", "t,y,x1", 'a,y,"x1', "a,y,x§", "a,y,x1, x1",
+                         "a,y,A,w"]),
     ))
     width = header.count(",") + 1
     arm = st.sampled_from(["0", "1", " 1", "0.0"])
@@ -1119,6 +1144,33 @@ class TestCompare:
         )
         assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [({"pi": "0.3"}, "pi must be a number, got '0.3'"),
+         ({"mu1": True}, "mu1 must be a number, got True"),
+         ({"q0": None}, "q0 must be a number, got None"),
+         ({"sigma": [["1"]]}, "sigma must be a list of lists of numbers, got [['1']]"),
+         ({"sigma": [1.0]}, "sigma must be a list of lists of numbers, got [1.0]"),
+         ({"omega1": ["0.5"]}, "omega1 must be a list of numbers, got ['0.5']"),
+         ({"omega0": 0.5}, "omega0 must be a list of numbers, got 0.5"),
+         ({"mu0": 10**400}, f"mu0 must be a number, got {10**400}"),
+         ([1, 2], "population record must be a JSON object, got list")],
+        ids=["string-pi", "bool-mu1", "null-q0", "string-sigma", "flat-sigma", "string-omega1",
+             "scalar-omega0", "huge-mu0", "array"],
+    )
+    def test_record_takes_numbers_only(self, tmp_path, capsys, record, message):
+        """Strings that float() parses and a bool read as 1 gave variances with
+        exit 0; a top-level array exited 2 with a message about list indices."""
+        path = tmp_path / "pop.json"
+        good = {"pi": 0.3, "sigma": [[1]], "omega1": [0.5], "omega0": [0.2],
+                "mu1": 3, "mu0": 1, "q1": 10, "q0": 2}
+        path.write_text(json.dumps({**good, **record} if isinstance(record, dict) else record))
+        rc, out, err = run(
+            ["compare", "--population", str(path), "--model", "1 + A + X1", "--model2", "1 + A"],
+            capsys,
+        )
+        assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_verdict_records_are_the_verdicts_as_dicts(self, tmp_path, capsys, p):
         """compare's and check's verdict records equal dataclasses.asdict of the
@@ -1203,6 +1255,19 @@ class TestSimulate:
         assert rc == 0
         assert ranged == listed
 
+    @pytest.mark.parametrize(
+        "pis, want",
+        [("0.3:0.33:0.05", [0.3]),
+         ("0.1:0.82:0.25", [0.1, 0.35, 0.6]),
+         ("0.1:0.9:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])],
+    )
+    def test_pi_range_stops_at_stop(self, capsys, pis, want):
+        """The range's half step of slack ran past stop: 0.3:0.33:0.05 ran pi 0.35 and
+        0.1:0.82:0.25 ran pi 0.85."""
+        rc, out, _ = run(["simulate", "--scenario", "1", "--reps", "2", "--n", "40",
+                          "--models", "1 + A", "--format", "json", "--pis", pis], capsys)
+        assert (rc, [c["pi"] for c in json.loads(out)]) == (0, want)
+
     def test_covariate_assignment_note(self, capsys):
         rc, out, err = run(
             ["simulate", "--scenario", "3", "--reps", "4", "--n", "200", "--pis", "0.3"],
@@ -1247,6 +1312,10 @@ class TestSimulate:
             ["simulate", "--scenario", "1", "--reps", "2", "--n", "40", "--pis", pis], capsys
         )
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_negative_seed_is_named(self, capsys):
+        rc, out, err = run(["simulate", "--scenario", "1", "--reps", "2", "--seed", "-3"], capsys)
+        assert (rc, out, err) == (2, "", "error: seed: expected non-negative integer, got -3\n")
 
     @pytest.mark.parametrize("models", [",", ""])
     def test_empty_model_list(self, capsys, models):

@@ -283,6 +283,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             population_from_dict({"pi": 0.5})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("pi", "0.3", "pi must be a number, got '0.3'"),
+         ("mu1", True, "mu1 must be a number, got True"),
+         ("sigma", np.eye(1), "sigma must be a list of lists of numbers"),
+         ("omega1", [None], r"omega1 must be a list of numbers, got \[None\]")],
+    )
+    def test_fields_must_be_json_numbers(self, s1_population, field, value, message):
+        """A record is JSON: strings, bools, None and arrays are refused by name,
+        where float() and np.asarray would have read them."""
+        d = population_to_dict(s1_population)
+        d[field] = value
+        with pytest.raises(ValueError, match=f"^{message}"):
+            population_from_dict(d)
+
+    def test_record_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="^population record must be a JSON object, got list$"):
+            population_from_dict([1, 2])
+
 
 def test_solve_population_checks_covariate_count(s1_population):
     with pytest.raises(ValueError, match="spec has p=2 covariates but population has p=1"):

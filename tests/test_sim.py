@@ -495,6 +495,20 @@ class TestChunkSeeds:
             run_grid(scenario(1, n=40), [ANCOVA1], [0.5], 3, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "call, name, value",
+    [(lambda: run_grid(scenario(1, n=40), [ANCOVA1], [0.5], 3, seed=-3), "seed", -3),
+     (lambda: rep_seed(-1, "k", 0), "root_seed", -1),
+     (lambda: rep_seed(0, "k", -1), "rep", -1)],
+    ids=["run_grid", "root_seed", "rep"],
+)
+def test_a_negative_seed_is_named(call, name, value):
+    """Each said only "expected non-negative integer", run_grid's from its seed
+    derivation, and named no argument."""
+    with pytest.raises(ValueError, match=f"^{name}: expected non-negative integer, got {value}$"):
+        call()
+
+
 class TestSeedBlocks:
     """run_grid derives a cell's seeds SEED_BLOCK replications per ``_rep_states``
     call and hands each chunk its slice."""

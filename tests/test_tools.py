@@ -1,7 +1,8 @@
-"""``tools/kernel_layers.py`` on the benchmark's tiny workloads.
+"""``tools/kernel_layers.py`` on the benchmark's tiny workloads, and
+``tools/corpus_digest.py``'s groups in two orders.
 
-The tool names the kernel's private functions (its TIMED, DRAW_TIMED and
-RECORDED tables), so a kernel rename that it does not follow fails here.
+The first tool names the kernel's private functions (its TIMED, DRAW_TIMED
+and RECORDED tables), so a kernel rename that it does not follow fails here.
 """
 
 from __future__ import annotations
@@ -41,3 +42,15 @@ def test_kernel_layers_replays_the_tiny_workloads(monkeypatch, capsys):
     assert all(kappa.size and (kappa >= 1.0).all() for kappa in routes.values())
     out = capsys.readouterr().out
     assert "Self time per stage" in out and "Routes of the recorded fits" in out
+
+
+def test_corpus_digests_do_not_depend_on_order(monkeypatch):
+    """Every group of the corpus, run in GROUPS order and then in reverse in one
+    process, hashes the same: no cache or state a group leaves moves another's
+    bits. The digests themselves depend on the BLAS, so none is pinned."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(TOOLS))
+    cd = importlib.import_module("corpus_digest")
+    forward = {name: cd.digest(name) for name in cd.GROUPS}
+    backward = {name: cd.digest(name) for name in reversed(cd.GROUPS)}
+    assert forward == backward

@@ -18,6 +18,7 @@ The corpus is a set of groups, each hashed on its own:
 - ``lone-fits``: 96 fits of single draws (``fit_ols``, ``fit_weighted``,
   ``fit_poisson_glm``), with ``sandwich_vcov`` at each OLS/WLS fit's
   coefficients;
+- ``hc1-fits``: the OLS and WLS fits of ``lone-fits`` again, with ``hc1``;
 - ``population``: the exact calculus on 21 ``random_moment_population``
   records (p = 1..3): every named spec's ``solve_population`` coefficients,
   its ``asymptotic_variance_known_mean`` and ``asymptotic_variance_centered``,
@@ -26,7 +27,14 @@ The corpus is a set of groups, each hashed on its own:
   and p; then, for three of the records written to a temporary directory, the
   exit code and stdout of ``cli.main`` for ``compare`` and ``check`` on each
   Table 1 pair (``check`` under both centerings) and for ``table1``, each in
-  json and text, with the directory's name replaced by ``<dir>``.
+  json and text, with the directory's name replaced by ``<dir>``;
+- ``estimate-cli``: the exit code, stdout and stderr of ``cli.main``
+  ``estimate`` on CSVs of single draws written to a temporary directory
+  (``CSVS``): plain (scenario 1, at n = 150 and 10, and scenario 3 at n = 8)
+  and weighted (scenario 4) data under five models, each as it is, with
+  ``--hc1`` and with known-mean centering, and counts (scenario 2) under the
+  Poisson family, each in json and text, with the directory's name replaced
+  by ``<dir>``.
 
 A group hashes every cell's report fields, ``mean_se``, failure causes and
 kept estimates; every lone fit's ``ate_hat``, ``ate_se``, ``vcov`` and free
@@ -36,6 +44,8 @@ warnings raised; and the type and message of any error a run raises.
 Arrays enter as their dtype, shape and bytes, scalars as their ``repr``.
 One digest is printed per group, then one over all of them. Two trees that
 print the same digests give the same bits for every number of the corpus.
+A group's digest does not depend on the groups run before it in the process
+(``tests/test_tools.py`` runs them in both orders).
 
 Only the standard library and numpy are used; it runs in a few seconds.
 """
@@ -49,6 +59,7 @@ import json
 import sys
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -165,8 +176,8 @@ def all_svd(h) -> None:
         _grid(h, custom_scenario(sampler, pi=0.5, n=n), TRIO, None, 20, 5)
 
 
-def lone_fits(h) -> None:
-    for sid, fit in ((1, fit_ols), (2, fit_poisson_glm), (3, fit_ols), (4, fit_weighted)):
+def lone_fits(h, fits=((1, fit_ols), (2, fit_poisson_glm), (3, fit_ols), (4, fit_weighted))) -> None:
+    for sid, fit in fits:
         for n in (8, 150):
             for seed in (0, 1):
                 data = draw(scenario(sid, n=n), seed, pi=0.3).data
@@ -180,6 +191,19 @@ def lone_fits(h) -> None:
                           res.converged, res.iterations)
                     if fit is not fit_poisson_glm:
                         _feed(h, sandwich_vcov(spec, data, res))
+
+
+def hc1_fits(h) -> None:
+    fits = ((1, fit_ols), (3, fit_ols), (4, fit_weighted))
+    lone_fits(h, [(sid, partial(fit, hc1=True)) for sid, fit in fits])
+
+
+def _cli(argv: list[str], tmp: str) -> tuple[int, str, str]:
+    """``cli.main``'s exit code, stdout and stderr, with ``tmp`` written ``<dir>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli_main(argv)
+    return rc, out.getvalue().replace(tmp, "<dir>"), err.getvalue().replace(tmp, "<dir>")
 
 
 def population(h) -> None:
@@ -210,10 +234,35 @@ def population(h) -> None:
                                  "--centering", centering])
             for argv in runs:
                 for fmt in ("json", "text"):
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                        rc = cli_main([*argv, "--format", fmt])
-                    _feed(h, rc, out.getvalue().replace(tmp, "<dir>"))
+                    _feed(h, *_cli([*argv, "--format", fmt], tmp)[:2])
+
+
+# (file, scenario, n, seed) of the estimate-cli group's CSVs: at n = 10 one fit's standard
+# error is clamped, at n = 8 the interaction models' designs are singular
+CSVS = [("plain", 1, 150, 2), ("clamped", 1, 10, 2), ("singular", 3, 8, 3), ("weighted", 4, 150, 2),
+        ("counts", 2, 150, 2)]
+
+
+def estimate_cli(h) -> None:
+    models = ["anova", "ancova", "anhecova", "1 + A + A:x1", "1 + A + x1@0.5 + A:x1@-0.25"]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name, sid, n, seed in CSVS:
+            data = draw(scenario(sid, n=n), seed, pi=0.3).data
+            cols = [data.a, data.y, data.x[:, 0]] + ([] if data.weights is None else [data.weights])
+            path = str(Path(tmp, f"{name}.csv"))
+            header = "a,y,x1" + ("" if data.weights is None else ",w")
+            rows = (",".join(repr(float(v)) for v in row) for row in zip(*cols))
+            Path(path).write_text("\n".join([header, *rows]) + "\n")
+            for model in models:
+                argv = ["estimate", "--data", path, "--model", model]
+                if name == "counts":
+                    runs.append([*argv, "--family", "poisson"])
+                else:
+                    runs += [argv, [*argv, "--hc1"], [*argv, "--centering", "known-mean", "--mean", "0.3"]]
+        for argv in runs:
+            for fmt in ("json", "text"):
+                _feed(h, *_cli([*argv, "--format", fmt], tmp))
 
 
 GROUPS = {
@@ -223,20 +272,28 @@ GROUPS = {
     "gaussian-p3": gaussian_p3,
     "all-svd": all_svd,
     "lone-fits": lone_fits,
+    "hc1-fits": hc1_fits,
     "population": population,
+    "estimate-cli": estimate_cli,
 }
+
+
+def digest(name: str) -> bytes:
+    """The digest of group ``name``: its numbers, then the messages of the warnings it raised."""
+    h = hashlib.sha256()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        GROUPS[name](h)
+    _feed(h, *(str(w.message) for w in caught))
+    return h.digest()
 
 
 def main() -> int:
     overall = hashlib.sha256()
-    for name, group in GROUPS.items():
-        h = hashlib.sha256()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            group(h)
-        _feed(h, *(str(w.message) for w in caught))
-        overall.update(h.digest())
-        print(f"{name:<16}{h.hexdigest()}")
+    for name in GROUPS:
+        d = digest(name)
+        overall.update(d)
+        print(f"{name:<16}{d.hex()}")
     print(f"{'overall':<16}{overall.hexdigest()}")
     return 0
 

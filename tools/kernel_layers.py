@@ -17,10 +17,11 @@ tables replay those calls, tail chunks included, in µs per call of a kind
 - stages: the recorded fits, each pass on fresh ``_Stack``s of the recorded
   samples, split by TIMED into the self time of design (``_design``,
   ``_Stack.centered``), gram (``_solve`` itself: ZᵀWZ and the routing), eigh,
-  solve (``_gram_solve``, ``_svd_solve``), residual (``_fit_linear``,
-  ``_fit_poisson``), influence (``_influence``), ate row (the rest of
-  ``_ate_var``), vcov (the rest of ``_vcov``: the lone fits of ``estimate``
-  commands only), penalty (``_Stack.sigma``, ``_penalized``) and fit;
+  solve (``_gram_solve``, ``_svd_solve``), irls (``_irls`` itself: the IRLS
+  steps of Poisson fits around their solves), influence (``_influence``), ate
+  row (the rest of ``_ate_var``), vcov (the rest of ``_vcov``: the lone fits
+  of ``estimate`` commands only), penalty (``_Stack.sigma``, ``_penalized``)
+  and fit (``_fit`` itself: the residual, the arms and the failed rows);
 - draw: the recorded ``_rep_states`` (seeds) and ``_draw_stack`` calls, split
   into rngs (the generators and the stack), fills (the rest of
   ``_draw_chunk``), observe (``_observe``) and check (``_check_samples``);
@@ -63,7 +64,7 @@ from linadjust import estimate, sim  # noqa: E402
 from linadjust.estimate import GRAM_RTOL  # noqa: E402
 from linadjust.model import format_formula  # noqa: E402
 
-STAGES = ("design", "gram", "eigh", "solve", "residual", "influence", "ate row", "vcov", "penalty", "fit")
+STAGES = ("design", "gram", "eigh", "solve", "irls", "influence", "ate row", "vcov", "penalty", "fit")
 TIMED = (  # (owner, attribute, stage)
     (estimate, "_design", "design"),
     (estimate._Stack, "centered", "design"),
@@ -71,8 +72,7 @@ TIMED = (  # (owner, attribute, stage)
     (np.linalg, "eigh", "eigh"),
     (estimate, "_gram_solve", "solve"),
     (estimate, "_svd_solve", "solve"),
-    (estimate, "_fit_linear", "residual"),
-    (estimate, "_fit_poisson", "residual"),
+    (estimate, "_irls", "irls"),
     (estimate, "_influence", "influence"),
     (estimate, "_ate_var", "ate row"),
     (estimate, "_vcov", "vcov"),
