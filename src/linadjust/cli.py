@@ -9,6 +9,11 @@ codes: 0 success, 2 invalid input or arguments (including an
 unwritable ``--out``), 3 estimation failure (for example a singular
 design). A failing command writes no report.
 
+A report renders the command's JSON record: ``estimate`` and ``check`` through one
+field table each (``_FIT_TEXT`` and ``_FIT_CSV``, ``_VERDICT_TEXT``), ``simulate``
+through ``sim._COLUMNS``. CSV quotes a field only where it must, and a ``simulate``
+text column that a value fills widens to its longest value plus a space.
+
 Input CSV layout: header ``a,y,<covariates...>`` with an optional
 trailing ``w`` column holding positive replication weights; UTF-8,
 ``.`` as the decimal separator. Each field is read as Python's
@@ -75,7 +80,7 @@ from .population import (
     population_from_dict,
     solve_population,
 )
-from .sim import REPORT_FIELDS, run_grid, scenario
+from .sim import _csv, run_grid, scenario
 
 __all__ = ["main"]
 
@@ -299,43 +304,47 @@ def _read_dataset(path: str) -> tuple[Dataset, list[str]]:
     return data, names[2:k]
 
 
-def _fit_report(fit: FitResult, payload: dict, cov_names: list[str], fmt: str) -> str:
-    """Render the ``estimate`` record; free/fixed status comes from ``fit.spec``."""
+# The estimate record's text lines, (JSON key, label, format), and its CSV rows
+_FIT_TEXT = (
+    ("spec", "model", ""), ("centering", "centering", ""), ("n_used", "n", ""), ("pi", "pi", ".10g"),
+    ("ate_hat", "ate_hat", ".10g"), ("ate_se", "ate_se", ".10g"), ("converged", "converged", ""),
+    ("se_clamped", "se_clamped  ", ""),  # one space wider than the rest, as it always was
+    ("condition_number", "condition", ".6g"), ("iterations", "iterations", ""),
+)
+_FIT_CSV = ("ate_hat", "ate_se", "pi", "se_clamped")
+# The check record's text lines, then one line per explanation entry
+_VERDICT_TEXT = (
+    ("model1", "model1", ""), ("model2", "model2", ""), ("pi", "pi", "g"),
+    ("centering", "centering", ""), ("verdict", "verdict", ""), ("theorem", "condition", ""),
+)
+# A field at this value has no text line or CSV row: pi not given, a flag that says nothing
+_QUIET = {"pi": None, "converged": True, "se_clamped": False}
+
+
+def _shown(record: dict, key: str) -> bool:
+    return key not in _QUIET or record[key] != _QUIET[key]
+
+
+def _text(record: dict, table) -> list[str]:
+    """``record``'s labelled text lines, in ``table``'s order and formats."""
+    return [f"{label:<11}{record[key]:{fmt}}" for key, label, fmt in table if _shown(record, key)]
+
+
+def _fit_report(fit: FitResult, record: dict, cov_names: list[str], fmt: str) -> str:
+    """Render the ``estimate`` record: its fields through ``_FIT_TEXT`` or
+    ``_FIT_CSV``, then its coefficients, whose free/fixed status comes from ``fit.spec``."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    theta = payload["theta_hat"]
-    coefs = [("intercept", theta["alpha"], True), ("A", theta["beta"], True)]
-    for name, g, c in zip(cov_names, theta["gamma"], fit.spec.gamma):
-        coefs.append((name, g, c.is_free))
-    for name, d, c in zip(cov_names, theta["delta"], fit.spec.delta):
-        coefs.append(("A:" + name, d, c.is_free))
-    pi = payload["pi"]
+        return json.dumps(record, indent=2) + "\n"
+    theta = record["theta_hat"]
+    terms = ["intercept", "A", *cov_names, *("A:" + name for name in cov_names)]
+    values = [theta["alpha"], theta["beta"], *theta["gamma"], *theta["delta"]]
+    free = [True, True, *(c.is_free for c in fit.spec.gamma + fit.spec.delta)]
     if fmt == "csv":
-        lines = ["term,value", f"ate_hat,{payload['ate_hat']!r}", f"ate_se,{payload['ate_se']!r}"]
-        if pi is not None:
-            lines.append(f"pi,{pi!r}")
-        if payload["se_clamped"]:
-            lines.append("se_clamped,True")
-        lines += [f"{term},{float(value)!r}" for term, value, _ in coefs]
-        return "\n".join(lines) + "\n"
-    lines = [
-        f"model      {payload['spec']}",
-        f"centering  {payload['centering']}",
-        f"n          {payload['n_used']}",
-    ]
-    if pi is not None:
-        lines.append(f"pi         {pi:.10g}")
-    lines += [f"ate_hat    {payload['ate_hat']:.10g}", f"ate_se     {payload['ate_se']:.10g}"]
-    if not payload["converged"]:
-        lines.append("converged  False")
-    if payload["se_clamped"]:
-        lines.append("se_clamped  True")
-    lines.append(f"condition  {payload['condition_number']:.6g}")
-    lines.append(f"iterations {payload['iterations']}")
-    lines.append("")
-    lines.append(f"{'term':<12}{'estimate':>14}  status")
-    for term, value, free in coefs:
-        lines.append(f"{term:<12}{value:>14.6g}  {'free' if free else 'fixed'}")
+        fields = [(key, record[key]) for key in _FIT_CSV if _shown(record, key)]
+        return _csv([("term", "value"), *fields, *zip(terms, map(float, values))])
+    lines = [*_text(record, _FIT_TEXT), "", f"{'term':<12}{'estimate':>14}  status"]
+    for term, value, is_free in zip(terms, values, free):
+        lines.append(f"{term:<12}{value:>14.6g}  {'free' if is_free else 'fixed'}")
     return "\n".join(lines) + "\n"
 
 
@@ -384,9 +393,7 @@ def cmd_estimate(args: argparse.Namespace) -> str:
             raise _singular(tuple(own.get(c, c) for c in exc.columns), exc.refit) from None
     for msg in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {msg}", file=sys.stderr)
-    payload = fit.to_dict(cov_names)
-    payload["pi"] = pi
-    return _fit_report(fit, payload, cov_names, args.format)
+    return _fit_report(fit, {**fit.to_dict(cov_names), "pi": pi}, cov_names, args.format)
 
 
 def _verdict_record(verdict: DominanceVerdict) -> dict:
@@ -402,22 +409,11 @@ def cmd_check(args: argparse.Namespace) -> str:
         verdict = check_known_mean(spec1, spec2, args.pi)
     else:
         verdict = check_centered(spec1, spec2, args.pi)
+    record = {**_verdict_record(verdict), "model1": format_formula(spec1, names),
+              "model2": format_formula(spec2, names), "pi": args.pi}
     if args.format == "json":
-        payload = _verdict_record(verdict)
-        payload["model1"] = format_formula(spec1, names)
-        payload["model2"] = format_formula(spec2, names)
-        payload["pi"] = args.pi
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [
-        f"model1     {format_formula(spec1, names)}",
-        f"model2     {format_formula(spec2, names)}",
-        f"pi         {args.pi:g}",
-        f"centering  {verdict.centering}",
-        f"verdict    {verdict.verdict}",
-        f"condition  {verdict.theorem}",
-    ]
-    for k, v in verdict.explanation.items():
-        lines.append(f"  {k}: {v}")
+        return json.dumps(record, indent=2) + "\n"
+    lines = _text(record, _VERDICT_TEXT) + [f"  {k}: {v}" for k, v in record["explanation"].items()]
     return "\n".join(lines) + "\n"
 
 
@@ -507,26 +503,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     else:
         pis = _parse_pis(args.pis) if args.pis is not None else [0.5]
     report = run_grid(scn, models, pis, args.reps, seed=args.seed)
-    if args.format == "json":
-        return report.to_json()
-    if args.format == "csv":
-        return report.to_csv()
-    widths = (10, 24, 6, 6, 8, 12, 12, 12, 10)
-    lines = ["".join(f"{h:<{w}}" for h, w in zip(REPORT_FIELDS, widths))]
-    for c in report.cells:
-        row = (
-            str(c.scenario),
-            c.model,
-            "" if c.pi is None else f"{c.pi:g}",
-            str(c.n),
-            str(c.reps),
-            f"{c.bias:.6f}",
-            f"{c.sd:.6f}",
-            f"{c.mc_se:.6f}",
-            f"{c.fail_rate:.4f}",
-        )
-        lines.append("".join(f"{v:<{w}}" for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return getattr(report, f"to_{args.format}")()
 
 
 def cmd_table1(args: argparse.Namespace) -> str:

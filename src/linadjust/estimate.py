@@ -487,7 +487,8 @@ def _fit(
     del z, resid  # so the full-model refit below does not raise peak memory
     ate_se = np.sqrt(var)
     clamped = np.zeros(len(var), dtype=bool)
-    if not poisson and isinstance(spec.centering, Empirical):
+    interacts = cmap.delta_cols or any(c.value for c in spec.delta)  # else every δ_s is 0
+    if not poisson and isinstance(spec.centering, Empirical) and interacts:
         delta = _with_fixed(spec.delta, cmap.delta_cols, coef)
         need = np.any(delta != 0.0, axis=1)  # δ_s = 0 has no penalty
         need[list(errors)] = False  # a failed sample's NaN delta needs no penalty

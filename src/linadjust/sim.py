@@ -28,7 +28,9 @@ block of up to SEED_BLOCK replications, and hands each chunk its slice.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import operator
 import warnings
@@ -61,7 +63,12 @@ __all__ = [
     "DID_LDV_CONFIGS",
 ]
 
-REPORT_FIELDS = ("scenario", "model", "pi", "n", "reps", "bias", "sd", "mc_se", "fail_rate")
+# The report's columns: (field, text width, text format); CSV and JSON hold each value as it is
+_COLUMNS = (
+    ("scenario", 10, ""), ("model", 24, ""), ("pi", 6, "g"), ("n", 6, ""), ("reps", 8, ""),
+    ("bias", 12, ".6f"), ("sd", 12, ".6f"), ("mc_se", 12, ".6f"), ("fail_rate", 10, ".4f"),
+)
+REPORT_FIELDS = tuple(name for name, _, _ in _COLUMNS)
 FAIL_RATE_LIMIT = 0.01
 # Replications are drawn and fitted in chunks of about CHUNK_ROWS rows, which
 # keeps the stacked arrays of small n in cache. At larger n a chunk still holds
@@ -399,15 +406,27 @@ class MonteCarloReport:
         raise KeyError(msg)
 
     def to_csv(self) -> str:
-        lines = [",".join(REPORT_FIELDS)]
-        for c in self.cells:
-            row = c.row()
-            # str, not repr: a numpy pi would otherwise print as np.float64(0.2).
-            lines.append(",".join("" if row[k] is None else str(row[k]) for k in REPORT_FIELDS))
-        return "\n".join(lines) + "\n"
+        return _csv([REPORT_FIELDS, *(c.row().values() for c in self.cells)])
 
     def to_json(self) -> str:
         return json.dumps([c.row() for c in self.cells], indent=2) + "\n"
+
+    def to_text(self) -> str:
+        """Left-aligned columns, as wide as ``_COLUMNS`` says unless a value
+        reaches a column's edge: that column is its longest value plus a space."""
+        rows = [c.row() for c in self.cells]
+        cols = [[name, *("" if r[name] is None else format(r[name], fmt) for r in rows)]
+                for name, _, fmt in _COLUMNS]
+        widths = [max(w, 1 + max(map(len, col))) for col, (_, w, _) in zip(cols, _COLUMNS)]
+        lines = ("".join(f"{v:<{w}}" for v, w in zip(line, widths)) for line in zip(*cols))
+        return "\n".join(lines) + "\n"
+
+
+def _csv(rows) -> str:
+    """``rows`` as CSV lines ending in ``\\n``, each field quoted only if it must be."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _digest(cell_key: str) -> int:

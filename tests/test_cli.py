@@ -1,5 +1,6 @@
 import builtins
 import csv
+import io
 import json
 import os
 import re
@@ -35,6 +36,7 @@ from linadjust import (
 )
 from linadjust import cli
 from linadjust.cli import main
+from linadjust.sim import REPORT_FIELDS
 from linadjust.dominance import _TABLE1_ROWS, check_centered, check_known_mean
 
 A = [1, 1, 1, 1, 0, 0, 0, 0]
@@ -257,6 +259,66 @@ class TestEstimate:
         for fmt in ("text", "csv"):
             without = [line for line in out[fmt, True].splitlines() if not line.startswith("pi")]
             assert out[fmt, False].splitlines() == without
+
+    @pytest.mark.parametrize("form", ["plain", "clamped", "weighted", "known-mean", "counts"])
+    def test_three_formats_render_one_record(self, data_csv, counts_csv, tmp_path, capsys, form):
+        """Every CSV row holds its JSON value's repr, and every labelled text line
+        holds its JSON value in the format of its ``_FIT_TEXT`` entry."""
+        weighted = tmp_path / "weighted.csv"
+        w = [1.0, 2.0, 0.5, 1.5, 1.0, 3.0, 0.25, 2.0]
+        body = (f"{r},{y},{x},{v}\n" for r, y, x, v in zip(A, Y, X, w))
+        weighted.write_text("a,y,x1,w\n" + "".join(body))
+        argv = {
+            "plain": [str(data_csv), "--model", "1 + A + x1@0.5 + A:x1", "--pi", "0.4"],
+            "clamped": [str(self.clamp_csv(tmp_path)), "--model", "1 + A + A:x1"],
+            "weighted": [str(weighted), "--model", "anhecova", "--hc1", "--estimate-pi"],
+            "known-mean": [str(data_csv), "--model", "anhecova", "--centering", "known-mean",
+                           "--mean", "0.25"],
+            "counts": [str(counts_csv), "--model", "ancova", "--family", "poisson"],
+        }[form]
+        out = {}
+        for fmt in ("json", "text", "csv"):
+            rc, out[fmt], _ = run(["estimate", "--data", *argv, "--format", fmt], capsys)
+            assert rc == 0
+        record = json.loads(out["json"])
+        theta = record["theta_hat"]
+        coefs = {"intercept": theta["alpha"], "A": theta["beta"], "x1": theta["gamma"][0],
+                 "A:x1": theta["delta"][0]}
+        fields = ["ate_hat", "ate_se"] + ["pi"] * (record["pi"] is not None)
+        fields += ["se_clamped"] * record["se_clamped"]
+        assert (form == "clamped") == record["se_clamped"]
+        rows = list(csv.reader(io.StringIO(out["csv"])))
+        assert rows[0] == ["term", "value"]
+        assert [row[0] for row in rows[1:]] == fields + list(coefs)
+        for term, value in rows[1:]:
+            assert value == repr(coefs[term] if term in coefs else record[term])
+
+        text = out["text"].splitlines()
+        blank = text.index("")
+        table = {label.strip(): (key, fmt) for key, label, fmt in cli._FIT_TEXT}
+        labels = [line.split(None, 1)[0] for line in text[:blank]]
+        shown = {"pi": record["pi"] is not None, "converged": not record["converged"],
+                 "se_clamped": record["se_clamped"]}
+        assert labels == [label.strip() for key, label, _ in cli._FIT_TEXT if shown.get(key, True)]
+        for line in text[:blank]:
+            label, value = line.split(None, 1)
+            key, fmt = table[label]
+            assert value == format(record[key], fmt)
+        assert [line.split()[:2] for line in text[blank + 2:]] == [
+            [term, format(value, ".6g")] for term, value in coefs.items()
+        ]
+
+    def test_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
+        """The covariate x,1 was written bare: three fields under term,value."""
+        path = tmp_path / "comma.csv"
+        path.write_text('a,y,"x,1"\n' + "".join(f"{a},{y},{x}\n" for a, y, x in zip(A, Y, X)))
+        base = ["estimate", "--data", str(path), "--model", "anhecova", "--format"]
+        rc, out, _ = run(base + ["csv"], capsys)
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert {len(row) for row in rows} == {len(rows[0])} == {2}
+        theta = json.loads(run(base + ["json"], capsys)[1])["theta_hat"]
+        assert rows[-2:] == [["x,1", repr(theta["gamma"][0])], ["A:x,1", repr(theta["delta"][0])]]
 
     def test_out_file(self, data_csv, tmp_path, capsys):
         target = tmp_path / "fit.json"
@@ -1286,6 +1348,26 @@ class TestSimulate:
         )
         assert rc == 0
         assert out.splitlines()[0].startswith("scenario")
+
+    def test_text_columns_widen_to_their_longest_value(self, capsys):
+        """A 27-character model ran into the 24-wide model column, and pi 0.123457
+        into the 6-wide pi column; each column is now its longest value plus a space."""
+        base = ["simulate", "--scenario", "1", "--reps", "3", "--n", "40", "--pis",
+                "0.123456789,0.5", "--models", "1 + A + X1@0.5 + A:X1@-0.25,1 + A", "--format"]
+        rc, out, _ = run(base + ["text"], capsys)
+        assert rc == 0
+        cells = json.loads(run(base + ["json"], capsys)[1])
+        header, *lines = out.splitlines()
+        starts = [m.start() for m in re.finditer(r"\S+", header)]
+        assert header.split() == list(REPORT_FIELDS)
+        assert starts[:5] == [0, 10, 38, 47, 53]  # model and pi widened, the rest as they were
+        fmts = {"pi": "g", "bias": ".6f", "sd": ".6f", "mc_se": ".6f", "fail_rate": ".4f"}
+        assert len(lines) == len(cells) == 4
+        for line, cell in zip(lines, cells):
+            slices = [line[a:b] for a, b in zip(starts, [*starts[1:], None])]
+            for name, piece in zip(REPORT_FIELDS, slices):
+                assert piece.rstrip() == format(cell[name], fmts.get(name, ""))
+                assert piece.endswith(" ")
 
     def test_argparse_rejections(self, capsys):
         for argv in (

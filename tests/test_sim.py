@@ -330,6 +330,15 @@ class TestRunGrid:
         assert float(record["sd"]) == rep.cells[0].sd
         assert float(record["mc_se"]) == rep.cells[0].mc_se
 
+    def test_csv_quotes_a_scenario_id_with_a_comma(self):
+        """The id trial,A was written bare: 10 fields under 9 headers."""
+        sampler = _did_ldv_sampler("default")
+        scn = custom_scenario(sampler, pi=0.5, n=40, id="trial,A")
+        rep = run_grid(scn, [named_spec("ANCOVA", sampler.p)], None, 3)
+        rows = list(csv.reader(io.StringIO(rep.to_csv())))
+        assert [len(row) for row in rows] == [len(REPORT_FIELDS)] * 2
+        assert dict(zip(rows[0], rows[1]))["scenario"] == "trial,A"
+
     def test_json_records(self):
         rep = run_grid(scenario(1, n=60), [ANCOVA1], [0.5], 4, seed=0)
         data = json.loads(rep.to_json())

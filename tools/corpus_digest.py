@@ -33,8 +33,12 @@ The corpus is a set of groups, each hashed on its own:
   (``CSVS``): plain (scenario 1, at n = 150 and 10, and scenario 3 at n = 8)
   and weighted (scenario 4) data under five models, each as it is, with
   ``--hc1`` and with known-mean centering, and counts (scenario 2) under the
-  Poisson family, each in json and text, with the directory's name replaced
-  by ``<dir>``.
+  Poisson family, and the plain data under ANHECOVA with ``--pi 0.3``, each
+  in json, text and csv, with the directory's name replaced by ``<dir>``;
+- ``simulate-cli``: the exit code, stdout and stderr of ``cli.main``
+  ``simulate`` on scenarios 1-4 at n = 60, 8 reps, seed 3, with the default
+  models and pi, and again with ``--pis 0.2:0.4:0.1 --models "1 + A,1 + A +
+  X1@0.5"``, each in json, text and csv.
 
 A group hashes every cell's report fields, ``mean_se``, failure causes and
 kept estimates; every lone fit's ``ate_hat``, ``ate_se``, ``vcov`` and free
@@ -198,11 +202,13 @@ def hc1_fits(h) -> None:
     lone_fits(h, [(sid, partial(fit, hc1=True)) for sid, fit in fits])
 
 
-def _cli(argv: list[str], tmp: str) -> tuple[int, str, str]:
-    """``cli.main``'s exit code, stdout and stderr, with ``tmp`` written ``<dir>``."""
+def _cli(argv: list[str], tmp: str | None = None) -> tuple[int, str, str]:
+    """``cli.main``'s exit code, stdout and stderr, with ``tmp`` (if given) written ``<dir>``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli_main(argv)
+    if tmp is None:
+        return rc, out.getvalue(), err.getvalue()
     return rc, out.getvalue().replace(tmp, "<dir>"), err.getvalue().replace(tmp, "<dir>")
 
 
@@ -260,9 +266,19 @@ def estimate_cli(h) -> None:
                     runs.append([*argv, "--family", "poisson"])
                 else:
                     runs += [argv, [*argv, "--hc1"], [*argv, "--centering", "known-mean", "--mean", "0.3"]]
+        runs.append(["estimate", "--data", str(Path(tmp, "plain.csv")), "--model", "anhecova",
+                     "--pi", "0.3"])
         for argv in runs:
-            for fmt in ("json", "text"):
+            for fmt in ("json", "text", "csv"):
                 _feed(h, *_cli([*argv, "--format", fmt], tmp))
+
+
+def simulate_cli(h) -> None:
+    for sid in (1, 2, 3, 4):
+        argv = ["simulate", "--scenario", str(sid), "--n", "60", "--reps", "8", "--seed", "3"]
+        for run in (argv, [*argv, "--pis", "0.2:0.4:0.1", "--models", "1 + A,1 + A + X1@0.5"]):
+            for fmt in ("json", "text", "csv"):
+                _feed(h, *_cli([*run, "--format", fmt]))
 
 
 GROUPS = {
@@ -275,6 +291,7 @@ GROUPS = {
     "hc1-fits": hc1_fits,
     "population": population,
     "estimate-cli": estimate_cli,
+    "simulate-cli": simulate_cli,
 }
 
 
