@@ -311,7 +311,7 @@ _FIT_TEXT = (
     ("se_clamped", "se_clamped  ", ""),  # one space wider than the rest, as it always was
     ("condition_number", "condition", ".6g"), ("iterations", "iterations", ""),
 )
-_FIT_CSV = ("ate_hat", "ate_se", "pi", "se_clamped")
+_FIT_CSV = ("ate_hat", "ate_se", "converged", "pi", "se_clamped")
 # The check record's text lines, then one line per explanation entry
 _VERDICT_TEXT = (
     ("model1", "model1", ""), ("model2", "model2", ""), ("pi", "pi", "g"),

@@ -15,7 +15,8 @@ route once, as Z·w, and W^½Z is formed only for the samples the SVD
 takes. ``_fit`` assembles every fit: the design, the solve (``_irls``
 for Poisson), the residual, the variances, the centering penalty and the
 failed rows. ``_solve`` is the (weighted) least-squares solve used by OLS,
-WLS, every IRLS step and the full-model refit for the centering penalty:
+WLS, the Poisson start and routed Newton steps and the full-model refit
+for the centering penalty:
 from the Gram matrix ZᵀWZ when κ = s_max/s_min < 10³ (GRAM_RTOL), within
 the per-quantity budget GRAM_BUDGET states, and otherwise by the batched
 SVD of ``_svd_solve``, which holds the one rank rule. Every
@@ -34,6 +35,7 @@ a stack per chunk; ``fit_*`` and ``sandwich_vcov`` fit a stack of one
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,7 +111,8 @@ class FitResult:
     design-column order (see ``labels``): the HC0 (or HC1) sandwich U·Uᵀ
     of the influence rows U = (ZᵀWZ)⁻¹·Z·diag(wε̂). ``condition_number``
     is s_max/s_min of the (square-root-weighted) free design in the final
-    solve, and ``iterations`` the number of IRLS steps (1 for a linear fit).
+    solve, and ``iterations`` the number of Newton evaluations after the
+    start of a Poisson fit (``_irls``; 1 for a linear fit).
     """
 
     alpha: float
@@ -473,8 +476,7 @@ def _fit(
     z, offset, cmap = _design(spec, st.a, st.centered(spec.centering))
     if poisson:
         w = None
-        coef, bread, s, errors, converged, iterations = _irls(z, offset, st.y, cmap.labels)
-        resid = st.y - np.exp((coef[:, None, :] @ z)[:, 0] + offset)
+        coef, bread, s, errors, converged, iterations, resid = _irls(z, offset, st.y, cmap.labels)
     else:
         resid = st.y - offset
         del offset  # dead arrays are freed at once, to keep a chunk's peak memory down
@@ -511,47 +513,135 @@ def _fit(
 
 
 def _irls(z, offset, y, labels: tuple[str, ...]):
-    """Poisson IRLS of y (R, n) on the column-major designs z (R, q, n) with
-    the offsets (R, n), as a loop of stacked weighted solves.
+    """Poisson maximum likelihood of y (R, n) on the column-major designs z
+    (R, q, n) with the offsets (R, n): Newton's method on the score
+    Z(y - μ), μ = exp(Zᵀβ + offset), each sample with its own steps
+    (McCullagh and Nelder, Generalized Linear Models, 1989, §2.5).
 
-    Each sample keeps its own iteration sequence and stops when its
-    step falls below IRLS_TOL; a sample whose linear predictor leaves
-    |eta| <= 700 or whose IRLS weights collapse diverges alone, its row NaN.
-    Returns what ``_solve`` returns at the last step, then whether each
-    sample converged and its number of steps.
+    - Start: when the free columns are 1 and A, the MLE itself, each arm's
+      log rate log(S_a/E_a), with S_a the arm's count total and E_a its
+      total of exp(offset). Otherwise the least-squares fit of
+      log(y + 0.5) - offset, which applies the rank rule.
+    - Cheap steps: while a sample's last step is at or above √IRLS_TOL,
+      its next evaluation forms the Gram (Z·μ)Zᵀ and takes the step from
+      one batched linear solve, with no eigh, bread or refinement. A sample
+      whose Gram is singular or whose step is not finite is routed instead.
+    - Routed step: otherwise, and at the IRLS_MAX_ITER-th evaluation,
+      ``_solve`` of (y - μ)/μ weighted by μ at the current β gives the
+      step, the bread and the singular values at β's own weights, and
+      applies the rank rule.
+
+    A sample converges when a routed step is below IRLS_TOL, and is reported
+    at β with that bread and the residual y - μ(β). Newton's method converges
+    quadratically, so the MLE is β plus that step plus a term of the order
+    of its square: the coefficients' error is at most about the step,
+    below IRLS_TOL. A sample still unconverged at the IRLS_MAX_ITER-th
+    evaluation is reported the same way at its last β. A sample diverges
+    alone, its row NaN, when its linear predictor leaves |eta| <= 700, when
+    its weights collapse (the rank rule fails at μ though z has full rank:
+    a fitted mean went to 0), or when an arm's counts sum to 0 (a log rate
+    of -inf). Returns the coefficients, breads, singular values and errors
+    as ``_solve`` does, then whether each sample converged, its number of
+    evaluations after the start, and its residuals y - μ (R, n).
     """
-    coef, bread, s, errors = _solve(z, np.log(y + 0.5) - offset, labels)
-    converged = np.zeros(len(y), dtype=bool)
-    iterations = np.zeros(len(y), dtype=int)
-    active = np.ones(len(y), dtype=bool)
+    r, q = z.shape[:2]
+    a = z[:, 1, None, :]
+    s1, total = (a @ y[..., None])[:, 0, 0], y.sum(axis=1)
+    if q == 2:  # the free columns 1 and A
+        e = np.exp(offset)
+        e1 = (a @ e[..., None])[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate0, rate1 = np.log((total - s1) / (e.sum(axis=1) - e1)), np.log(s1 / e1)
+        coef, errors, step = np.stack([rate0, rate1 - rate0], axis=1), {}, np.zeros(r)
+    else:
+        coef, _, _, errors = _solve(z, np.log(y + 0.5) - offset, labels)
+        step = np.full(r, np.inf)
+    for k in np.flatnonzero((s1 == 0.0) | (s1 == total)):  # an arm without counts: no MLE
+        errors.setdefault(int(k), EstimationError(_DIVERGED, "Poisson divergence"))
+    zy = None  # Zy (R, q, 1), once a sample takes a cheap step
+    converged, iterations = np.zeros(r, dtype=bool), np.zeros(r, dtype=int)
+    bread, s, resid = np.full((r, q, q), np.nan), np.full((r, q), np.nan), None
+    active = np.ones(r, dtype=bool)
     active[list(errors)] = False
     for it in range(1, IRLS_MAX_ITER + 1):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        rows = slice(None) if idx.size == len(y) else idx  # no gather while all are active
-        zi, oi = z[rows], offset[rows]
-        eta = (coef[rows, None, :] @ zi)[:, 0] + oi
-        out = ~(np.abs(eta).max(axis=1) <= 700.0)  # NaN and ±inf fail the comparison too
-        mu = np.exp(np.where(out[:, None], 0.0, eta))
-        work = (eta - oi) + (y[rows] - mu) / mu
-        del eta
-        new, bread[rows], s[rows], collapsed = _solve(zi, work, labels, mu)
-        del zi, oi, mu, work  # a gathered zi is not held through the sandwich
-        # z itself has full rank, so a rank failure here means the IRLS weights
-        # collapsed: a fitted mean went to 0
-        out[list(collapsed)] = True
-        for r in idx[out]:
-            errors[int(r)] = EstimationError(_DIVERGED, "Poisson divergence")
-        step = np.abs(new - coef[rows]).max(axis=1)
-        coef[rows] = new
         iterations[idx] = it
-        done = ~out & (step < IRLS_TOL)
-        converged[idx[done]] = True
-        active[idx[out | done]] = False
+        last = it == IRLS_MAX_ITER
+        near = np.ones(idx.size, dtype=bool) if last else step[idx] < IRLS_TOL**0.5
+        routed, cheap = idx[near], idx[~near]
+        out = np.zeros(r, dtype=bool)
+        if cheap.size:
+            zy = z @ y[..., None] if zy is None else zy
+            rows = slice(None) if cheap.size == r else cheap  # no gather while all take it
+            new, out[rows] = _newton(z[rows], offset[rows], zy[rows], coef[rows])
+            ok = ~out[cheap] & np.isfinite(new).all(axis=1)
+            if not ok.all():
+                routed = np.union1d(routed, cheap[~ok & ~out[cheap]])
+                rows, new = cheap[ok], new[ok]
+            coef[rows] += new
+            step[rows] = np.abs(new).max(axis=1)
+        if routed.size:
+            rows = slice(None) if routed.size == r else routed
+            zi = z[rows]
+            mu, out[rows] = _poisson_mean(zi, offset[rows], coef[rows])
+            work = y[rows] - mu
+            work /= mu
+            new, bread[rows], s[rows], collapsed = _solve(zi, work, labels, mu)
+            del zi, work
+            if resid is None:  # formed after the first routed solve, which is a chunk's peak memory
+                resid = np.full(y.shape, np.nan)
+            resid[rows] = y[rows] - mu
+            out[routed[list(collapsed)]] = True
+            step[rows] = np.abs(new).max(axis=1)
+            converged[rows] = ~out[routed] & (step[rows] < IRLS_TOL)
+            # at the last evaluation every sample stays at the β of its bread
+            move = ~(out[routed] | converged[routed] | last)
+            coef[routed[move]] += new[move]
+        if out.any():
+            for k in np.flatnonzero(out):
+                errors[int(k)] = EstimationError(_DIVERGED, "Poisson divergence")
+            active &= ~out
+        active &= ~converged
 
     coef[list(errors)] = np.nan
-    return coef, bread, s, errors, converged, iterations
+    if resid is None:  # every sample failed before a routed step
+        resid = np.full(y.shape, np.nan)
+    return coef, bread, s, errors, converged, iterations, resid
+
+
+def _poisson_mean(z, offset, coef):
+    """The means μ = exp(Zᵀβ + offset) (R, n) at the coefficients (R, q), and
+    whether each sample's linear predictor leaves |eta| <= 700 (NaN and ±inf
+    fail the comparison too); such a sample's μ is 1."""
+    eta = (coef[:, None, :] @ z)[:, 0]
+    eta += offset
+    out = ~(np.maximum(eta.max(axis=1), -eta.min(axis=1)) <= 700.0)
+    if out.any():
+        eta[out] = 0.0
+    return np.exp(eta, out=eta), out
+
+
+def _newton(z, offset, zy, coef):
+    """Newton steps (R, q) of the Poisson score at the coefficients (R, q) from
+    the Gram (Z·μ)Zᵀ by one batched solve, with no eigh, bread or refinement.
+    zy (R, q, 1) is Zy, so the score Z(y - μ) is zy less the Gram's first
+    column, Zμ, since the first design column is the intercept. When a Gram
+    is singular, each sample is solved alone and a singular one's step is
+    NaN, so that a sample's step depends on its own data only. Also returns
+    ``_poisson_mean``'s flags."""
+    mu, out = _poisson_mean(z, offset, coef)
+    gram = (z * mu[:, None, :]) @ z.swapaxes(-1, -2)
+    score = zy - gram[:, :, :1]
+    try:
+        return np.linalg.solve(gram, score)[..., 0], out
+    except np.linalg.LinAlgError:
+        step = np.full(coef.shape, np.nan)
+        for k in range(len(gram)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step[k] = np.linalg.solve(gram[k], score[k])[:, 0]
+        return step, out
 
 
 def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:
@@ -660,14 +750,18 @@ def estimate_ate_variance_centered(
 
 
 def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
-    """Poisson log-link GLM over the free coefficients, via IRLS.
+    """Poisson log-link GLM over the free coefficients, by Newton's method (IRLS).
 
-    Fixed coefficients enter the linear predictor as an offset. The
-    working response is initialized at log(y + 0.5). Convergence is
-    max absolute coefficient change below 1e-10 within 100 iterations;
-    a fit that runs out of iterations is returned with
-    ``converged=False``. ``ate_hat`` is the raw treatment coefficient,
-    which deliberately does not estimate the ATE.
+    Fixed coefficients enter the linear predictor as an offset. The start
+    is the closed-form MLE when only the intercept and treatment are free,
+    and otherwise the least-squares fit of log(y + 0.5). A fit converges
+    when a Newton step at the final weights is below IRLS_TOL (1e-10) in
+    every coefficient within IRLS_MAX_ITER (100) evaluations; its
+    coefficients are then within about that step of the MLE, and its
+    sandwich uses the bread and residuals at its own coefficients. A fit
+    that runs out of evaluations is returned with ``converged=False``.
+    ``ate_hat`` is the raw treatment coefficient, which deliberately does
+    not estimate the ATE.
     """
     if data.weights is not None:
         msg = "weighted Poisson fits are not supported"

@@ -49,6 +49,27 @@ def influence(z, resid, bread, w=None):
     return (np.asarray(bread, dtype=LD) @ np.asarray(z, dtype=LD)) * score[:, None, :]
 
 
+def poisson_mle(z, offset, y, steps: int = 40):
+    """The Poisson MLE of y (R, n) on the column-major designs z (R, q, n) with
+    the offsets (R, n), by ``steps`` Newton steps in long double from each
+    arm's log rate, and the HC0 variance of its treatment coefficient at its
+    own means: the bread ((Z·μ)Zᵀ)⁻¹ and the residual y - μ. Returns
+    (coef (R, q), ate_var (R,)), long double."""
+    zl, yl, ol = (np.asarray(v, dtype=LD) for v in (z, y, offset))
+    arms = np.stack([1 - zl[:, 1], zl[:, 1]], axis=1)
+    rate = np.log((arms @ yl[..., None]) / (arms @ np.exp(ol)[..., None]))[..., 0]
+    coef = np.zeros(zl.shape[:2], dtype=LD)
+    coef[:, 0], coef[:, 1] = rate[:, 0], rate[:, 1] - rate[:, 0]
+    for _ in range(steps):
+        mu = np.exp((coef[:, None, :] @ zl)[:, 0] + ol)
+        bread = gauss_jordan_inverse((zl * mu[:, None, :]) @ zl.swapaxes(1, 2))
+        coef += (bread @ (zl @ (yl - mu)[..., None]))[..., 0]
+    mu = np.exp((coef[:, None, :] @ zl)[:, 0] + ol)
+    bread = gauss_jordan_inverse((zl * mu[:, None, :]) @ zl.swapaxes(1, 2))
+    u = influence(zl, yl - mu, bread)[:, 1]
+    return coef, (u * u).sum(axis=1)
+
+
 def largest(a):
     """The largest magnitude of each sample's entries (leading axis), as double."""
     a = np.abs(np.asarray(a, dtype=LD))

@@ -284,7 +284,8 @@ class TestEstimate:
         theta = record["theta_hat"]
         coefs = {"intercept": theta["alpha"], "A": theta["beta"], "x1": theta["gamma"][0],
                  "A:x1": theta["delta"][0]}
-        fields = ["ate_hat", "ate_se"] + ["pi"] * (record["pi"] is not None)
+        fields = ["ate_hat", "ate_se"] + ["converged"] * (not record["converged"])
+        fields += ["pi"] * (record["pi"] is not None)
         fields += ["se_clamped"] * record["se_clamped"]
         assert (form == "clamped") == record["se_clamped"]
         rows = list(csv.reader(io.StringIO(out["csv"])))
@@ -392,6 +393,21 @@ class TestEstimate:
         lines = out.splitlines()
         assert lines[lines.index("converged  False") - 1].startswith("ate_se ")
         assert "iterations 2" in lines
+
+    def test_unconverged_poisson_fit_is_flagged_in_csv(self, counts_csv, capsys, monkeypatch):
+        """A converged fit's CSV has no converged row; an unconverged one says so
+        after ate_se."""
+        argv = ["estimate", "--data", str(counts_csv), "--model", "ancova", "--family", "poisson",
+                "--format", "csv"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        assert "converged" not in [row[0] for row in csv.reader(io.StringIO(out))]
+        monkeypatch.setattr("linadjust.estimate.IRLS_MAX_ITER", 2)
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows[1:4]] == ["ate_hat", "ate_se", "converged"]
+        assert rows[3][1] == "False"
 
     def test_poisson_rejects_weights(self, tmp_path, capsys):
         path = tmp_path / "wcounts.csv"

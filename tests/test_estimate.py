@@ -18,9 +18,12 @@ from linadjust import (
     fit_weighted,
     named_spec,
     parse_formula,
+    rep_seed,
+    run_grid,
     sandwich_vcov,
     scenario,
 )
+from oracle import HAS_LONG_DOUBLE, poisson_mle
 
 ANOVA1 = named_spec("ANOVA", 1)
 ANHECOVA1 = named_spec("ANHECOVA", 1)
@@ -316,6 +319,18 @@ class TestPoisson:
         with pytest.raises(EstimationError):
             fit_poisson_glm(ANOVA1, data)
 
+    @pytest.mark.parametrize("model", ["ANCOVA", "ANHECOVA"])
+    def test_a_linear_predictor_past_700_is_a_divergence(self, model):
+        """The controls' counts are 0 at x = -1000 and at x = 0, and 5 at x = 1:
+        no MLE exists, and the first Newton steps take the linear predictor at
+        x = -1000 past -700, where exp soon underflows to 0."""
+        a = np.array([1.0] * 5 + [0.0] * 3)
+        x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, -1000.0, 0.0, 1.0])
+        y = np.array([2, 3, 1, 4, 5, 0, 0, 5], dtype=float)
+        with pytest.raises(EstimationError, match="diverged") as exc:
+            fit_poisson_glm(named_spec(model, 1), Dataset(a, x, y))
+        assert exc.value.cause == "Poisson divergence"
+
     def test_collapsed_irls_weights_are_divergence_not_singularity(self):
         """Controls at x = -1, -2 with y = 0, 1 have no log-linear MLE:
         the fitted control mean at x = -1 goes to 0 and takes its IRLS
@@ -327,6 +342,57 @@ class TestPoisson:
         with pytest.raises(EstimationError, match="diverged") as exc:
             fit_poisson_glm(ANHECOVA1, data)
         assert not isinstance(exc.value, SingularDesignError)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_free_columns_are_the_log_ratio_of_the_arm_means(self, seed):
+        """Under 1 + A, ate_hat is log(ȳ₁/ȳ₀), and its HC0 standard error is
+        the delta method's for that ratio, from the closed-form start and one
+        evaluation."""
+        data = draw(scenario(2, n=150), seed, pi=0.3).data
+        fit = fit_poisson_glm(ANOVA1, data)
+        y1, y0 = data.y[data.a == 1], data.y[data.a == 0]
+        m1, m0 = y1.mean(), y0.mean()
+        assert fit.ate_hat == pytest.approx(np.log(m1 / m0), rel=0, abs=1e-14)
+        var = sum(((y - m) ** 2).sum() / (y.size * m) ** 2 for y, m in ((y1, m1), (y0, m0)))
+        assert fit.ate_se == pytest.approx(np.sqrt(var), rel=1e-13)
+        assert fit.converged and fit.iterations == 1
+
+    @pytest.mark.skipif(not HAS_LONG_DOUBLE, reason="long double is double here")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_free_columns_with_an_offset_match_long_double_newton(self, seed):
+        """Under 1 + A + X1@0.5 the fixed coefficient is an offset, which each
+        arm's closed-form log rate takes in; coefficients and ate_se agree
+        with Newton's method run in long double."""
+        spec = parse_formula("1 + A + X1@0.5", ["X1"])
+        data = draw(scenario(2, n=150), seed, pi=0.3).data
+        fit = fit_poisson_glm(spec, data)
+        z, offset, _ = build_design(spec, data)
+        assert np.abs(offset).max() > 0.1
+        coef, var = poisson_mle(z.T[None], offset[None], data.y[None])
+        np.testing.assert_allclose(fit.free_coefs, coef[0].astype(float), rtol=0, atol=1e-14)
+        assert fit.ate_se**2 == pytest.approx(float(var[0]), rel=1e-13)
+        assert fit.converged and fit.iterations == 1
+
+    def test_an_arm_without_counts_is_a_divergence_in_run_grid(self):
+        """At n = 20 and pi = 0.9 the control arm is often one or two rows, all
+        of them 0 in about 5% of draws: its log rate is -inf, no MLE exists,
+        and run_grid counts the draw as a Poisson divergence under every spec."""
+        n, pi, reps = 20, 0.9, 300
+        key = f"scenario=2|pi={pi}|n={n}"
+        zero = empty = 0
+        for r in range(reps):
+            d = draw(scenario(2, n=n), rep_seed(3, key, r), pi=pi).data
+            s1, n1 = d.y[d.a == 1].sum(), d.a.sum()
+            empty += n1 in (0, n)
+            zero += n1 not in (0, n) and 0 in (s1, d.y.sum() - s1)
+        assert zero > 10
+        for spec in (ANOVA1, parse_formula("1 + A + X1@0.5", ["X1"]), named_spec("ANCOVA", 1)):
+            with pytest.raises(EstimationError) as exc:
+                run_grid(scenario(2, n=n), [spec], [pi], reps, seed=3)
+            assert str(exc.value).endswith(
+                f"failed in {zero + empty}/{reps} replications "
+                f"(Poisson divergence {zero}, empty arm {empty})"
+            )
 
     def test_vcov_is_the_explicit_hc0_formula_at_the_fit(self):
         rng = np.random.default_rng(43)

@@ -17,8 +17,10 @@ tables replay those calls, tail chunks included, in µs per call of a kind
 - stages: the recorded fits, each pass on fresh ``_Stack``s of the recorded
   samples, split by TIMED into the self time of design (``_design``,
   ``_Stack.centered``), gram (``_solve`` itself: ZᵀWZ and the routing), eigh,
-  solve (``_gram_solve``, ``_svd_solve``), irls (``_irls`` itself: the IRLS
-  steps of Poisson fits around their solves), influence (``_influence``), ate
+  solve (``_gram_solve``, ``_svd_solve``), irls (``_irls`` itself: a Poisson
+  fit's closed-form start and its cheap Newton steps, ``_newton`` and
+  ``_poisson_mean``; its least-squares start and its routed steps are
+  ``_solve`` calls, so in gram, eigh and solve), influence (``_influence``), ate
   row (the rest of ``_ate_var``), vcov (the rest of ``_vcov``: the lone fits
   of ``estimate`` commands only), penalty (``_Stack.sigma``, ``_penalized``)
   and fit (``_fit`` itself: the residual, the arms and the failed rows);
@@ -26,9 +28,9 @@ tables replay those calls, tail chunks included, in µs per call of a kind
   into rngs (the generators and the stack), fills (the rest of
   ``_draw_chunk``), observe (``_observe``) and check (``_check_samples``);
 - routes: per call kind and model, quantiles of each sample's κ = s_max/s_min
-  in its final solve (a Poisson fit's last IRLS step) and the shares of the
-  Gram route at κ < 10 and at κ < GRAM_RTOL^-1/2, and of the SVD, which also
-  takes the samples that fail;
+  in its final solve (a Poisson fit's routed step at its reported
+  coefficients) and the shares of the Gram route at κ < 10 and at
+  κ < GRAM_RTOL^-1/2, and of the SVD, which also takes the samples that fail;
 - faults: each workload in a fresh interpreter, as a benchmark worker runs it
   (set-up, then ``--cycles`` cycles, unwrapped): minor page faults
   (``resource.getrusage``) and ms per call kind.
