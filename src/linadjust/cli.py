@@ -28,6 +28,11 @@ numpy's C reader, which reads each value as ``float`` does; any other
 block, and any block numpy rejects, goes through ``csv.reader`` and is
 checked row by row, with the same values and messages.
 
+Each command line is parsed once, by the named command's own parser. The full
+parser runs only when the first argument names no command (``-h``, a typo, no
+argument) or the command's parser leaves an argument over, and then prints
+its usage, help or error exactly as a full parse always did.
+
 ``main`` may be called any number of times in one process.
 """
 
@@ -80,7 +85,7 @@ from .population import (
     population_from_dict,
     solve_population,
 )
-from .sim import _csv, run_grid, scenario
+from .sim import _csv, _json, run_grid, scenario
 
 __all__ = ["main"]
 
@@ -334,7 +339,7 @@ def _fit_report(fit: FitResult, record: dict, cov_names: list[str], fmt: str) ->
     """Render the ``estimate`` record: its fields through ``_FIT_TEXT`` or
     ``_FIT_CSV``, then its coefficients, whose free/fixed status comes from ``fit.spec``."""
     if fmt == "json":
-        return json.dumps(record, indent=2) + "\n"
+        return _json(record) + "\n"
     theta = record["theta_hat"]
     terms = ["intercept", "A", *cov_names, *("A:" + name for name in cov_names)]
     values = [theta["alpha"], theta["beta"], *theta["gamma"], *theta["delta"]]
@@ -412,7 +417,7 @@ def cmd_check(args: argparse.Namespace) -> str:
     record = {**_verdict_record(verdict), "model1": format_formula(spec1, names),
               "model2": format_formula(spec2, names), "pi": args.pi}
     if args.format == "json":
-        return json.dumps(record, indent=2) + "\n"
+        return _json(record) + "\n"
     lines = _text(record, _VERDICT_TEXT) + [f"  {k}: {v}" for k, v in record["explanation"].items()]
     return "\n".join(lines) + "\n"
 
@@ -466,7 +471,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
         "verdict_centered": _verdict_record(verdict_c),
     }
     if args.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     lines = [
         f"population  {args.population} (p={pop.p}, pi={pop.pi:g})",
         f"beta_ate    {sol1.beta_ate:.10g}",
@@ -510,7 +515,7 @@ def cmd_table1(args: argparse.Namespace) -> str:
     rows = table1(args.p, args.pi)
     extra = corollaries(args.pi, args.p)
     if args.format == "json":
-        return json.dumps({"pi": args.pi, "rows": rows, "corollaries": extra}, indent=2) + "\n"
+        return _json({"pi": args.pi, "rows": rows, "corollaries": extra}) + "\n"
     lines = [f"pairwise dominance at pi = {args.pi:g} (does model1 dominate model2?)", ""]
     lines.append(f"{'model1':<28}{'model2':<28}{'known mean':<16}{'centered':<16}")
     for r in rows:
@@ -602,12 +607,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t1.add_argument("--p", type=_positive_int, default=2, help="number of covariates")
     add_common(p_t1, formats=("text", "json"))
     p_t1.set_defaults(func=cmd_table1)
+    parser.commands = sub.choices  # each command's own parser, by name, for _parse
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed once, by the parser of the command ``argv[0]`` names. The full
+    parser runs instead when ``argv[0]`` names no command or the command's parser
+    leaves a token over, so that its usage, help and error texts are the ones printed."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and return its
+    exit code; argparse itself exits 2 on bad arguments and 0 after help. The
+    command's own parser reads ``argv`` once; the full parser runs only when
+    ``argv[0]`` names no command or a token is left over (``_parse``)."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         text = args.func(args)
     except (EstimationError, ValueError) as exc:

@@ -391,6 +391,7 @@ def format_formula(spec: ModelSpec, covariate_names: list[str] | None = None) ->
 NAMED_SPECS = ("ANOVA", "ANCOVA", "ANHECOVA", "DiD", "LDV")
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def named_spec(name: str, p: int) -> ModelSpec:
     """Build one of the named estimator specifications.
 
@@ -399,6 +400,10 @@ def named_spec(name: str, p: int) -> ModelSpec:
     coefficient at 1 and LDV frees it; both require the first covariate
     to be the baseline outcome and pin its interaction at 0, freeing
     everything else.
+
+    Results are memoized per process on ``(name, p)``, the last 256 of
+    them, as :func:`parse_formula`'s are: an equal call returns the same
+    frozen ModelSpec.
     """
     if p < 1:
         msg = f"p must be positive, got {p}"

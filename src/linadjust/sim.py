@@ -31,12 +31,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
+import math
 import operator
 import warnings
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -409,7 +410,7 @@ class MonteCarloReport:
         return _csv([REPORT_FIELDS, *(c.row().values() for c in self.cells)])
 
     def to_json(self) -> str:
-        return json.dumps([c.row() for c in self.cells], indent=2) + "\n"
+        return _json([c.row() for c in self.cells]) + "\n"
 
     def to_text(self) -> str:
         """Left-aligned columns, as wide as ``_COLUMNS`` says unless a value
@@ -427,6 +428,50 @@ def _csv(rows) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def _json(v, nl: str = "\n") -> str:
+    """The text ``json.dumps`` writes for ``v`` at an indent of 2, built without
+    json's pure-Python encoder: strings by ``encode_basestring_ascii``, ints and
+    floats (subclasses included) by ``int.__repr__`` and ``float.__repr__``, ``NaN``
+    and ``±Infinity`` as json writes them, tuples as lists, and json's ``TypeError``
+    for a value or key it refuses. Types are tried in json's order, so a bool is
+    not taken for an int. A container must not hold itself. ``nl`` is the line
+    break of the indentation ``v`` is nested at."""
+    if isinstance(v, str):
+        return _escape(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    inner = nl + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [_json_key(k) + ": " + _json(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a string, or a number, bool or None in quotes."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + _json(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _digest(cell_key: str) -> int:

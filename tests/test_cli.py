@@ -1029,6 +1029,75 @@ class TestParserReuse:
         assert payload["pi"] is None
 
 
+def _outcome(call, capsys):
+    """Exit code, stdout and stderr of ``call``; a ``SystemExit``'s code is the exit code."""
+    try:
+        rc = call()
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _full_parse(argv) -> int:
+    """The command line parsed by the full parser, then run: its report written, or
+    its refusal of an input said as ``main`` says it."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        text = args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return 0
+
+
+class TestOneParse:
+    """``main`` parses a command line with the named command's own parser and falls
+    back to the full parser; either way it prints what a full parse prints."""
+
+    @pytest.fixture
+    def argvs(self, data_csv, tmp_path, s1_population):
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps(population_to_dict(s1_population)))
+        check = ["check", "--model", "anova", "--model2", "ancova", "--pi", "0.3"]
+        dispatched = [
+            ["table1", "--format", "json"],
+            ["table1", "--pi", "0.2", "--pi", "0.45", "--p=3", "--f", "json"],
+            ["check", "--model=anova", "--model2", "1 + A + X1", "--pi=0.4", "--format", "json"],
+            [*check, "--centering", "known-mean"],
+            ["compare", "--population", str(pop), "--model", "ancova", "--model2", "anova"],
+            ["estimate", "--data", str(data_csv), "--mod", "anhecova", "--format", "csv"],
+            ["simulate", "--scenario", "1", "--n", "30", "--reps", "3", "--format", "json"],
+            ["table1", "-h"],
+            ["table1", "--p", "0"],
+            ["check", "--mod", "anova"],
+            [*check[:5], "--pi", "-0.5"],
+        ]
+        fallback = [[], ["-h"], ["bogus"], ["table1", "extra"], ["table1", "--", "--pi", "0.3"],
+                    ["table1", "--bogus"], [*check, "--format", "json", "extra"]]
+        return dispatched, fallback
+
+    def test_main_prints_what_a_full_parse_prints(self, argvs, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in [*argvs[0], *argvs[1]]:
+            want = _outcome(lambda: _full_parse(argv), capsys)
+            assert _outcome(lambda: main(argv), capsys) == want, argv
+
+    def test_the_full_parser_runs_only_on_fallback(self, argvs, capsys, monkeypatch):
+        parser, calls = cli._build_parser(), []
+
+        def parse_args(argv):
+            calls.append(argv)
+            return type(parser).parse_args(parser, argv)
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        dispatched, fallback = argvs
+        for argv in [*dispatched, *fallback]:
+            _outcome(lambda: main(argv), capsys)
+        assert calls == fallback
+
+
 class TestCheck:
     def test_dominates_text(self, capsys):
         rc, out, _ = run(

@@ -137,6 +137,16 @@ class TestParseCache:
         assert parse_formula("1 + A + X1", NAMES1).gamma == (FREE,)
 
 
+def test_named_spec_is_memoized_on_name_and_p():
+    """An equal call returns the same frozen spec; a p of another type is not served
+    from the cache, so a float p is refused as it always was."""
+    spec = named_spec("ANCOVA", 2)
+    assert named_spec("ANCOVA", 2) is spec
+    assert named_spec("ancova", 2) == spec and named_spec("ANCOVA", 3).p == 3
+    with pytest.raises(TypeError):
+        named_spec("ANCOVA", 2.0)
+
+
 constraint_st = st.one_of(
     st.none(),
     st.just(0.0),

@@ -834,3 +834,41 @@ class TestChunkDraw:
         assert str(got.value) == (
             f"replication {r} draws {p[r]} covariates but replication 0 draws 1"
         )
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\n\x1f\x7fé€ 𐏿😀'),
+                     max_size=8)
+_JSON_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, np.float64(0.1), np.float64("-inf")]
+)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _JSON_FLOATS | _JSON_TEXT)
+_JSON_KEYS = _JSON_TEXT | st.integers(-(2**70), 2**70) | _JSON_FLOATS | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``sim._json`` writes exactly what ``json.dumps(value, indent=2)`` writes."""
+
+    @given(_JSON_VALUES)
+    @example({"pi": 0.3, "rows": [], "corollaries": {}, "": [[], {}, ()]})
+    @example([-0.0, float("nan"), -float("inf"), 5e-324, 1e16, 2**64 + 1, np.float64(1 / 3), True, None])
+    @example({1.5: 1, True: 2, None: 3, 2**65: 4, float("nan"): 5, "\ud800\"\\": 6})
+    def test_matches_json_dumps(self, value):
+        assert sim._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(3), {1, 2}, [1.0, {"a": np.int64(3)}], {(1, 2): 3}, {b"k": 1}, np.bool_(True), object()],
+        ids=["np.int64", "set", "nested np.int64", "tuple key", "bytes key", "np.bool_", "object"],
+    )
+    def test_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            sim._json(value)
+        assert str(got.value) == str(want.value)

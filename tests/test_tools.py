@@ -23,6 +23,9 @@ def test_kernel_layers_replays_the_tiny_workloads(monkeypatch, capsys):
     with ExitStack() as stack:
         wls = [stack.enter_context(kl.prepared(name, 3, tiny=True)) for name in kl.workloads.WORKLOADS]
         tr = kl.record(wls)
+        analysis = next(wl for wl in wls if wl.name == "analysis-cli")
+        steps = kl.cli_table(tr, analysis, 1)
+        reads = kl.read_table(analysis, 1)
 
     assert tr.calls == {"mc-n200 km": 1, "mc-n200 io": 2, "mc-scenarios s1": 2, "mc-scenarios s2": 1,
                         "mc-scenarios s3": 1, "mc-scenarios s4": 1, "analysis-cli estimate": 2,
@@ -40,8 +43,13 @@ def test_kernel_layers_replays_the_tiny_workloads(monkeypatch, capsys):
     assert {kind for kind, _ in routes} == fitting
     assert len(routes) == 2 + 2 + 3 * 4 + 2  # the models of each kind
     assert all(kappa.size and (kappa >= 1.0).all() for kappa in routes.values())
+    assert set(steps) == {f"analysis-cli {kind}" for kind in kl.CLI_KINDS}
+    assert all(set(row) == {*kl.CLI_STAGES, "total"} for row in steps.values())
+    assert set(reads) == {"plain.csv", "weighted.csv"}
+    assert all(read > 0.0 and floor > 0.0 for read, floor in reads.values())
     out = capsys.readouterr().out
     assert "Self time per stage" in out and "Routes of the recorded fits" in out
+    assert "Self time per step of the CLI commands" in out and "CSV reads of analysis-cli" in out
 
 
 def test_corpus_digests_do_not_depend_on_order(monkeypatch):

@@ -38,7 +38,14 @@ The corpus is a set of groups, each hashed on its own:
 - ``simulate-cli``: the exit code, stdout and stderr of ``cli.main``
   ``simulate`` on scenarios 1-4 at n = 60, 8 reps, seed 3, with the default
   models and pi, and again with ``--pis 0.2:0.4:0.1 --models "1 + A,1 + A +
-  X1@0.5"``, each in json, text and csv.
+  X1@0.5"``, each in json, text and csv;
+- ``cli-usage``: the exit code, stdout and stderr of ``cli.main`` on the paths
+  argparse owns, at 80 columns: no argument, ``-h``, an unknown command and
+  each command's ``-h``; missing options and values, invalid choices, bad
+  numbers and ``--p 0``; abbreviations (``--mod`` for ``--model``, ambiguous
+  or not), ``--opt=value``, a repeated option, ``--``, negative values
+  (``--pi -0.5``) and extra arguments; and a few of these commands run to
+  their report. A ``SystemExit``'s code stands for the exit code.
 
 A group hashes every cell's report fields, ``mean_se``, failure causes and
 kept estimates; every lone fit's ``ate_hat``, ``ate_se``, ``vcov`` and free
@@ -60,11 +67,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import warnings
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -203,10 +212,14 @@ def hc1_fits(h) -> None:
 
 
 def _cli(argv: list[str], tmp: str | None = None) -> tuple[int, str, str]:
-    """``cli.main``'s exit code, stdout and stderr, with ``tmp`` (if given) written ``<dir>``."""
+    """``cli.main``'s exit code, stdout and stderr, with ``tmp`` (if given) written
+    ``<dir>``; the code of a ``SystemExit`` (argparse's help and errors) is the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli_main(argv)
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     if tmp is None:
         return rc, out.getvalue(), err.getvalue()
     return rc, out.getvalue().replace(tmp, "<dir>"), err.getvalue().replace(tmp, "<dir>")
@@ -281,6 +294,37 @@ def simulate_cli(h) -> None:
                 _feed(h, *_cli([*run, "--format", fmt]))
 
 
+def cli_usage(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
+        data = draw(scenario(1, n=20), 4, pi=0.5).data
+        path = str(Path(tmp, "plain.csv"))
+        rows = (f"{a!r},{y!r},{x!r}" for a, y, x in zip(data.a, data.y, data.x[:, 0]))
+        Path(path).write_text("\n".join(["a,y,X1", *rows]) + "\n")
+        pair = ["--model", "anova", "--model2", "ancova"]
+        check = ["check", *pair, "--pi", "0.3"]
+        runs = [[], ["-h"], ["--help"], ["bogus"], ["--", "table1"], ["--format", "json"]]
+        runs += [[command, "-h"] for command in ("estimate", "check", "compare", "simulate", "table1")]
+        runs += [
+            ["estimate", "--model", "anova"], ["check", "--model", "anova"], ["compare"],
+            ["simulate"], ["table1", "--p"],  # missing options and values
+            [*check, "--centering", "bogus"], ["table1", "--format", "csv"],
+            ["simulate", "--scenario", "5"], ["estimate", "--data", path, "--model", "anova",
+                                             "--family", "x"],  # invalid choices
+            ["table1", "--pi", "abc"], ["table1", "--p", "x"], ["table1", "--p", "0"],
+            ["table1", "--p", "1.5"], ["simulate", "--scenario", "1", "--reps", "-3"],
+            ["estimate", "--data", path, "--mod", "anova"], [*check[:1], "--mod", "anova"],
+            ["estimate", "--h"], ["table1", "--f", "json"], ["table1", "--fo=json", "--p=1"],
+            ["check", "--model=anova", "--model2=1 + A + X1", "--pi=0.4", "--format=json"],
+            ["table1", "--pi", "0.2", "--pi", "0.4", "--format", "json"],
+            ["table1", "--"], ["table1", "--", "--pi", "0.3"], [*check, "--", "extra"],
+            [*check[:5], "--pi", "-0.5"], ["table1", "--pi", "-0.5"], ["table1", "--pi", "-.5"],
+            ["table1", "extra"], [*check, "extra"], ["table1", "--bogus"], ["table1", "--pi", "0.3", "-h"],
+            ["estimate", "--data", path, "--model", "anova", "--pi", "0.5", "extra", "--format", "json"],
+        ]
+        for argv in runs:
+            _feed(h, *_cli(argv, tmp))
+
+
 GROUPS = {
     "scenarios": scenarios,
     "counterexamples": counterexamples,
@@ -292,6 +336,7 @@ GROUPS = {
     "population": population,
     "estimate-cli": estimate_cli,
     "simulate-cli": simulate_cli,
+    "cli-usage": cli_usage,
 }
 
 

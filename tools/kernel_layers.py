@@ -1,6 +1,6 @@
-"""Print where the benchmark's own calls spend their time in the fit kernel and
-the draw, stage by stage, how the kernel routes their fits, and the minor page
-faults of every call kind.
+"""Print where the benchmark's own calls spend their time in the fit kernel, the
+draw and the CLI, stage by stage, how the kernel routes their fits, how fast
+the CLI reads its CSVs, and the minor page faults of every call kind.
 
 Usage, from the repository root::
 
@@ -31,6 +31,14 @@ tables replay those calls, tail chunks included, in µs per call of a kind
   in its final solve (a Poisson fit's routed step at its reported
   coefficients) and the shares of the Gram route at κ < 10 and at
   κ < GRAM_RTOL^-1/2, and of the SVD, which also takes the samples that fail;
+- cli: the ``check``, ``compare`` and ``table1`` commands of an
+  ``analysis-cli`` cycle, replayed through ``cli.main``, split into parse
+  (``ArgumentParser.parse_known_args``, the full parser's and a command's),
+  render (``cli._json``) and body (the rest of ``main``: the command itself
+  and the write of its report);
+- reads: ms per read of each of ``analysis-cli``'s two CSVs by
+  ``cli._read_dataset``, beside ``np.loadtxt`` on the same lines held in
+  memory, the parse floor the reader is measured against;
 - faults: each workload in a fresh interpreter, as a benchmark worker runs it
   (set-up, then ``--cycles`` cycles, unwrapped): minor page faults
   (``resource.getrusage``) and ms per call kind.
@@ -48,6 +56,8 @@ if __name__ == "__main__":  # one thread of BLAS, as bench/run.py sets it before
         os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -62,7 +72,7 @@ from functools import partial  # noqa: E402
 import numpy as np  # noqa: E402
 from traffic import prepared, workloads  # noqa: E402
 
-from linadjust import estimate, sim  # noqa: E402
+from linadjust import cli, estimate, sim  # noqa: E402
 from linadjust.estimate import GRAM_RTOL  # noqa: E402
 from linadjust.model import format_formula  # noqa: E402
 
@@ -90,6 +100,13 @@ DRAW_TIMED = (
     (sim, "_observe", "observe"),
     (sim, "_check_samples", "check"),
 )
+CLI_STAGES = ("parse", "body", "render")
+CLI_TIMED = (
+    (argparse.ArgumentParser, "parse_known_args", "parse"),
+    (cli, "_json", "render"),
+    (cli, "main", "body"),
+)
+CLI_KINDS = ("check", "compare", "table1")
 RECORDED = ((sim, "_fit"), (estimate, "_fit"), (sim, "_rep_states"), (sim, "_draw_stack"))
 QUANTILES = (0.0, 0.5, 0.9, 1.0)
 
@@ -217,6 +234,48 @@ def draw_table(tr: Traffic, repeat: int) -> dict[str, dict[str, float]]:
     return replay(tr, "Self time per step of the recorded draws", DRAW_STAGES, DRAW_TIMED, runs, repeat)
 
 
+def cli_table(tr: Traffic, wl, repeat: int) -> dict[str, dict[str, float]]:
+    """``analysis-cli``'s commands of CLI_KINDS, by kind, replayed through ``cli.main``."""
+
+    def run(argvs):
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                cli.main(argv)
+
+    runs = {f"{wl.name} {kind}": (lambda k=kind: run([c.argv for c in wl.commands if c.kind == k]))
+            for kind in CLI_KINDS}
+    return replay(tr, "Self time per step of the CLI commands", CLI_STAGES, CLI_TIMED, runs, repeat)
+
+
+def _median_ms(fn, repeat: int) -> float:
+    """ms per call of ``fn``, median over ``repeat`` calls after one that warms up."""
+    ns = []
+    for _ in range(repeat + 1):
+        t0 = time.perf_counter_ns()
+        fn()
+        ns.append(time.perf_counter_ns() - t0)
+    return statistics.median(ns[1:]) / 1e6
+
+
+def read_table(wl, repeat: int) -> dict[str, tuple[float, float]]:
+    """Per CSV of ``analysis-cli``'s ``estimate`` commands, ms per read by
+    ``cli._read_dataset`` and by ``np.loadtxt`` on its data lines, printed and returned."""
+    rows = {}
+    print(f"\nCSV reads of {wl.name}, ms per read (median of {repeat})")
+    print(f"{'file':<16} {'rows':>6} {'_read_dataset':>14} {'np.loadtxt':>11} {'above':>7}")
+    for c in wl.commands:
+        if c.kind == "estimate":
+            path = c.argv[c.argv.index("--data") + 1]
+            with open(path) as fh:
+                lines = fh.readlines()[1:]
+            read = _median_ms(lambda: cli._read_dataset(path), repeat)
+            floor = _median_ms(lambda: np.loadtxt(lines, delimiter=","), repeat)
+            name = os.path.basename(path)
+            rows[name] = read, floor
+            print(f"{name:<16} {len(lines):>6} {read:14.2f} {floor:11.2f} {read - floor:7.2f}")
+    return rows
+
+
 def route_table(tr: Traffic) -> dict[tuple[str, str], np.ndarray]:
     """Per (call kind, model), the condition numbers of its recorded fits (NaN
     where a fit failed), printed as quantiles and route shares."""
@@ -278,12 +337,16 @@ def main(argv: list[str]) -> int:
         faults(args.faults, args.seed, args.cycles)
         return 0
     with ExitStack() as stack:
-        tr = record([stack.enter_context(prepared(name, args.seed)) for name in workloads.WORKLOADS])
-    print(f"Seed {args.seed}; recorded fits per cycle: "
-          + ", ".join(f"{kind} {len(fits)}" for kind, fits in tr.of("_fit").items()))
-    stage_table(tr, args.repeat)
-    draw_table(tr, args.repeat)
-    route_table(tr)
+        wls = [stack.enter_context(prepared(name, args.seed)) for name in workloads.WORKLOADS]
+        tr = record(wls)
+        print(f"Seed {args.seed}; recorded fits per cycle: "
+              + ", ".join(f"{kind} {len(fits)}" for kind, fits in tr.of("_fit").items()))
+        stage_table(tr, args.repeat)
+        draw_table(tr, args.repeat)
+        route_table(tr)
+        analysis = next(wl for wl in wls if wl.name == "analysis-cli")
+        cli_table(tr, analysis, args.repeat)
+        read_table(analysis, args.repeat)
     fault_table(args.seed, args.cycles)
     return 0
 
