@@ -9,10 +9,11 @@ codes: 0 success, 2 invalid input or arguments (including an
 unwritable ``--out``), 3 estimation failure (for example a singular
 design). A failing command writes no report.
 
-A report renders the command's JSON record: ``estimate`` and ``check`` through one
-field table each (``_FIT_TEXT`` and ``_FIT_CSV``, ``_VERDICT_TEXT``), ``simulate``
-through ``sim._COLUMNS``. CSV quotes a field only where it must, and a ``simulate``
-text column that a value fills widens to its longest value plus a space.
+A report renders the command's JSON record: ``estimate`` and ``check`` through one field
+table each (``_FIT_TEXT`` and ``_FIT_CSV``, ``_VERDICT_TEXT``), and the text column tables
+of ``simulate``, ``table1`` and ``compare`` through ``sim._columns``, which widens a column
+a value fills to its longest value plus a space. CSV quotes a field only where it must.
+``compare``'s numbers come from ``population._comparison``.
 
 Input CSV layout: header ``a,y,<covariates...>`` with an optional
 trailing ``w`` column holding positive replication weights; UTF-8,
@@ -49,19 +50,11 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .dominance import (
-    DominanceVerdict,
-    check_centered,
-    check_known_mean,
-    condition_centered,
-    corollaries,
-    table1,
-)
+from .dominance import DominanceVerdict, check_centered, check_known_mean, corollaries, table1
 from .estimate import (
     EstimationError,
     FitResult,
     SingularDesignError,
-    _centering_penalty,
     _singular,
     fit_ols,
     fit_poisson_glm,
@@ -79,13 +72,8 @@ from .model import (
     named_spec,
     parse_formula,
 )
-from .population import (
-    _known_mean_variance,
-    _theorem2_gap,
-    population_from_dict,
-    solve_population,
-)
-from .sim import _csv, _json, run_grid, scenario
+from .population import _comparison, population_from_dict
+from .sim import _columns, _csv, _json, run_grid, scenario
 
 __all__ = ["main"]
 
@@ -322,6 +310,11 @@ _VERDICT_TEXT = (
     ("model1", "model1", ""), ("model2", "model2", ""), ("pi", "pi", "g"),
     ("centering", "centering", ""), ("verdict", "verdict", ""), ("theorem", "condition", ""),
 )
+# compare's V/V~ matrix and table1's rows, as ``sim._columns`` tables
+_MATRIX = (("label", "", 22, ""), ("model1", "model1", 14, ">.8g"),
+           ("model2", "model2", 14, ">.8g"), ("gap", "gap(2-1)", 14, ">.8g"))
+_PAIRS = (("model1", "model1", 28, ""), ("model2", "model2", 28, ""),
+          ("known_mean", "known mean", 16, ""), ("empirical", "centered", 16, ""))
 # A field at this value has no text line or CSV row: pi not given, a flag that says nothing
 _QUIET = {"pi": None, "converged": True, "se_clamped": False}
 
@@ -442,45 +435,27 @@ def cmd_compare(args: argparse.Namespace) -> str:
     names = _default_names(pop.p)
     spec1 = _parse_model(args.model, names)
     spec2 = _parse_model(args.model2, names)
-
-    # each model is solved once; the formulas are those of the public variance functions
-    full_spec = named_spec("ANHECOVA", pop.p)
     try:
-        sol1, sol2, full = (solve_population(s, pop) for s in (spec1, spec2, full_spec))
+        exact = _comparison(spec1, spec2, pop)
     except SingularDesignError as exc:  # a fault of the record, as its other faults are
         raise ValueError(f"{args.population}: {exc}") from exc
-    v1, v2 = (_known_mean_variance(pop.moments, s, pop.pi) for s in (sol1, sol2))
-    vc1, vc2 = (
-        v + _centering_penalty(pop.moments.sigma, s.delta, full.delta)
-        for v, s in ((v1, sol1), (v2, sol2))
-    )
-    gap = _theorem2_gap(pop, sol1, sol2) if condition_centered(spec1, spec2) else None
     verdict_km = check_known_mean(spec1, spec2, pop.pi)
     verdict_c = check_centered(spec1, spec2, pop.pi)
-
-    payload = {
-        "population": args.population,
-        "pi": pop.pi,
-        "beta_ate": sol1.beta_ate,
-        "model1": format_formula(spec1, names),
-        "model2": format_formula(spec2, names),
-        "v_known_mean": {"model1": v1, "model2": v2, "gap": v2 - v1},
-        "v_centered": {"model1": vc1, "model2": vc2, "gap": vc2 - vc1},
-        "theorem2_gap": gap,
-        "verdict_known_mean": _verdict_record(verdict_km),
-        "verdict_centered": _verdict_record(verdict_c),
-    }
+    payload = {"population": args.population, "pi": pop.pi, **exact,
+               "verdict_known_mean": _verdict_record(verdict_km),
+               "verdict_centered": _verdict_record(verdict_c)}
     if args.format == "json":
         return _json(payload) + "\n"
+    gap = exact["theorem2_gap"]
+    matrix = [{"label": "V (known mean)", **exact["v_known_mean"]},
+              {"label": "V~ (centered)", **exact["v_centered"]}]
     lines = [
         f"population  {args.population} (p={pop.p}, pi={pop.pi:g})",
-        f"beta_ate    {sol1.beta_ate:.10g}",
-        f"model1      {payload['model1']}",
-        f"model2      {payload['model2']}",
+        f"beta_ate    {exact['beta_ate']:.10g}",
+        f"model1      {exact['model1']}",
+        f"model2      {exact['model2']}",
         "",
-        f"{'':<22}{'model1':>14}{'model2':>14}{'gap(2-1)':>14}",
-        f"{'V (known mean)':<22}{v1:>14.8g}{v2:>14.8g}{v2 - v1:>14.8g}",
-        f"{'V~ (centered)':<22}{vc1:>14.8g}{vc2:>14.8g}{vc2 - vc1:>14.8g}",
+        *_columns(matrix, _MATRIX),
         "",
         f"closed-form centered gap  {'n/a (condition fails)' if gap is None else format(gap, '.8g')}",
         f"verdict (known mean)      {verdict_km.verdict} [{verdict_km.theorem}]",
@@ -516,14 +491,8 @@ def cmd_table1(args: argparse.Namespace) -> str:
     extra = corollaries(args.pi, args.p)
     if args.format == "json":
         return _json({"pi": args.pi, "rows": rows, "corollaries": extra}) + "\n"
-    lines = [f"pairwise dominance at pi = {args.pi:g} (does model1 dominate model2?)", ""]
-    lines.append(f"{'model1':<28}{'model2':<28}{'known mean':<16}{'centered':<16}")
-    for r in rows:
-        lines.append(
-            f"{r['model1']:<28}{r['model2']:<28}{r['known_mean']:<16}{r['empirical']:<16}"
-        )
-    lines.append("")
-    lines.append("named-estimator claims:")
+    lines = [f"pairwise dominance at pi = {args.pi:g} (does model1 dominate model2?)", "",
+             *_columns(rows, _PAIRS), "", "named-estimator claims:"]
     for r in extra:
         status = "certified" if r["certified"] else "not certified by these conditions"
         lines.append(f"  {r['model1']} vs {r['model2']}: {r['verdict']} ({status})")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dominance import condition_centered
 from .estimate import SingularDesignError, _centering_penalty
-from .model import ModelSpec, _check_pi, named_spec
+from .model import ModelSpec, _check_pi, format_formula, named_spec
 
 __all__ = [
     "ExactMoments",
@@ -302,16 +302,22 @@ def asymptotic_variance_known_mean(spec: ModelSpec, pop: PopulationSpec) -> floa
     return _known_mean_variance(pop.moments, solve_population(spec, pop), pop.pi)
 
 
+def _variances(pop: PopulationSpec, sol: PopulationSolution, full: PopulationSolution):
+    """(V, V_tilde) of one solution, ``full`` the all-free model's: V_tilde is V plus the
+    centering penalty, which no other population variance adds."""
+    v = _known_mean_variance(pop.moments, sol, pop.pi)
+    return v, v + _centering_penalty(pop.moments.sigma, sol.delta, full.delta)
+
+
 def asymptotic_variance_centered(spec: ModelSpec, pop: PopulationSpec) -> float:
     """n * avar of the empirically centered estimate.
 
     Adds the interaction penalty delta_s' Sigma (2 delta_f - delta_s)
-    to the known-mean variance, with delta_f from the all-free model.
+    to the known-mean variance, with delta_f from the all-free model;
+    ``_variances`` does so, for ``compare``'s record too.
     """
     full = solve_population(named_spec("ANHECOVA", spec.p), pop)
-    sol = solve_population(spec, pop)
-    penalty = _centering_penalty(pop.moments.sigma, sol.delta, full.delta)
-    return _known_mean_variance(pop.moments, sol, pop.pi) + penalty
+    return _variances(pop, solve_population(spec, pop), full)[1]
 
 
 def _theorem2_gap(
@@ -320,6 +326,24 @@ def _theorem2_gap(
     """The closed-form centered gap V2_tilde - V1_tilde from the two solutions."""
     v = sol1.gamma - sol2.gamma + (1.0 - pop.pi) * (sol1.delta - sol2.delta)
     return float(v @ pop.moments.sigma @ v) / (pop.pi * (1.0 - pop.pi))
+
+
+def _comparison(spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpec) -> dict:
+    """``compare``'s exact record, each spec and the full model solved once: beta_ate,
+    the formulas, V and V_tilde with their gaps (model2 - model1), and the closed-form
+    centered gap, None unless the centered dominance condition holds."""
+    full_spec = named_spec("ANHECOVA", pop.p)
+    sol1, sol2, full = (solve_population(s, pop) for s in (spec1, spec2, full_spec))
+    (v1, vc1), (v2, vc2) = (_variances(pop, s, full) for s in (sol1, sol2))
+    gap = _theorem2_gap(pop, sol1, sol2) if condition_centered(spec1, spec2) else None
+    return {
+        "beta_ate": sol1.beta_ate,
+        "model1": format_formula(spec1),
+        "model2": format_formula(spec2),
+        "v_known_mean": {"model1": v1, "model2": v2, "gap": v2 - v1},
+        "v_centered": {"model1": vc1, "model2": vc2, "gap": vc2 - vc1},
+        "theorem2_gap": gap,
+    }
 
 
 def variance_gap_theorem2(spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpec) -> float:

@@ -64,12 +64,12 @@ __all__ = [
     "DID_LDV_CONFIGS",
 ]
 
-# The report's columns: (field, text width, text format); CSV and JSON hold each value as it is
-_COLUMNS = (
+# The report's text table (``_columns``), headed by its field names; CSV and JSON hold values as is
+_COLUMNS = tuple((name, name, width, fmt) for name, width, fmt in (
     ("scenario", 10, ""), ("model", 24, ""), ("pi", 6, "g"), ("n", 6, ""), ("reps", 8, ""),
     ("bias", 12, ".6f"), ("sd", 12, ".6f"), ("mc_se", 12, ".6f"), ("fail_rate", 10, ".4f"),
-)
-REPORT_FIELDS = tuple(name for name, _, _ in _COLUMNS)
+))
+REPORT_FIELDS = tuple(key for key, *_ in _COLUMNS)
 FAIL_RATE_LIMIT = 0.01
 # Replications are drawn and fitted in chunks of about CHUNK_ROWS rows, which
 # keeps the stacked arrays of small n in cache. At larger n a chunk still holds
@@ -413,14 +413,20 @@ class MonteCarloReport:
         return _json([c.row() for c in self.cells]) + "\n"
 
     def to_text(self) -> str:
-        """Left-aligned columns, as wide as ``_COLUMNS`` says unless a value
-        reaches a column's edge: that column is its longest value plus a space."""
-        rows = [c.row() for c in self.cells]
-        cols = [[name, *("" if r[name] is None else format(r[name], fmt) for r in rows)]
-                for name, _, fmt in _COLUMNS]
-        widths = [max(w, 1 + max(map(len, col))) for col, (_, w, _) in zip(cols, _COLUMNS)]
-        lines = ("".join(f"{v:<{w}}" for v, w in zip(line, widths)) for line in zip(*cols))
-        return "\n".join(lines) + "\n"
+        """The cells' rows in ``_COLUMNS``' left-aligned columns (``_columns``)."""
+        return "\n".join(_columns([c.row() for c in self.cells], _COLUMNS)) + "\n"
+
+
+def _columns(rows, table) -> list[str]:
+    """A column table's lines: its headers, then one per row (a dict). Each ``table``
+    entry is (key, header, width, format); a format starting with ``>`` right-aligns
+    its column, and a None value is blank. A column that a value or its header
+    fills is widened to its longest plus one space."""
+    cols = [[head, *("" if r[key] is None else format(r[key], fmt) for r in rows)]
+            for key, head, _, fmt in table]
+    widths = [max(w, 1 + max(map(len, col))) for col, (_, _, w, _) in zip(cols, table)]
+    aligns = [">" if fmt.startswith(">") else "<" for *_, fmt in table]
+    return ["".join(f"{v:{a}{w}}" for v, a, w in zip(line, aligns, widths)) for line in zip(*cols)]
 
 
 def _csv(rows) -> str:

@@ -34,7 +34,7 @@ from linadjust import (
     scenario,
     variance_gap_theorem2,
 )
-from linadjust import cli
+from linadjust import cli, population
 from linadjust.cli import main
 from linadjust.sim import REPORT_FIELDS
 from linadjust.dominance import _TABLE1_ROWS, check_centered, check_known_mean
@@ -71,6 +71,17 @@ def run(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _assert_sliced(lines, edges, rows, right=False):
+    """Each line, sliced at ``edges`` (None is the line's end), holds its row's
+    formatted values, each set off by a space from the cell beside it: a
+    left-aligned cell ends in a space, a right-aligned one begins with one."""
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        pieces = [line[a:b] for a, b in zip(edges, edges[1:])]
+        assert [p.lstrip() if right else p.rstrip() for p in pieces] == row
+        assert all(p.startswith(" ") if right else p.endswith(" ") for p in pieces)
 
 
 class TestEstimate:
@@ -1184,6 +1195,28 @@ class TestCompare:
         assert rc == 0
         assert "n/a (condition fails)" in out
 
+    @pytest.mark.parametrize("pair", [("1 + A + X1@1e9", "anova"), ("1 + A", "1 + A + X")])
+    def test_text_columns_widen_to_their_longest_value(self, tmp_path, capsys, pair):
+        """A 14-character value ran into the value before it in the 14-wide columns
+        of the V/V~ matrix; each column is now its longest value plus a space."""
+        path = tmp_path / "pop.json"
+        path.write_text('{"pi": 0.3, "sigma": [[1.3]], "omega1": [0.0101234], "omega0": '
+                        '[0.0223457], "mu1": 1.0, "mu0": 0.0, "q1": 2.0, "q0": 1.0}')
+        base = ["compare", "--population", str(path), "--model", pair[0], "--model2", pair[1],
+                "--format"]
+        rc, out, _ = run(base + ["text"], capsys)
+        assert rc == 0
+        payload = json.loads(run(base + ["json"], capsys)[1])
+        header, *lines = out.splitlines()[5:8]
+        ends = [m.end() for m in re.finditer(r"\S+", header)]
+        assert header.split() == ["model1", "model2", "gap(2-1)"] and ends[0] == 22 + 14
+        labels = {"V (known mean)": "v_known_mean", "V~ (centered)": "v_centered"}
+        assert [line[:22] for line in lines] == [f"{label:<22}" for label in labels]
+        rows = [[format(payload[key][col], ".8g") for col in ("model1", "model2", "gap")]
+                for key in labels.values()]
+        assert max(len(v) for row in rows for v in row) == 14  # a value fills its column
+        _assert_sliced(lines, [22, *ends], rows, right=True)
+
     @pytest.mark.parametrize(
         "pair",
         [("anhecova", "anova"), ("anhecova", "1 + A + A:X1 + A:X2"), ("ancova", "anova"),
@@ -1195,7 +1228,8 @@ class TestCompare:
         path.write_text(json.dumps(population_to_dict(pop)))
         argv = ["compare", "--population", str(path), "--model", pair[0], "--model2", pair[1],
                 "--format", "json"]
-        with mock.patch.object(cli, "solve_population", wraps=cli.solve_population) as solve:
+        with mock.patch.object(population, "solve_population",
+                               wraps=population.solve_population) as solve:
             rc, out, _ = run(argv, capsys)
         assert (rc, solve.call_count) == (0, 3)
         payload = json.loads(out)
@@ -1447,12 +1481,10 @@ class TestSimulate:
         assert header.split() == list(REPORT_FIELDS)
         assert starts[:5] == [0, 10, 38, 47, 53]  # model and pi widened, the rest as they were
         fmts = {"pi": "g", "bias": ".6f", "sd": ".6f", "mc_se": ".6f", "fail_rate": ".4f"}
-        assert len(lines) == len(cells) == 4
-        for line, cell in zip(lines, cells):
-            slices = [line[a:b] for a, b in zip(starts, [*starts[1:], None])]
-            for name, piece in zip(REPORT_FIELDS, slices):
-                assert piece.rstrip() == format(cell[name], fmts.get(name, ""))
-                assert piece.endswith(" ")
+        assert len(cells) == 4
+        rows = [[format(cell[name], fmts.get(name, "")) for name in REPORT_FIELDS]
+                for cell in cells]
+        _assert_sliced(lines, [*starts, None], rows)
 
     def test_argparse_rejections(self, capsys):
         for argv in (
@@ -1525,6 +1557,18 @@ class TestTable1:
         payload = json.loads(out)
         assert len(payload["rows"]) == 5
         assert payload["rows"][1]["empirical"] == "EqualVariance"
+
+    def test_text_columns_slice_at_their_headers(self, capsys):
+        base = ["table1", "--pi", "0.3", "--p", "2", "--format"]
+        rc, out, _ = run(base + ["text"], capsys)
+        assert rc == 0
+        payload = json.loads(run(base + ["json"], capsys)[1])
+        header, *lines = out.splitlines()[2 : 3 + len(payload["rows"])]
+        heads = ("model1", "model2", "known mean", "centered")
+        starts = [header.index(h) for h in heads]
+        assert starts == [0, 28, 56, 72] and len(header) == 88
+        keys = ("model1", "model2", "known_mean", "empirical")
+        _assert_sliced(lines, [*starts, None], [[r[k] for k in keys] for r in payload["rows"]])
 
 
 @pytest.mark.parametrize("command", ["estimate", "check", "compare", "simulate", "table1"])
