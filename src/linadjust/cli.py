@@ -378,12 +378,12 @@ def cmd_estimate(args: argparse.Namespace) -> str:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            if args.family == "poisson":
-                fit = fit_poisson_glm(spec, data)
+            if args.family == "poisson":  # the report prints no covariance: none is formed
+                fit = fit_poisson_glm(spec, data, _vcov=False)
             elif data.weights is not None:
-                fit = fit_weighted(spec, data, hc1=args.hc1)
+                fit = fit_weighted(spec, data, hc1=args.hc1, _vcov=False)
             else:
-                fit = fit_ols(spec, data, hc1=args.hc1)
+                fit = fit_ols(spec, data, hc1=args.hc1, _vcov=False)
         except SingularDesignError as exc:  # name the design's columns as the file does
             own = {}
             for label, name in zip(_default_names(spec.p), cov_names):

@@ -6,9 +6,10 @@ did not certify the ordering, not that dominance is false.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .model import ModelSpec, _check_pi, _default_names, named_spec, parse_formula
+from .model import ModelSpec, _check_pi, _default_names, _fixed, named_spec, parse_formula
 
 __all__ = [
     "DominanceVerdict",
@@ -22,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DominanceVerdict:
     """Outcome of a dominance check on an ordered pair of specs.
 
@@ -37,30 +38,42 @@ class DominanceVerdict:
     centering: str  # "known-mean" | "empirical"
     explanation: dict[str, bool]
 
+    def __init__(self, verdict: str, theorem: str, centering: str,
+                 explanation: dict[str, bool]) -> None:
+        # what the generated frozen __init__ sets, without its object.__setattr__ per field
+        fields = self.__dict__
+        fields["verdict"], fields["theorem"] = verdict, theorem
+        fields["centering"], fields["explanation"] = centering, explanation
+
     def __str__(self) -> str:
         return f"{self.verdict} ({self.theorem})"
 
 
 def constraints_nested(outer, inner) -> bool:
-    """Componentwise set containment of constraint tuples."""
-    return all(o.contains(i) for o, i in zip(outer, inner))
+    """Componentwise set containment of constraint sequences, over their common
+    length: each coefficient that ``outer`` fixes, ``inner`` fixes at the same value."""
+    n = min(len(outer), len(inner))
+    return _fixed(outer[:n]) <= _fixed(inner[:n])
 
 
 def _subconditions(spec1: ModelSpec, spec2: ModelSpec) -> dict[str, bool]:
     return {
-        "gamma_nested": constraints_nested(spec1.gamma, spec2.gamma),
-        "delta_nested": constraints_nested(spec1.delta, spec2.delta),
+        "gamma_nested": spec1._fixed_gamma <= spec2._fixed_gamma,
+        "delta_nested": spec1._fixed_delta <= spec2._fixed_delta,
     }
 
 
 def _known_mean_terms(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> dict[str, bool]:
-    superset = set(spec1.unrestricted_delta()) >= set(spec1.unrestricted_gamma())
-    return {**_subconditions(spec1, spec2), "pi_half": pi == 0.5, "interaction_superset": superset}
+    terms = _subconditions(spec1, spec2)
+    terms["pi_half"] = pi == 0.5
+    terms["interaction_superset"] = set(spec1._free_delta).issuperset(spec1._free_gamma)
+    return terms
 
 
 def _centered_terms(spec1: ModelSpec, spec2: ModelSpec) -> dict[str, bool]:
-    equal_free = set(spec1.unrestricted_gamma()) == set(spec1.unrestricted_delta())
-    return {**_subconditions(spec1, spec2), "equal_free_sets": equal_free}
+    terms = _subconditions(spec1, spec2)
+    terms["equal_free_sets"] = spec1._free_gamma == spec1._free_delta  # ascending, so as sets
+    return terms
 
 
 def _known_mean_holds(t: dict[str, bool]) -> bool:
@@ -81,7 +94,7 @@ def _validate_pair(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> None:
     if spec1.p != spec2.p:
         msg = f"specs have different covariate counts: {spec1.p} vs {spec2.p}"
         raise ValueError(msg)
-    if (spec1.gamma, spec1.delta) == (spec2.gamma, spec2.delta):
+    if spec1._fixed_gamma == spec2._fixed_gamma and spec1._fixed_delta == spec2._fixed_delta:
         msg = "specs are identical; dominance comparison needs distinct models"
         raise ValueError(msg)
     _check_pi(pi)
@@ -113,7 +126,7 @@ def check_centered(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> DominanceVe
     """
     _validate_pair(spec1, spec2, pi)
     expl = _centered_terms(spec1, spec2)
-    gamma_equal = spec1.gamma == spec2.gamma
+    gamma_equal = spec1._fixed_gamma == spec2._fixed_gamma  # of one length (_validate_pair)
     pi_half = pi == 0.5
     if all(expl.values()):
         expl["gamma_equal"] = gamma_equal
@@ -139,6 +152,15 @@ _TABLE1_ROWS = (
 )
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _table1_pairs(p: int) -> tuple[tuple[str, str, ModelSpec, ModelSpec], ...]:
+    """Table 1's rows at ``p`` covariates, each formula pair with its two specs;
+    memoized per process on ``p``, as :func:`named_spec` is."""
+    names = _default_names(p)
+    return tuple((f1, f2, parse_formula(f1, names), parse_formula(f2, names))
+                 for f1, f2 in _TABLE1_ROWS)
+
+
 def table1(p: int, pi: float) -> list[dict]:
     """Verdicts for the five basic model comparisons, both centerings.
 
@@ -148,17 +170,22 @@ def table1(p: int, pi: float) -> list[dict]:
     if p < 1:
         msg = f"p must be positive, got {p}"
         raise ValueError(msg)
-    names = _default_names(p)
     rows = []
-    for f1, f2 in _TABLE1_ROWS:
-        s1 = parse_formula(f1, names)
-        s2 = parse_formula(f2, names)
+    for f1, f2, s1, s2 in _table1_pairs(p):
         known = check_known_mean(s1, s2, pi)
         cent = check_centered(s1, s2, pi)
         rows.append({"model1": f1, "model2": f2,
                      "known_mean": known.verdict, "known_mean_clause": known.theorem,
                      "empirical": cent.verdict, "empirical_clause": cent.theorem})
     return rows
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _corollary_pairs(p: int) -> tuple[tuple[str, str, ModelSpec, ModelSpec], ...]:
+    """The named-estimator pairs of :func:`corollaries` with their specs at ``p``
+    covariates; memoized per process on ``p``, as :func:`named_spec` is."""
+    pairs = (("ANHECOVA", "ANOVA"), ("ANHECOVA", "ANCOVA"), ("LDV", "DiD"))
+    return tuple((n1, n2, named_spec(n1, p), named_spec(n2, p)) for n1, n2 in pairs)
 
 
 def corollaries(pi: float, p: int = 2) -> list[dict]:
@@ -174,8 +201,8 @@ def corollaries(pi: float, p: int = 2) -> list[dict]:
     pi = 0.7. ``did_vs_ldv_experiment`` simulates pi = 0.5 only.
     """
     out = []
-    for name1, name2 in (("ANHECOVA", "ANOVA"), ("ANHECOVA", "ANCOVA"), ("LDV", "DiD")):
-        v = check_centered(named_spec(name1, p), named_spec(name2, p), pi)
+    for name1, name2, s1, s2 in _corollary_pairs(p):
+        v = check_centered(s1, s2, pi)
         out.append({"model1": name1, "model2": name2, "verdict": v.verdict, "clause": v.theorem,
                     "certified": v.verdict in ("Dominates", "EqualVariance")})
     return out

@@ -23,7 +23,8 @@ SVD of ``_svd_solve``, which holds the one rank rule. Every
 variance is a sum over the influence rows U = B·Z·diag(wε̂) of
 ``_influence``: ``_ate_var`` sums the squares of the ATE row alone, which
 is every fit's ate_se, and ``_vcov`` forms U·Uᵀ, the HC0/HC1 covariance,
-only for a lone fit's ``vcov`` and ``sandwich_vcov``; ``_penalized`` adds
+only for a lone fit's ``vcov`` (unless its caller passes ``_vcov=False``, as
+the CLI does) and ``sandwich_vcov``; ``_penalized`` adds
 the empirical-centering penalty and clamps.
 Weighted fits use each sample's weights times an even power of two
 (``_Stack.scaled_w``), which changes no result but keeps ZᵀWZ and the
@@ -109,7 +110,9 @@ class FitResult:
     ``gamma`` and ``delta`` have length p with fixed entries echoed at
     their constraint values. ``vcov`` covers the free coefficients in
     design-column order (see ``labels``): the HC0 (or HC1) sandwich U·Uᵀ
-    of the influence rows U = (ZᵀWZ)⁻¹·Z·diag(wε̂). ``condition_number``
+    of the influence rows U = (ZᵀWZ)⁻¹·Z·diag(wε̂), or None where the fit was
+    asked not to form it (the ``fit_*`` functions' private ``_vcov=False``, which
+    the CLI passes because it prints no covariance). ``condition_number``
     is s_max/s_min of the (square-root-weighted) free design in the final
     solve, and ``iterations`` the number of Newton evaluations after the
     start of a Poisson fit (``_irls``; 1 for a linear fit).
@@ -121,7 +124,7 @@ class FitResult:
     delta: np.ndarray
     ate_hat: float
     ate_se: float
-    vcov: np.ndarray
+    vcov: np.ndarray | None
     n_used: int
     spec: ModelSpec
     column_map: ColumnMap
@@ -277,7 +280,7 @@ class _Fits:
             delta=_with_fixed(spec.delta, cmap.delta_cols, one)[0],
             ate_hat=float(coef[1]),
             ate_se=float(self.ate_se[r]),
-            vcov=self.vcov[r],
+            vcov=None if self.vcov is None else self.vcov[r],
             n_used=n,
             spec=spec,
             column_map=cmap,
@@ -644,11 +647,11 @@ def _newton(z, offset, zy, coef):
         return step, out
 
 
-def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResult:
+def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool, vcov: bool) -> FitResult:
     """Fit a stack of one; raise its error, or warn at the public function's caller on a clamp.
-    The FitResult reports the whole covariance U·Uᵀ, which only lone fits and
-    ``sandwich_vcov`` form."""
-    fits = _fit(spec, _Stack.one(data), family, hc1, vcov=True)
+    With ``vcov`` the FitResult reports the whole covariance U·Uᵀ, which only lone fits and
+    ``sandwich_vcov`` form; without it (the CLI, which prints none) its ``vcov`` is None."""
+    fits = _fit(spec, _Stack.one(data), family, hc1, vcov=vcov)
     if fits.errors:
         raise fits.errors[0]
     if fits.clamped[0]:
@@ -656,7 +659,7 @@ def _fit_one(spec: ModelSpec, data: Dataset, family: str, hc1: bool) -> FitResul
     return fits.result(0, data.n)
 
 
-def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
+def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False, *, _vcov: bool = True) -> FitResult:
     """Constrained ordinary least squares.
 
     Minimizes the residual sum of squares of
@@ -684,10 +687,12 @@ def fit_ols(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
     if data.weights is not None:
         msg = "dataset has weights; use fit_weighted"
         raise ValueError(msg)
-    return _fit_one(spec, data, "gaussian", hc1)
+    return _fit_one(spec, data, "gaussian", hc1, _vcov)
 
 
-def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult:
+def fit_weighted(
+    spec: ModelSpec, data: Dataset, hc1: bool = False, *, _vcov: bool = True
+) -> FitResult:
     """Weighted constrained least squares with a weighted sandwich.
 
     Minimizes sum_i w_i * residual_i^2; the covariance uses the
@@ -698,7 +703,7 @@ def fit_weighted(spec: ModelSpec, data: Dataset, hc1: bool = False) -> FitResult
     if data.weights is None:
         msg = "fit_weighted requires a dataset with weights"
         raise ValueError(msg)
-    return _fit_one(spec, data, "gaussian", hc1)
+    return _fit_one(spec, data, "gaussian", hc1, _vcov)
 
 
 def sandwich_vcov(spec: ModelSpec, data: Dataset, theta_hat) -> np.ndarray:
@@ -749,7 +754,7 @@ def estimate_ate_variance_centered(
     return float(total)
 
 
-def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
+def fit_poisson_glm(spec: ModelSpec, data: Dataset, *, _vcov: bool = True) -> FitResult:
     """Poisson log-link GLM over the free coefficients, by Newton's method (IRLS).
 
     Fixed coefficients enter the linear predictor as an offset. The start
@@ -766,4 +771,4 @@ def fit_poisson_glm(spec: ModelSpec, data: Dataset) -> FitResult:
     if data.weights is not None:
         msg = "weighted Poisson fits are not supported"
         raise ValueError(msg)
-    return _fit_one(spec, data, "poisson", False)
+    return _fit_one(spec, data, "poisson", False, _vcov)

@@ -122,6 +122,12 @@ class ModelSpec:
                 f"expected {len(self.gamma)}"
             )
             raise ValueError(msg)
+        # the structure the dominance checks read, derived once: each side's free
+        # indices and its fixed (index, value) pairs (``_fixed``)
+        object.__setattr__(self, "_free_gamma", tuple(j for j, c in enumerate(self.gamma) if c.is_free))
+        object.__setattr__(self, "_free_delta", tuple(j for j, c in enumerate(self.delta) if c.is_free))
+        object.__setattr__(self, "_fixed_gamma", _fixed(self.gamma))
+        object.__setattr__(self, "_fixed_delta", _fixed(self.delta))
 
     @property
     def p(self) -> int:
@@ -129,14 +135,21 @@ class ModelSpec:
 
     def unrestricted_gamma(self) -> tuple[int, ...]:
         """Indices (0-based) of free main-effect coefficients."""
-        return tuple(j for j, c in enumerate(self.gamma) if c.is_free)
+        return self._free_gamma
 
     def unrestricted_delta(self) -> tuple[int, ...]:
         """Indices (0-based) of free interaction coefficients."""
-        return tuple(j for j, c in enumerate(self.delta) if c.is_free)
+        return self._free_delta
 
     def with_centering(self, centering: Centering) -> ModelSpec:
         return ModelSpec(self.gamma, self.delta, centering)
+
+
+def _fixed(constraints) -> frozenset[tuple[int, float]]:
+    """The (index, value) pairs of the fixed coefficients of a constraint tuple. Of two
+    tuples of one length, the first contains the second position by position exactly
+    when its pairs are a subset of the second's, and they are equal when their pairs are."""
+    return frozenset((j, c.value) for j, c in enumerate(constraints) if not c.is_free)
 
 
 def _check_pi(pi: float) -> None:

@@ -329,11 +329,13 @@ def _theorem2_gap(
 
 
 def _comparison(spec1: ModelSpec, spec2: ModelSpec, pop: PopulationSpec) -> dict:
-    """``compare``'s exact record, each spec and the full model solved once: beta_ate,
-    the formulas, V and V_tilde with their gaps (model2 - model1), and the closed-form
-    centered gap, None unless the centered dominance condition holds."""
-    full_spec = named_spec("ANHECOVA", pop.p)
-    sol1, sol2, full = (solve_population(s, pop) for s in (spec1, spec2, full_spec))
+    """``compare``'s exact record, each distinct model among the two specs and the full
+    model solved once: beta_ate, the formulas, V and V_tilde with their gaps (model2 -
+    model1), and the closed-form centered gap, None unless the centered dominance
+    condition holds."""
+    specs = (spec1, spec2, named_spec("ANHECOVA", pop.p))
+    solved = {s: solve_population(s, pop) for s in dict.fromkeys(specs)}
+    sol1, sol2, full = (solved[s] for s in specs)
     (v1, vc1), (v2, vc2) = (_variances(pop, s, full) for s in (sol1, sol2))
     gap = _theorem2_gap(pop, sol1, sol2) if condition_centered(spec1, spec2) else None
     return {

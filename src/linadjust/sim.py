@@ -466,15 +466,15 @@ def _json(v, nl: str = "\n") -> str:
     if isinstance(v, dict):
         if not v:
             return "{}"
-        items = [_json_key(k) + ": " + _json(x, inner) for k, x in v.items()]
+        # a str key or value is escaped here, without the calls that would find it is one
+        items = [(_escape(k) if isinstance(k, str) else _json_key(k)) + ": "
+                 + (_escape(x) if isinstance(x, str) else _json(x, inner)) for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 
 
 def _json_key(k) -> str:
-    """A dict key as json writes it: a string, or a number, bool or None in quotes."""
-    if isinstance(k, str):
-        return _escape(k)
+    """A dict key that is not a string as json writes it: a number, bool or None in quotes."""
     if k is None or isinstance(k, (int, float)):  # bool is an int
         return '"' + _json(k) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")

@@ -13,8 +13,16 @@ about κ²·1.1e-19 = 1e-13 (the bread), four orders below the budgets it
 checks, and ``budget`` turns ``estimate.GRAM_BUDGET`` into per-sample
 bounds.
 
-Designs are column-major, (R, q, n), as the kernel's are. This module is
-not collected by pytest; the kernel tests import it.
+Designs are column-major, (R, q, n), as the kernel's are.
+
+It also keeps a reference for the dominance checker: its predicates as
+they were first written, position by position with ``CoefConstraint.contains``
+over the constraint tuples, before ``ModelSpec`` derived the index tuples and
+fixed values that ``linadjust.dominance`` now reads. ``check_known_mean``,
+``check_centered``, ``table1`` and ``corollaries`` here return what the
+checker's functions of those names return, and raise what they raise.
+
+This module is not collected by pytest; the kernel and dominance tests import it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from linadjust.dominance import _TABLE1_ROWS, DominanceVerdict
 from linadjust.estimate import GRAM_BUDGET
+from linadjust.model import ModelSpec, _check_pi, _default_names, named_spec, parse_formula
 
 LD = np.longdouble
 EPS = np.finfo(float).eps
@@ -157,3 +167,89 @@ def oracle(z, y, w=None) -> Oracle:
         dv = (2.0 * np.abs(np.asarray(u, dtype=float)) + du) @ du.swapaxes(1, 2)
         return Oracle(coef, bread, resid, u @ u.swapaxes(1, 2), kappa, eta,
                       0.5 * (dv + dv.swapaxes(1, 2)), e)
+
+
+def constraints_nested(outer, inner) -> bool:
+    """Componentwise set containment of constraint tuples."""
+    return all(o.contains(i) for o, i in zip(outer, inner))
+
+
+def _subconditions(spec1: ModelSpec, spec2: ModelSpec) -> dict[str, bool]:
+    return {
+        "gamma_nested": constraints_nested(spec1.gamma, spec2.gamma),
+        "delta_nested": constraints_nested(spec1.delta, spec2.delta),
+    }
+
+
+def _known_mean_terms(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> dict[str, bool]:
+    free_gamma = {j for j, c in enumerate(spec1.gamma) if c.is_free}
+    free_delta = {j for j, c in enumerate(spec1.delta) if c.is_free}
+    return {**_subconditions(spec1, spec2), "pi_half": pi == 0.5,
+            "interaction_superset": free_delta >= free_gamma}
+
+
+def _centered_terms(spec1: ModelSpec, spec2: ModelSpec) -> dict[str, bool]:
+    free_gamma = {j for j, c in enumerate(spec1.gamma) if c.is_free}
+    free_delta = {j for j, c in enumerate(spec1.delta) if c.is_free}
+    return {**_subconditions(spec1, spec2), "equal_free_sets": free_gamma == free_delta}
+
+
+def _validate_pair(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> None:
+    if spec1.p != spec2.p:
+        msg = f"specs have different covariate counts: {spec1.p} vs {spec2.p}"
+        raise ValueError(msg)
+    if (spec1.gamma, spec1.delta) == (spec2.gamma, spec2.delta):
+        msg = "specs are identical; dominance comparison needs distinct models"
+        raise ValueError(msg)
+    _check_pi(pi)
+
+
+def check_known_mean(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> DominanceVerdict:
+    _validate_pair(spec1, spec2, pi)
+    t = _known_mean_terms(spec1, spec2, pi)
+    if not (t["gamma_nested"] and t["delta_nested"] and (t["pi_half"] or t["interaction_superset"])):
+        return DominanceVerdict("NotGuaranteed", "none", "known-mean", t)
+    if t["interaction_superset"]:
+        return DominanceVerdict("Dominates", "Theorem1-interaction-superset", "known-mean", t)
+    return DominanceVerdict("Dominates", "Theorem1-pi-half", "known-mean", t)
+
+
+def check_centered(spec1: ModelSpec, spec2: ModelSpec, pi: float) -> DominanceVerdict:
+    _validate_pair(spec1, spec2, pi)
+    t = _centered_terms(spec1, spec2)
+    gamma_equal = spec1.gamma == spec2.gamma
+    pi_half = pi == 0.5
+    if all(t.values()):
+        t["gamma_equal"] = gamma_equal
+        t["pi_half"] = pi_half
+        if gamma_equal and pi_half:
+            return DominanceVerdict("EqualVariance", "Remark1", "empirical", t)
+        return DominanceVerdict("Dominates", "Theorem2", "empirical", t)
+    if pi_half and gamma_equal and all(_centered_terms(spec2, spec1).values()):
+        t.update(gamma_equal=True, pi_half=True, reversed_pair_nested=True)
+        return DominanceVerdict("EqualVariance", "Remark1", "empirical", t)
+    return DominanceVerdict("NotGuaranteed", "none", "empirical", t)
+
+
+def table1(p: int, pi: float) -> list[dict]:
+    if p < 1:
+        msg = f"p must be positive, got {p}"
+        raise ValueError(msg)
+    names = _default_names(p)
+    rows = []
+    for f1, f2 in _TABLE1_ROWS:
+        s1, s2 = parse_formula(f1, names), parse_formula(f2, names)
+        known, cent = check_known_mean(s1, s2, pi), check_centered(s1, s2, pi)
+        rows.append({"model1": f1, "model2": f2,
+                     "known_mean": known.verdict, "known_mean_clause": known.theorem,
+                     "empirical": cent.verdict, "empirical_clause": cent.theorem})
+    return rows
+
+
+def corollaries(pi: float, p: int = 2) -> list[dict]:
+    out = []
+    for name1, name2 in (("ANHECOVA", "ANOVA"), ("ANHECOVA", "ANCOVA"), ("LDV", "DiD")):
+        v = check_centered(named_spec(name1, p), named_spec(name2, p), pi)
+        out.append({"model1": name1, "model2": name2, "verdict": v.verdict, "clause": v.theorem,
+                    "certified": v.verdict in ("Dominates", "EqualVariance")})
+    return out

@@ -34,7 +34,7 @@ from linadjust import (
     scenario,
     variance_gap_theorem2,
 )
-from linadjust import cli, population
+from linadjust import cli, estimate, population
 from linadjust.cli import main
 from linadjust.sim import REPORT_FIELDS
 from linadjust.dominance import _TABLE1_ROWS, check_centered, check_known_mean
@@ -104,6 +104,31 @@ class TestEstimate:
         assert payload["condition_number"] == fit.condition_number
         assert payload["iterations"] == 1
         assert list(payload)[-3:] == ["condition_number", "iterations", "pi"]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("case", ["plain", "hc1", "weighted", "poisson"])
+    def test_report_forms_no_covariance(self, tmp_path, data_csv, counts_csv, capsys, fmt, case):
+        """The report prints no covariance and forms none: with ``estimate._vcov``
+        raising, each format prints what the public fit, which forms it, renders to."""
+        path, extra = {"plain": (data_csv, []), "hc1": (data_csv, ["--hc1"]),
+                       "poisson": (counts_csv, ["--family", "poisson"])}.get(case, (None, []))
+        if case == "weighted":
+            path = tmp_path / "weighted.csv"
+            rows = [f"{a},{y},{x},{1.0 + 0.25 * i}" for i, (a, y, x) in enumerate(zip(A, Y, X))]
+            path.write_text("\n".join(["a,y,x1,w", *rows]) + "\n")
+        data, names = cli._read_dataset(str(path))
+        spec = parse_formula("1 + A + A:x1", names)
+        if case == "poisson":
+            fit = fit_poisson_glm(spec, data)
+        else:
+            fit = (fit_weighted if case == "weighted" else fit_ols)(spec, data, hc1=case == "hc1")
+        assert fit.vcov is not None
+        want = cli._fit_report(fit, {**fit.to_dict(names), "pi": None}, names, fmt)
+        argv = ["estimate", "--data", str(path), "--model", "1 + A + A:x1", "--format", fmt,
+                *extra]
+        with mock.patch.object(estimate, "_vcov", side_effect=AssertionError("formed a covariance")):
+            rc, out, _ = run(argv, capsys)
+        assert (rc, out) == (0, want)
 
     def test_text_report(self, data_csv, capsys):
         rc, out, _ = run(
@@ -1223,6 +1248,8 @@ class TestCompare:
          ("1 + A + X1@0.5 + X2 + A:X2", "anhecova"), ("anova", "ancova")],
     )
     def test_each_model_is_solved_once(self, tmp_path, capsys, pair):
+        """The distinct models among the pair and the full model (ANHECOVA) are solved
+        once each: two where the pair holds the full model, else three."""
         pop = random_moment_population(np.random.default_rng(4), p=2)
         path = tmp_path / "pop.json"
         path.write_text(json.dumps(population_to_dict(pop)))
@@ -1231,7 +1258,7 @@ class TestCompare:
         with mock.patch.object(population, "solve_population",
                                wraps=population.solve_population) as solve:
             rc, out, _ = run(argv, capsys)
-        assert (rc, solve.call_count) == (0, 3)
+        assert (rc, solve.call_count) == (0, 2 if "anhecova" in pair else 3)
         payload = json.loads(out)
         spec1, spec2 = (cli._parse_model(m, ["X1", "X2"]) for m in pair)
         try:

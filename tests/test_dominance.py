@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import oracle
 import pytest
 
 from linadjust import (
@@ -252,3 +255,67 @@ def test_condition_helpers_allow_equal_specs():
     assert condition_centered(ANHECOVA2, ANHECOVA2)
     assert constraints_nested(ANHECOVA2.gamma, ANOVA2.gamma)
     assert not constraints_nested(ANOVA2.gamma, ANHECOVA2.gamma)
+
+
+CHOICES = (FREE, CoefConstraint(0.0), CoefConstraint(0.5))
+
+
+def _specs(p: int, choices=CHOICES) -> list[ModelSpec]:
+    """Every spec at ``p`` covariates whose coefficients each take one of ``choices``."""
+    return [ModelSpec(c[:p], c[p:]) for c in itertools.product(choices, repeat=2 * p)]
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives, comparable with ``==``: its error's type and message,
+    a verdict's fields with its explanation's items in order, or a list of records'
+    items in order."""
+    try:
+        out = fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, list):
+        return [list(r.items()) for r in out]
+    if isinstance(out, bool):
+        return out
+    return type(out), out.verdict, out.theorem, out.centering, list(out.explanation.items())
+
+
+@pytest.mark.parametrize("pi", [0.3, 0.5, 1.0])
+def test_verdicts_match_the_reference_on_every_pair(pi):
+    """Both checks give the reference's verdict, clause, explanation (its keys in
+    order) or error on every ordered pair of the 9 specs at p = 1 and 81 at p = 2
+    whose coefficients are each free, fixed at 0 or fixed at 0.5; pi = 1 is invalid."""
+    specs = _specs(1) + _specs(2)
+    for s1, s2 in itertools.product(specs, repeat=2):
+        for check, ref in ((check_known_mean, oracle.check_known_mean),
+                           (check_centered, oracle.check_centered)):
+            assert _outcome(check, s1, s2, pi) == _outcome(ref, s1, s2, pi), (check, s1, s2)
+
+
+def test_verdicts_match_the_reference_on_signed_zeros():
+    """A coefficient fixed at -0.0 is the one fixed at 0.0, in every predicate."""
+    specs = _specs(1, (*CHOICES, CoefConstraint(-0.0)))
+    for s1, s2 in itertools.product(specs, repeat=2):
+        for pi in (0.3, 0.5):
+            for check, ref in ((check_known_mean, oracle.check_known_mean),
+                               (check_centered, oracle.check_centered)):
+                assert _outcome(check, s1, s2, pi) == _outcome(ref, s1, s2, pi), (check, s1, s2)
+        nested = constraints_nested(s1.delta, s2.delta)
+        assert nested == oracle.constraints_nested(s1.delta, s2.delta)
+
+
+def test_constraints_nested_matches_the_reference():
+    """On every pair of constraint tuples of one or two entries, equal lengths or not."""
+    sides = [c for p in (1, 2) for c in itertools.product(CHOICES, repeat=p)]
+    for outer, inner in itertools.product(sides, repeat=2):
+        assert constraints_nested(outer, inner) == oracle.constraints_nested(outer, inner)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 0, 2.0])
+@pytest.mark.parametrize("pi", [0.3, 0.5, 0.0])
+def test_tables_match_the_reference(p, pi):
+    """``table1`` and ``corollaries`` give the reference's records, their keys in
+    order, or its error; twice, so that a memoized call is checked too."""
+    for _ in range(2):
+        assert _outcome(table1, p, pi) == _outcome(oracle.table1, p, pi)
+        assert _outcome(corollaries, pi, p) == _outcome(oracle.corollaries, pi, p)

@@ -21,9 +21,10 @@ tables replay those calls, tail chunks included, in µs per call of a kind
   fit's closed-form start and its cheap Newton steps, ``_newton`` and
   ``_poisson_mean``; its least-squares start and its routed steps are
   ``_solve`` calls, so in gram, eigh and solve), influence (``_influence``), ate
-  row (the rest of ``_ate_var``), vcov (the rest of ``_vcov``: the lone fits
-  of ``estimate`` commands only), penalty (``_Stack.sigma``, ``_penalized``)
-  and fit (``_fit`` itself: the residual, the arms and the failed rows);
+  row (the rest of ``_ate_var``), penalty (``_Stack.sigma``, ``_penalized``)
+  and fit (``_fit`` itself: the residual, the arms and the failed rows). No
+  recorded fit forms the whole covariance U·Uᵀ: ``run_grid`` does not ask
+  for it, and ``estimate`` commands print none;
 - draw: the recorded ``_rep_states`` (seeds) and ``_draw_stack`` calls, split
   into rngs (the generators and the stack), fills (the rest of
   ``_draw_chunk``), observe (``_observe``) and check (``_check_samples``);
@@ -34,8 +35,9 @@ tables replay those calls, tail chunks included, in µs per call of a kind
 - cli: the ``check``, ``compare`` and ``table1`` commands of an
   ``analysis-cli`` cycle, replayed through ``cli.main``, split into parse
   (``ArgumentParser.parse_known_args``, the full parser's and a command's),
-  render (``cli._json``) and body (the rest of ``main``: the command itself
-  and the write of its report);
+  verdicts (``check_known_mean`` and ``check_centered``, called by ``cli``
+  or by ``dominance.table1`` and ``corollaries``), render (``cli._json``) and
+  body (the rest of ``main``: the command itself and the write of its report);
 - reads: ms per read of each of ``analysis-cli``'s two CSVs by
   ``cli._read_dataset``, beside ``np.loadtxt`` on the same lines held in
   memory, the parse floor the reader is measured against;
@@ -72,11 +74,11 @@ from functools import partial  # noqa: E402
 import numpy as np  # noqa: E402
 from traffic import prepared, workloads  # noqa: E402
 
-from linadjust import cli, estimate, sim  # noqa: E402
+from linadjust import cli, dominance, estimate, sim  # noqa: E402
 from linadjust.estimate import GRAM_RTOL  # noqa: E402
 from linadjust.model import format_formula  # noqa: E402
 
-STAGES = ("design", "gram", "eigh", "solve", "irls", "influence", "ate row", "vcov", "penalty", "fit")
+STAGES = ("design", "gram", "eigh", "solve", "irls", "influence", "ate row", "penalty", "fit")
 TIMED = (  # (owner, attribute, stage)
     (estimate, "_design", "design"),
     (estimate._Stack, "centered", "design"),
@@ -87,7 +89,6 @@ TIMED = (  # (owner, attribute, stage)
     (estimate, "_irls", "irls"),
     (estimate, "_influence", "influence"),
     (estimate, "_ate_var", "ate row"),
-    (estimate, "_vcov", "vcov"),
     (estimate._Stack, "sigma", "penalty"),
     (estimate, "_penalized", "penalty"),
     (estimate, "_fit", "fit"),
@@ -100,9 +101,13 @@ DRAW_TIMED = (
     (sim, "_observe", "observe"),
     (sim, "_check_samples", "check"),
 )
-CLI_STAGES = ("parse", "body", "render")
+CLI_STAGES = ("parse", "verdicts", "body", "render")
 CLI_TIMED = (
     (argparse.ArgumentParser, "parse_known_args", "parse"),
+    (cli, "check_known_mean", "verdicts"),
+    (cli, "check_centered", "verdicts"),
+    (dominance, "check_known_mean", "verdicts"),
+    (dominance, "check_centered", "verdicts"),
     (cli, "_json", "render"),
     (cli, "main", "body"),
 )
